@@ -34,12 +34,11 @@ def main() -> None:
                     help="grid reaches radius*step in each direction")
     ap.add_argument("--den", type=int, default=5,
                     help="grid step is 1/den")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("out"))
     args = ap.parse_args()
 
     fam = lambda_conjugate_grid(radius=args.radius, step=Fraction(1, args.den))
-    report = alpha_map(fam, workers=args.workers)
+    report = alpha_map(fam)
     audit = hypothesis_H_audit(fam, report)
     sem = semicontinuity_report(fam, report)
 

@@ -10,8 +10,8 @@ stratification reports (families).  ``cli`` exposes the whole stack as a
 command line tool.
 """
 
-from mixedhodge.exactfield import Fraction, GaussianRational, Rational, gauss
+from mixedhodge.exactfield import Fraction, GaussianRational, gauss
 
-__all__ = ["Fraction", "GaussianRational", "Rational", "gauss"]
+__all__ = ["Fraction", "GaussianRational", "gauss"]
 
 __version__ = "0.1.0"

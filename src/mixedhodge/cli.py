@@ -22,10 +22,8 @@ import random
 import sys
 from dataclasses import replace
 
-from fractions import Fraction
-
 from mixedhodge.curves import CurveConfig, INF, config_from_json, curve_report, genus0_alpha
-from mixedhodge.exactfield import I, gauss
+from mixedhodge.exactfield import I, fraction_json, gauss
 from mixedhodge.families import (
     alpha_map,
     family_from_json,
@@ -33,7 +31,6 @@ from mixedhodge.families import (
     strata_json,
     two_flag_fiber,
 )
-from mixedhodge.filtration import from_json as filtration_from_json
 from mixedhodge.invariants import (
     alpha,
     alpha_via_f_expansion,
@@ -41,7 +38,12 @@ from mixedhodge.invariants import (
     tate_twist_triple,
 )
 from mixedhodge.linalg import vector_to_json
-from mixedhodge.mhs import deligne_splitting, is_r_split, validate
+from mixedhodge.mhs import (
+    deligne_splitting,
+    is_r_split,
+    parse_json as mhs_parse_json,
+    validate,
+)
 from mixedhodge.multifilt import hodge_numbers, triple_from_json
 
 
@@ -51,10 +53,6 @@ class _InputError(Exception):
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _frac(a: Fraction):
-    return int(a) if a.denominator == 1 else [a.numerator, a.denominator]
 
 
 def _read_json(path: str):
@@ -77,46 +75,26 @@ def _parse(fn, data):
         raise _InputError(str(exc)) from None
 
 
-def _mhs_parts(data):
-    """Split the shape check of an MHS document from its validation, so a
-    malformed file and an inconsistent structure exit differently."""
-    if not isinstance(data, dict):
-        raise _InputError("mixed Hodge structure JSON must be an object")
-    for key in ("ambient_dim", "W", "F"):
-        if key not in data:
-            raise _InputError(f"mixed Hodge structure JSON missing key {key!r}")
-    n = data["ambient_dim"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise _InputError("ambient_dim must be a nonnegative integer")
-    w = _parse(filtration_from_json, data["W"])
-    f = _parse(filtration_from_json, data["F"])
-    if w.ambient_dim != n or f.ambient_dim != n:
-        raise _InputError("filtration dimensions disagree with ambient_dim")
-    return w, f
-
-
 def cmd_invariants(args) -> tuple[str, int]:
     t = _parse(triple_from_json, _read_json(args.infile))
     return _dump(invariants_report(t)), 0
 
 
 def cmd_check_mhs(args) -> tuple[str, int]:
-    w, f = _mhs_parts(_read_json(args.infile))
-    m = validate(w, f)
+    m = validate(*_parse(mhs_parse_json, _read_json(args.infile)))
     t = m.triple()
     report = {
         "valid": True,
         "ambient_dim": m.ambient_dim,
         "hodge_numbers": [[p, q, d] for (p, q), d in sorted(hodge_numbers(t).items())],
-        "alpha": _frac(alpha(t)),
+        "alpha": fraction_json(alpha(t)),
         "r_split": is_r_split(m),
     }
     return _dump(report), 0
 
 
 def cmd_deligne_split(args) -> tuple[str, int]:
-    w, f = _mhs_parts(_read_json(args.infile))
-    m = validate(w, f)
+    m = validate(*_parse(mhs_parse_json, _read_json(args.infile)))
     pieces = deligne_splitting(m)
     report = {
         "ambient_dim": m.ambient_dim,
@@ -140,9 +118,8 @@ def cmd_alpha(args) -> tuple[str, int]:
     if isinstance(data, dict) and "G" in data:
         t = _parse(triple_from_json, data)
     else:
-        w, f = _mhs_parts(data)
-        t = validate(w, f).triple()
-    return _dump({"alpha": _frac(alpha(t))}), 0
+        t = validate(*_parse(mhs_parse_json, data)).triple()
+    return _dump({"alpha": fraction_json(alpha(t))}), 0
 
 
 def cmd_curve_alpha(args) -> tuple[str, int]:
@@ -217,12 +194,13 @@ def cmd_selftest(args) -> tuple[str, int]:
     lines = []
     passed = 0
     for name, fn in checks:
+        reason = ""
         try:
             ok = bool(fn())
-        except Exception:
-            ok = False
+        except Exception as exc:
+            ok, reason = False, f": {type(exc).__name__}: {exc}"
         passed += ok
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}")
+        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}{reason}")
     lines.append(f"{passed}/{len(checks)} passed")
     return "\n".join(lines) + "\n", 0 if passed == len(checks) else 1
 

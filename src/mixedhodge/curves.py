@@ -322,15 +322,22 @@ def _point_to_json(x):
     return [x.real, x.imag]
 
 
+def _entries(data: dict, key: str) -> list:
+    try:
+        return list(data.get(key, []))
+    except TypeError:  # a number, boolean or null
+        raise ValueError(f"{key} must be an array") from None
+
+
 def config_from_json(data: dict) -> CurveConfig:
     if not isinstance(data, dict):
         raise ValueError("curve config must be an object")
     genus = data.get("genus")
     if genus not in (0, 1):
         raise ValueError("genus must be 0 or 1")
-    punctures = tuple(_point_from_json(p) for p in data.get("punctures", []))
+    punctures = tuple(_point_from_json(p) for p in _entries(data, "punctures"))
     pairs = []
-    for pair in data.get("pairs", []):
+    for pair in _entries(data, "pairs"):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"malformed pair {pair!r}")
         pairs.append((_point_from_json(pair[0]), _point_from_json(pair[1])))

@@ -15,8 +15,6 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 _RationalLike = int | Fraction
 
 
@@ -143,6 +141,11 @@ def _frac_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def fraction_json(x: Fraction) -> int | list[int]:
+    """A rational for JSON reports: an int when integral, else [num, den]."""
+    return x.numerator if x.denominator == 1 else [x.numerator, x.denominator]
 
 
 def gauss_from_json(data: object) -> GaussianRational:

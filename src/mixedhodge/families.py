@@ -18,9 +18,6 @@ it:
   increasing direction and flags points that are strict local maxima of
   the defect.  Special fibers should sit at local minima, so a flagged
   point means the sample grid caught something a genuine family cannot do.
-
-Per-point evaluation is independent, so ``alpha_map`` accepts a worker
-count; results are aggregated in sample order either way.
 """
 
 from __future__ import annotations
@@ -28,17 +25,17 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mixedhodge.exactfield import GaussianRational, gauss
+from mixedhodge.exactfield import GaussianRational, fraction_json, gauss
 from mixedhodge.filtration import common_window, filtered_space
 from mixedhodge.invariants import alpha
-from mixedhodge.linalg import intersect, span, zero_subspace
+from mixedhodge.linalg import span, zero_subspace
 from mixedhodge.multifilt import (
     TrifilteredSpace,
     hodge_numbers,
+    intersection_dims,
     is_opposed,
     triple_from_json,
 )
@@ -179,28 +176,20 @@ def _point_data(
         raise ValueError(
             f"fiber at parameter point {fam.parameters[i].label!r} is not opposed"
         )
-    table = tuple(
-        ((p, q), intersect(t.F.at(p), t.G.at(q)).dim) for p in ps for q in qs
-    )
+    table = tuple(intersection_dims(t.F, t.G, ps, qs).items())
     return alpha(t), table
 
 
-def alpha_map(fam: SampledFamily, workers: int = 1) -> StrataReport:
+def alpha_map(fam: SampledFamily) -> StrataReport:
     """Defect of every fiber, grouped into strata of constant value.
 
     Requires a weight locked family; a non-opposed fiber is reported by
-    its parameter label.  ``workers`` > 1 evaluates points concurrently,
-    with aggregation always in sample order.
+    its parameter label.
     """
     if not fam.weight_locked:
         raise ValueError("alpha_map requires a weight-locked family")
     ps, qs = _family_windows(fam)
-    indices = range(len(fam.fibers))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda i: _point_data(fam, i, ps, qs), indices))
-    else:
-        rows = [_point_data(fam, i, ps, qs) for i in indices]
+    rows = [_point_data(fam, i, ps, qs) for i in range(len(fam.fibers))]
     alphas = tuple(a for a, _ in rows)
     tables = tuple(tab for _, tab in rows)
     by_value: dict[Fraction, list[int]] = {}
@@ -372,10 +361,6 @@ def family_from_json(data: object) -> SampledFamily:
     return sampled_family(params, fibers, pairs, locked)
 
 
-def _fraction_json(a: Fraction):
-    return int(a) if a.denominator == 1 else [a.numerator, a.denominator]
-
-
 def strata_json(fam: SampledFamily, report: StrataReport) -> dict:
     """The strata report as a JSON-ready dict, points keyed by label."""
     points = []
@@ -384,7 +369,7 @@ def strata_json(fam: SampledFamily, report: StrataReport) -> dict:
             {
                 "label": p.label,
                 "coords": [[name, _coord_json(v)] for name, v in p.coords],
-                "alpha": _fraction_json(report.alphas[i]),
+                "alpha": fraction_json(report.alphas[i]),
                 "f": [[pp, qq, d] for (pp, qq), d in report.f_tables[i]],
             }
         )
@@ -392,7 +377,7 @@ def strata_json(fam: SampledFamily, report: StrataReport) -> dict:
         "points": points,
         "strata": [
             {
-                "alpha": _fraction_json(a),
+                "alpha": fraction_json(a),
                 "points": [fam.parameters[i].label for i in pts],
             }
             for a, pts in report.strata

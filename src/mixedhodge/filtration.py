@@ -287,7 +287,11 @@ def from_json(data: object) -> FilteredSpace:
             raise ValueError("level index must be an integer")
         if idx in levels:
             raise ValueError(f"duplicate level index {idx}")
-        vecs = [vector_from_json(v, n) for v in item["vectors"]]
+        try:
+            raw_vectors = list(item["vectors"])
+        except TypeError:  # a number, boolean or null
+            raise ValueError(f"vectors of level {idx} must be an array") from None
+        vecs = [vector_from_json(v, n) for v in raw_vectors]
         levels[idx] = span(vecs, n)
     return filtered_space(n, levels)
 

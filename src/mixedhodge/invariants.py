@@ -27,8 +27,10 @@ twist that moves the bigraded support into the first quadrant: there
                         + sum_{q >= 1} (2q-1)/2 f^{0,q}
 
 with no f^{0,0} term, since the second mixed difference of (p+q)^2 is the
-constant 2 and the edge weights telescope.  The two alpha routes share no
-code past the filtration lookups, so their agreement is a real check.
+constant 2 and the edge weights telescope.  Both alpha routes read
+intersection dimensions, since s is itself the second mixed difference of
+the f-table; the independent parts are the summation and the Tate twist.
+The independent route for s is ``multifilt.simultaneous_splitting``.
 """
 
 from __future__ import annotations
@@ -36,13 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mixedhodge.filtration import FilteredSpace, common_window, graded_dims, shift
+from mixedhodge.exactfield import fraction_json
+from mixedhodge.filtration import FilteredSpace, graded_dims, shift
 from mixedhodge.linalg import intersect
 from mixedhodge.multifilt import (
     TrifilteredSpace,
     bigraded_dims,
     hodge_numbers,
-    induced_on_subquotient,
     is_opposed,
     pair_bigraded,
     trigraded_dims,
@@ -162,31 +164,29 @@ def k0_class(t: TrifilteredSpace) -> K0Class:
 SplittingType = tuple[tuple[int, int], ...]  # (degree, multiplicity), degree desc
 
 
+def _merge_degrees(cells) -> SplittingType:
+    merged: dict[int, int] = {}
+    for (p, q), d in cells:
+        merged[p + q] = merged.get(p + q, 0) + d
+    return tuple(sorted(merged.items(), key=lambda kv: -kv[0]))
+
+
 def p1_splitting_type(f: FilteredSpace, g: FilteredSpace) -> SplittingType:
     """Degrees with multiplicity of the bigraded pieces of (f, g), merged
     over p + q.  This is the splitting type of the associated bundle on
     the projective line."""
-    merged: dict[int, int] = {}
-    for (p, q), d in pair_bigraded(f, g).items():
-        merged[p + q] = merged.get(p + q, 0) + d
-    return tuple(sorted(merged.items(), key=lambda kv: -kv[0]))
+    return _merge_degrees(pair_bigraded(f, g).items())
 
 
 def weight_graded_splitting_types(
     t: TrifilteredSpace,
 ) -> dict[int, SplittingType]:
     """Splitting type of (F, G) induced on each W-graded piece, keyed by
-    the (decreasing) W index."""
-    out: dict[int, SplittingType] = {}
-    for r in common_window(t.W):
-        outer = t.W.at(r)
-        inner = t.W.at(r + 1)
-        if outer.dim == inner.dim:
-            continue
-        f_gr = induced_on_subquotient(t.F, outer, inner)
-        g_gr = induced_on_subquotient(t.G, outer, inner)
-        out[r] = p1_splitting_type(f_gr, g_gr)
-    return out
+    the (decreasing) W index: the trigraded dims merged over p + q."""
+    cells: dict[int, list[tuple[tuple[int, int], int]]] = {}
+    for (r, p, q), d in trigraded_dims(t).items():
+        cells.setdefault(r, []).append(((p, q), d))
+    return {r: _merge_degrees(c) for r, c in cells.items()}
 
 
 def splitting_type_total_degree(st: SplittingType) -> int:
@@ -201,25 +201,13 @@ def invariants_report(t: TrifilteredSpace) -> dict:
     """
     chern = chern_data(t)
     opposed = is_opposed(t)
-    if opposed:
-        a = alpha(t)
-        assert a.denominator == 1
-        alpha_field: int | None = int(a)
-    else:
-        alpha_field = None
     k0 = k0_class(t)
     return {
         "rank": chern.rank,
         "c1": chern.c1,
         "ch2": [chern.ch2.numerator, chern.ch2.denominator],
-        "c2": None
-        if chern.c2 is None
-        else (
-            int(chern.c2)
-            if chern.c2.denominator == 1
-            else [chern.c2.numerator, chern.c2.denominator]
-        ),
-        "alpha": alpha_field,
+        "c2": None if chern.c2 is None else fraction_json(chern.c2),
+        "alpha": fraction_json(alpha(t)) if opposed else None,
         "opposed": opposed,
         "k0": {
             "pA0": [[p, q, d] for (p, q), d in sorted(k0.pA0.items())],

@@ -450,8 +450,3 @@ def vector_from_json(data: object, ambient_dim: int) -> Vector:
             f"expected a vector of length {ambient_dim}, got {data!r}"
         )
     return tuple(gauss_from_json(e) for e in data)
-
-
-# public alias: the operation is called plain "sum" at the API boundary,
-# and aliasing at the end keeps the builtin usable inside this module
-sum = subspace_sum  # noqa: A001

@@ -30,6 +30,7 @@ from mixedhodge.filtration import (
     shift,
     tensor,
     trivial,
+    zero_vec,
 )
 from mixedhodge.exactfield import ONE, ZERO
 from mixedhodge.linalg import (
@@ -229,11 +230,9 @@ def tuple_unit(n: int, j: int) -> Vector:
     return tuple(ONE if i == j else ZERO for i in range(n))
 
 
-def zero_vec(n: int) -> Vector:
-    return (ZERO,) * n
-
-
-def from_json(data: object) -> MixedHodgeStructure:
+def parse_json(data: object) -> tuple[FilteredSpace, FilteredSpace]:
+    """The (W, F) pair of an MHS document, shape-checked but not validated,
+    so a malformed file and an inconsistent structure can be told apart."""
     if not isinstance(data, dict):
         raise ValueError("mixed Hodge structure JSON must be an object")
     for key in ("ambient_dim", "W", "F"):
@@ -246,4 +245,8 @@ def from_json(data: object) -> MixedHodgeStructure:
     f = filtration_from_json(data["F"])
     if w.ambient_dim != n or f.ambient_dim != n:
         raise ValueError("filtration dimensions disagree with ambient_dim")
-    return validate(w, f)
+    return w, f
+
+
+def from_json(data: object) -> MixedHodgeStructure:
+    return validate(*parse_json(data))

@@ -9,7 +9,7 @@ Dimension data:
 * ``f_table``      f^{p,q} = dim(F^p ∩ G^q) over the jump window, with one
                    index of margin so the full and zero regions are visible;
 * ``bigraded_dims``  s^{p,q} = dim of the (p,q) piece of the common graded
-                   of (F, G), computed as a quotient dimension;
+                   of (F, G), the second mixed difference of the f-table;
 * ``trigraded_dims`` the same for (F, G) induced on each W-graded piece;
 * ``hodge_numbers``  the trigraded entries on the anti-diagonal r = -p-q.
 
@@ -68,21 +68,29 @@ class TrifilteredSpace:
         }
 
 
+def intersection_dims(
+    f: FilteredSpace, g: FilteredSpace, ps: range, qs: range
+) -> dict[tuple[int, int], int]:
+    """dim(F^p ∩ G^q) for p in ``ps`` and q in ``qs``, p-major."""
+    out: dict[tuple[int, int], int] = {}
+    for p in ps:
+        fp = f.at(p)
+        for q in qs:
+            out[(p, q)] = intersect(fp, g.at(q)).dim
+    return out
+
+
 def f_table(t: TrifilteredSpace) -> dict[tuple[int, int], int]:
     """f^{p,q} = dim(F^p ∩ G^q) over the margined jump window."""
-    out: dict[tuple[int, int], int] = {}
-    for p in common_window(t.F):
-        fp = t.F.at(p)
-        for q in common_window(t.G):
-            out[(p, q)] = intersect(fp, t.G.at(q)).dim
-    return out
+    return intersection_dims(t.F, t.G, common_window(t.F), common_window(t.G))
 
 
 def pair_bigraded(f: FilteredSpace, g: FilteredSpace) -> dict[tuple[int, int], int]:
     """Dimensions of the common bigraded of two filtrations.
 
     The (p, q) piece is (F^p ∩ G^q) / (F^{p+1} ∩ G^q + F^p ∩ G^{q+1});
-    its dimension equals the second mixed difference of the f-table.
+    the two summands meet in F^{p+1} ∩ G^{q+1}, so its dimension is the
+    second mixed difference of the intersection dimensions.
     """
     return dict(_pair_bigraded_items(f, g))
 
@@ -93,17 +101,8 @@ def _pair_bigraded_items(
 ) -> tuple[tuple[tuple[int, int], int], ...]:
     if f.ambient_dim != g.ambient_dim:
         raise ValueError("filtrations of different spaces")
-    out: dict[tuple[int, int], int] = {}
-    for p in common_window(f):
-        for q in common_window(g):
-            num = intersect(f.at(p), g.at(q))
-            den = subspace_sum(
-                intersect(f.at(p + 1), g.at(q)), intersect(f.at(p), g.at(q + 1))
-            )
-            d = num.dim - den.dim
-            if d:
-                out[(p, q)] = d
-    return tuple(sorted(out.items()))
+    table = intersection_dims(f, g, common_window(f), common_window(g))
+    return tuple(sorted(second_difference(table).items()))
 
 
 def bigraded_dims(t: TrifilteredSpace) -> dict[tuple[int, int], int]:

@@ -305,23 +305,6 @@ def random_extension(
     return a, b, lift, total
 
 
-def _real_kernel_matrix(rows: list[list[Fraction]], n_unknowns: int) -> list[list[Fraction]]:
-    """Basis of the rational solution space of a homogeneous system."""
-    if not rows:
-        ident = [[Fraction(i == j) for j in range(n_unknowns)] for i in range(n_unknowns)]
-        return ident
-    m = from_rows(
-        [[gauss(c) for c in row] for row in rows], n_unknowns
-    )
-    ker = kernel_matrix(m)
-    return [[ker.entry(i, j).re for j in range(n_unknowns)] for i in range(ker.rows)]
-
-
-def kernel_matrix(m: Matrix) -> Matrix:
-    """Kernel basis rows of a matrix, as a matrix (possibly zero rows)."""
-    return kernel(m).basis
-
-
 def random_compatible_morphism(
     rng: random.Random,
     src: MixedHodgeStructure,
@@ -365,8 +348,14 @@ def random_compatible_morphism(
         for key in sorted(keys):
             add_constraints(fs.at(key), fd.at(key))
 
-    basis = _real_kernel_matrix(rows, nt * ns)
-    entries = [Fraction(0)] * (nt * ns)
+    # rational solution space of the homogeneous system, one row per basis vector
+    nu = nt * ns
+    if rows:
+        ker = kernel(from_rows([[gauss(c) for c in row] for row in rows], nu)).basis
+        basis = [[ker.entry(i, j).re for j in range(nu)] for i in range(ker.rows)]
+    else:
+        basis = [[Fraction(i == j) for j in range(nu)] for i in range(nu)]
+    entries = [Fraction(0)] * nu
     for brow in basis:
         c = rng.randint(-3, 3)
         if c:

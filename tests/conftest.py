@@ -57,31 +57,9 @@ def subspaces(draw, ambient_dim: int):
     return span(vecs, ambient_dim)
 
 
-def weight_two_zero_triple(lmb, kap):
-    """Rank 2 with one piece in weight 2 and one in weight 0.
-
-    e spans the lower weight; F and G are the lines through f + lmb*e and
-    f + kap*e, both sitting in level 1.  Opposed for every lmb, kap.
-    """
-    from mixedhodge.exactfield import gauss
-    from mixedhodge.filtration import filtered_space
-    from mixedhodge.linalg import span, zero_subspace
-    from mixedhodge.multifilt import TrifilteredSpace
-
-    e = span([[1, 0]], 2)
-    w = filtered_space(2, {-1: e, 1: zero_subspace(2)})
-    f = filtered_space(
-        2, {1: span([(gauss(lmb), gauss(1))], 2), 2: zero_subspace(2)}
-    )
-    g = filtered_space(
-        2, {1: span([(gauss(kap), gauss(1))], 2), 2: zero_subspace(2)}
-    )
-    return TrifilteredSpace(2, W=w, F=f, G=g)
-
-
 def weight_two_zero_mhs(lmb):
-    """The genuine structure behind weight_two_zero_triple: G is forced to
-    be the conjugate of F, so only the one parameter remains."""
+    """The genuine structure behind ``families.two_flag_fiber``: G is forced
+    to be the conjugate of F, so only the one parameter remains."""
     from mixedhodge.exactfield import gauss
     from mixedhodge.filtration import filtered_space
     from mixedhodge.linalg import span, zero_subspace
@@ -155,3 +133,15 @@ def filtered_spaces(draw, ambient_dim: int, lo: int = -3, hi: int = 3):
     )
     levels = {k: span(basis[:d], n) for k, d in zip(keys, dims)}
     return filtered_space(n, levels)
+
+
+@st.composite
+def triples(draw, n: int):
+    from mixedhodge.multifilt import TrifilteredSpace
+
+    return TrifilteredSpace(
+        n,
+        W=draw(filtered_spaces(n)),
+        F=draw(filtered_spaces(n)),
+        G=draw(filtered_spaces(n)),
+    )

@@ -208,6 +208,24 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     assert code == 2 and "missing key" in json.loads(err)["error"]
     code, out, err = run(capsys, ["check-mhs", "--in", empty])
     assert code == 2 and "missing key" in json.loads(err)["error"]
+    # a number where an array belongs
+    tri = two_flag_fiber(gauss(1), I).to_json()
+    tri["W"]["levels"][0]["vectors"] = 5
+    mhs = {"ambient_dim": 2, "W": tri["W"], "F": tri["F"]}
+    curve = {"genus": 0, "punctures": [[0, 0], [1, 0]], "pairs": [["inf", [2, 0]]]}
+    docs = [
+        ("invariants", tri),
+        ("alpha", tri),
+        ("check-mhs", mhs),
+        ("deligne-split", mhs),
+        ("curve-alpha", {**curve, "punctures": 5}),
+        ("curve-alpha", {**curve, "pairs": 5}),
+    ]
+    for command, doc in docs:
+        path = write(tmp_path, "number.json", doc)
+        code, out, err = run(capsys, [command, "--in", path])
+        assert code == 2 and out == ""
+        assert "must be an array" in json.loads(err)["error"]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -225,6 +243,23 @@ def test_selftest_passes_and_is_deterministic(capsys):
     assert all(line.startswith("PASS") for line in out.splitlines()[:-1])
     code2, out2, _ = run(capsys, ["selftest", "--seed", "3"])
     assert out2 == out
+
+
+def test_selftest_fail_line_names_the_exception(capsys, monkeypatch):
+    import mixedhodge.cli as cli
+
+    def broken():
+        raise ZeroDivisionError("no inverse of 0")
+
+    monkeypatch.setattr(cli, "_selftest_tate_twists", broken)
+    code, out, _ = run(capsys, ["selftest", "--seed", "3"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[2] == (
+        "FAIL  tate twists preserve the defect: ZeroDivisionError: no inverse of 0"
+    )
+    assert [line[:4] for line in lines[:4]] == ["PASS", "PASS", "FAIL", "PASS"]
+    assert lines[-1] == "3/4 passed"
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import one_dim_triple, weight_two_zero_triple
+from conftest import one_dim_triple
 from mixedhodge.exactfield import I, gauss
 from mixedhodge.families import (
     ParameterPoint,
@@ -22,12 +22,13 @@ from mixedhodge.families import (
     semicontinuity_report,
     strata_csv,
     strata_json,
+    two_flag_fiber,
 )
 from mixedhodge.multifilt import bigraded_dims
 
 
 def constant_family(n=5, weight_locked=True):
-    fiber = weight_two_zero_triple(gauss(1), gauss(1))
+    fiber = two_flag_fiber(gauss(1), gauss(1))
     params = [parameter_point(f"t{i}", (("t", float(i)),)) for i in range(n)]
     edges = [(i, i + 1) for i in range(n - 1)]
     return sampled_family(params, [fiber] * n, edges, weight_locked)
@@ -157,8 +158,8 @@ def test_lambda_kappa_zero_stratum_is_diagonal():
 def test_isolated_defect_maximum_is_flagged():
     # 3x3 grid, defect 0 everywhere except the center
     vals = [gauss(0)] * 9
-    fibers = [weight_two_zero_triple(v, v.conj()) for v in vals]
-    fibers[4] = weight_two_zero_triple(I, gauss(0, -1))
+    fibers = [two_flag_fiber(v, v.conj()) for v in vals]
+    fibers[4] = two_flag_fiber(I, gauss(0, -1))
     params = [
         parameter_point(f"p{i}", (("x", float(i % 3)), ("y", float(i // 3))))
         for i in range(9)
@@ -170,11 +171,6 @@ def test_isolated_defect_maximum_is_flagged():
     sem = semicontinuity_report(fam)
     assert sem.suspects == (4,)
     assert all(j == 4 for _, j in sem.increasing_edges)
-
-
-def test_parallel_evaluation_matches_serial():
-    fam = lambda_kappa_grid(radius=1)
-    assert alpha_map(fam, workers=4) == alpha_map(fam)
 
 
 def test_family_json_round_trip():
@@ -228,7 +224,7 @@ def test_family_validation():
     s = parameter_point("b", (("t", 1.0),))
     with pytest.raises(ValueError, match="ambient dimension"):
         sampled_family(
-            [p, s], [fiber, weight_two_zero_triple(gauss(0), gauss(0))]
+            [p, s], [fiber, two_flag_fiber(gauss(0), gauss(0))]
         )
 
 

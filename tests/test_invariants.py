@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import one_dim_triple, weight_two_zero_triple
+from conftest import one_dim_triple, triples
 from mixedhodge.exactfield import I, gauss
-from mixedhodge.filtration import graded_dims
+from mixedhodge.families import two_flag_fiber
+from mixedhodge.filtration import common_window, graded_dims
 from mixedhodge.invariants import (
     alpha,
     alpha_via_f_expansion,
@@ -20,7 +21,12 @@ from mixedhodge.invariants import (
     tate_twist_triple,
     weight_graded_splitting_types,
 )
-from mixedhodge.multifilt import bigraded_dims, hodge_numbers, is_opposed
+from mixedhodge.multifilt import (
+    bigraded_dims,
+    hodge_numbers,
+    induced_on_subquotient,
+    is_opposed,
+)
 
 LINE_PARAMS = (gauss(0), gauss(1), I, gauss(1, 1))
 
@@ -28,7 +34,7 @@ LINE_PARAMS = (gauss(0), gauss(1), I, gauss(1, 1))
 def test_rank_two_c2_values():
     for lmb in LINE_PARAMS:
         for kap in LINE_PARAMS:
-            c = chern_data(weight_two_zero_triple(lmb, kap))
+            c = chern_data(two_flag_fiber(lmb, kap))
             assert c.rank == 2
             assert c.c1 == 0
             expected = 0 if lmb == kap else 1
@@ -51,7 +57,7 @@ def test_rank_one_closed_form_spot_checks():
 def test_alpha_on_rank_two_family():
     for lmb in LINE_PARAMS:
         for kap in LINE_PARAMS:
-            t = weight_two_zero_triple(lmb, kap)
+            t = two_flag_fiber(lmb, kap)
             a = alpha(t)
             assert a == (0 if lmb == kap else 1)
             # for an opposed triple the defect and c2 coincide
@@ -70,7 +76,7 @@ def test_alpha_requires_opposed():
 def test_alpha_f_expansion_matches_on_rank_two_family():
     for lmb in LINE_PARAMS:
         for kap in LINE_PARAMS:
-            t = weight_two_zero_triple(lmb, kap)
+            t = two_flag_fiber(lmb, kap)
             assert alpha_via_f_expansion(t) == alpha(t)
 
 
@@ -78,7 +84,7 @@ def test_alpha_f_expansion_hodge_tate_counterexample():
     # the non-split case has s = {(1,0): 1, (0,1): 1} against
     # h = {(1,1): 1, (0,0): 1}; both routes must give 1, and the corner
     # f^{0,0} = 2 must contribute nothing
-    t = weight_two_zero_triple(I, gauss(1))
+    t = two_flag_fiber(I, gauss(1))
     assert bigraded_dims(t) == {(1, 0): 1, (0, 1): 1}
     assert hodge_numbers(t) == {(1, 1): 1, (0, 0): 1}
     assert alpha(t) == 1
@@ -88,7 +94,7 @@ def test_alpha_f_expansion_hodge_tate_counterexample():
 def test_alpha_f_expansion_handles_negative_support():
     # twist the family down so the bigraded support leaves the first
     # quadrant; the expansion must renormalize internally
-    t = tate_twist_triple(weight_two_zero_triple(I, gauss(1)), -2)
+    t = tate_twist_triple(two_flag_fiber(I, gauss(1)), -2)
     assert min(p for p, _ in bigraded_dims(t)) < 0
     assert alpha_via_f_expansion(t) == alpha(t) == 1
 
@@ -96,14 +102,14 @@ def test_alpha_f_expansion_handles_negative_support():
 def test_alpha_is_tate_invariant():
     for k in (-2, -1, 1, 3):
         for lmb, kap in ((I, I), (I, gauss(1))):
-            t = weight_two_zero_triple(lmb, kap)
+            t = two_flag_fiber(lmb, kap)
             assert alpha(tate_twist_triple(t, k)) == alpha(t)
 
 
 def test_splitting_type_rank_two():
-    t_split = weight_two_zero_triple(I, I)
+    t_split = two_flag_fiber(I, I)
     assert p1_splitting_type(t_split.F, t_split.G) == ((2, 1), (0, 1))
-    t_nonsplit = weight_two_zero_triple(I, gauss(1))
+    t_nonsplit = two_flag_fiber(I, gauss(1))
     assert p1_splitting_type(t_nonsplit.F, t_nonsplit.G) == ((1, 2),)
 
 
@@ -113,15 +119,30 @@ def test_splitting_type_rank_one_and_pure():
 
 
 def test_weight_graded_splitting_types():
-    t = weight_two_zero_triple(I, gauss(1))
+    t = two_flag_fiber(I, gauss(1))
     assert weight_graded_splitting_types(t) == {-2: ((2, 1),), 0: ((0, 1),)}
     t2 = one_dim_triple(0, 1, 1)
     assert weight_graded_splitting_types(t2) == {0: ((2, 1),)}
 
 
+@settings(max_examples=60)
+@given(triples(4))
+def test_weight_graded_splitting_types_match_subquotients(t):
+    # oracle: build each W-graded piece and take the splitting type there
+    want = {}
+    for r in common_window(t.W):
+        outer, inner = t.W.at(r), t.W.at(r + 1)
+        if outer.dim != inner.dim:
+            want[r] = p1_splitting_type(
+                induced_on_subquotient(t.F, outer, inner),
+                induced_on_subquotient(t.G, outer, inner),
+            )
+    assert weight_graded_splitting_types(t) == want
+
+
 def test_splitting_type_degree_sum_matches_bigraded():
     for lmb, kap in ((I, I), (I, gauss(1)), (gauss(0), gauss(1, 1))):
-        t = weight_two_zero_triple(lmb, kap)
+        t = two_flag_fiber(lmb, kap)
         st_ = p1_splitting_type(t.F, t.G)
         assert splitting_type_total_degree(st_) == sum(
             (p + q) * d for (p, q), d in bigraded_dims(t).items()
@@ -130,11 +151,11 @@ def test_splitting_type_degree_sum_matches_bigraded():
 
 
 def test_k0_class_fixed_values():
-    t = weight_two_zero_triple(I, gauss(1))
+    t = two_flag_fiber(I, gauss(1))
     k0 = k0_class(t)
     assert k0.pA2 == {(1, 0): 1, (0, 1): 1}  # u + v
     assert k0.pGm2 == 2
-    t_eq = weight_two_zero_triple(I, I)
+    t_eq = two_flag_fiber(I, I)
     assert k0_class(t_eq).pA2 == {(1, 1): 1, (0, 0): 1}  # uv + 1
     t1 = one_dim_triple(-2, 2, 0)
     assert k0_class(t1).pA2 == {(2, 0): 1}  # u^2
@@ -142,7 +163,7 @@ def test_k0_class_fixed_values():
 
 def test_k0_marginal_identities():
     for lmb, kap in ((I, I), (I, gauss(1))):
-        t = weight_two_zero_triple(lmb, kap)
+        t = two_flag_fiber(lmb, kap)
         k0 = k0_class(t)
         assert sum(k0.pA0.values()) == k0.pGm2
         assert sum(k0.pA1.values()) == k0.pGm2
@@ -164,7 +185,7 @@ def test_k0_marginal_identities():
 
 
 def test_invariants_report_shape():
-    rep = invariants_report(weight_two_zero_triple(I, gauss(1)))
+    rep = invariants_report(two_flag_fiber(I, gauss(1)))
     assert rep["rank"] == 2
     assert rep["c1"] == 0
     assert rep["ch2"] == [-1, 1]

@@ -27,7 +27,6 @@ from mixedhodge.linalg import (
     subspace_sum,
     zero_subspace,
 )
-from mixedhodge.linalg import sum as subsum
 
 
 def test_matrix_shape_validation():
@@ -79,7 +78,7 @@ def test_intersection_fixed_value():
     a = span([(gauss(1), I)], 2)
     b = span([(gauss(1), -I)], 2)
     assert intersect(a, b) == zero_subspace(2)
-    assert subsum(a, b) == full_space(2)
+    assert subspace_sum(a, b) == full_space(2)
 
 
 def test_containment_and_contains():

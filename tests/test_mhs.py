@@ -22,6 +22,7 @@ from mixedhodge.mhs import (
     dual_mhs,
     from_json,
     is_r_split,
+    parse_json,
     tate,
     tate_twist,
     tensor_mhs,
@@ -205,6 +206,8 @@ def test_from_json_validates():
     }
     with pytest.raises(ValueError, match="conjugation"):
         from_json(blob)
+    # the shape parse alone accepts it: validation is a separate step
+    assert parse_json(blob) == (w, shift(trivial(2), 1))
     with pytest.raises(ValueError, match="missing key"):
         from_json({"ambient_dim": 1})
 

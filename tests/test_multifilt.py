@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import filtered_spaces, one_dim_triple, weight_two_zero_triple
+from conftest import filtered_spaces, one_dim_triple, triples
 from mixedhodge.exactfield import I, gauss
+from mixedhodge.families import two_flag_fiber
 from mixedhodge.filtration import filtered_space, shift, trivial
 from mixedhodge.linalg import full_space, identity, matrix, span, subspace_sum, zero_subspace
 from mixedhodge.multifilt import (
@@ -26,26 +27,26 @@ from mixedhodge.multifilt import (
 
 def test_hodge_numbers_of_weight_two_zero_triple():
     for lmb, kap in ((0, 0), (I, 1), (I, I), (gauss(1, 1), 0)):
-        t = weight_two_zero_triple(lmb, kap)
+        t = two_flag_fiber(lmb, kap)
         assert hodge_numbers(t) == {(1, 1): 1, (0, 0): 1}
         assert trigraded_dims(t) == {(-2, 1, 1): 1, (0, 0, 0): 1}
         assert is_opposed(t)
 
 
 def test_bigraded_depends_on_line_agreement():
-    assert bigraded_dims(weight_two_zero_triple(I, I)) == {(1, 1): 1, (0, 0): 1}
-    assert bigraded_dims(weight_two_zero_triple(I, 1)) == {(1, 0): 1, (0, 1): 1}
+    assert bigraded_dims(two_flag_fiber(I, I)) == {(1, 1): 1, (0, 0): 1}
+    assert bigraded_dims(two_flag_fiber(I, 1)) == {(1, 0): 1, (0, 1): 1}
 
 
 def test_f_table_fixed_values():
-    t = weight_two_zero_triple(I, 1)
+    t = two_flag_fiber(I, 1)
     f = f_table(t)
     assert f[(1, 1)] == 0  # distinct lines meet in 0
     assert f[(1, 0)] == 1
     assert f[(0, 1)] == 1
     assert f[(0, 0)] == 2
     assert f[(2, 0)] == 0  # F is already zero at level 2
-    t_eq = weight_two_zero_triple(I, I)
+    t_eq = two_flag_fiber(I, I)
     assert f_table(t_eq)[(1, 1)] == 1
 
 
@@ -59,23 +60,13 @@ def test_non_opposed_triple_detected():
 
 
 def test_dimension_table_bundles_everything():
-    t = weight_two_zero_triple(I, 1)
+    t = two_flag_fiber(I, 1)
     dt = dimension_table(t)
     assert isinstance(dt, DimensionTable)
     assert dt.h == hodge_numbers(t)
     assert dt.s == bigraded_dims(t)
     assert dt.f == f_table(t)
     assert dt.delta3 == trigraded_dims(t)
-
-
-@st.composite
-def triples(draw, n: int):
-    return TrifilteredSpace(
-        n,
-        W=draw(filtered_spaces(n)),
-        F=draw(filtered_spaces(n)),
-        G=draw(filtered_spaces(n)),
-    )
 
 
 @settings(max_examples=100)
@@ -179,7 +170,7 @@ def test_morphism_shape_validation():
 def test_kernel_and_cokernel_fixed_example():
     # projecting away the weight 0 line leaves its kernel e, which sits in
     # weight 0 with induced type (0, 0); the map is onto, so no cokernel
-    t = weight_two_zero_triple(I, 1)
+    t = two_flag_fiber(I, 1)
     target = one_dim_triple(-2, 1, 1)
     proj = FilteredMorphism(matrix([[0, 1]]), t, target)
     assert proj.compatible()
@@ -194,7 +185,7 @@ def test_kernel_and_cokernel_fixed_example():
 def test_cokernel_of_inclusion():
     # including the weight 0 line leaves the weight 2 quotient class,
     # which keeps its type (1, 1)
-    t = weight_two_zero_triple(I, I)
+    t = two_flag_fiber(I, I)
     sub = one_dim_triple(0, 0, 0)
     incl = FilteredMorphism(matrix([[1], [0]]), sub, t)
     assert incl.compatible()
