@@ -52,7 +52,7 @@ class _InputError(Exception):
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _read_json(path: str):

@@ -163,6 +163,13 @@ def genus0_period_matrix(cfg: CurveConfig) -> PeriodMatrix:
     return PeriodMatrix(b_block, tuple(c_rows), tuple(flags))
 
 
+def _check_finite(values: list, what: str, i: int) -> None:
+    """A NaN or infinity in a report row is a domain error, so reports stay
+    strict JSON."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} of row {i} is not finite in double precision")
+
+
 def genus0_report(cfg: CurveConfig) -> dict:
     """Row moduli and the count of rows off the unit circle."""
     _check_genus0(cfg)
@@ -171,6 +178,7 @@ def genus0_report(cfg: CurveConfig) -> dict:
     balanced = 0
     for i, ratios in enumerate(_row_ratios(cfg)):
         moduli = [abs(r) for r in ratios]
+        _check_finite(moduli, "a cross-ratio modulus", i)
         if all(abs(mod - 1.0) <= cfg.tol for mod in moduli):
             balanced += 1
         rows.append({"i": i, "moduli": moduli})
@@ -188,12 +196,15 @@ def theta(z: complex, tau: complex, truncation: int = 40) -> complex:
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
     total = 1 + 0j
-    for n in range(1, truncation + 1):
-        # keep the exponents combined so a huge |Im z| cannot produce a
-        # 0 * inf pair from the two half-terms
-        base = 1j * math.pi * n * n * tau
-        osc = 2j * math.pi * n * z
-        total += cmath.exp(base + osc) + cmath.exp(base - osc)
+    try:
+        for n in range(1, truncation + 1):
+            # keep the exponents combined so a huge |Im z| cannot produce a
+            # 0 * inf pair from the two half-terms
+            base = 1j * math.pi * n * n * tau
+            osc = 2j * math.pi * n * z
+            total += cmath.exp(base + osc) + cmath.exp(base - osc)
+    except OverflowError:
+        raise ValueError("a theta term overflows double precision") from None
     return total
 
 
@@ -277,6 +288,7 @@ def genus1_report(cfg: CurveConfig) -> dict:
                 log_theta(p - pi - shift) - log_theta(p - pnext - shift)
             )
             imag_parts.append(c.imag)
+        _check_finite(imag_parts, "a theta-log imaginary part", i)
         reduced = [math.remainder(v, _TWO_PI) for v in imag_parts]
         if all(abs(v) <= cfg.tol for v in imag_parts):
             raw_balanced += 1

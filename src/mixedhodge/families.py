@@ -176,7 +176,7 @@ def _point_data(
         raise ValueError(
             f"fiber at parameter point {fam.parameters[i].label!r} is not opposed"
         )
-    table = tuple(intersection_dims(t.F, t.G, ps, qs).items())
+    table = tuple(intersection_dims(t.F.at, t.G.at, ps, qs).items())
     return alpha(t), table
 
 

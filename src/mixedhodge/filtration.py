@@ -36,20 +36,29 @@ from mixedhodge.linalg import (
 
 @dataclass(frozen=True)
 class FilteredSpace:
+    """Jump levels of a decreasing filtration.
+
+    The constructor checks only the cheap structure: ambient dimensions,
+    strictly increasing indices, strictly decreasing level dimensions and
+    the zero tail.  It trusts that each level lies inside the one before;
+    ``filtered_space`` is the constructor for untrusted levels and the one
+    place that checks the nesting.
+    """
+
     ambient_dim: int
     levels: tuple[tuple[int, Subspace], ...]  # ascending jump index, value
 
     def __post_init__(self) -> None:
         prev_key = None
-        prev_val = full_space(self.ambient_dim)
+        prev_dim = self.ambient_dim
         for key, val in self.levels:
             if val.ambient_dim != self.ambient_dim:
                 raise ValueError("level subspace has wrong ambient dimension")
             if prev_key is not None and key <= prev_key:
                 raise ValueError("level indices not strictly increasing")
-            if not (val <= prev_val) or val == prev_val:
+            if val.dim >= prev_dim:
                 raise ValueError("stored levels must strictly decrease")
-            prev_key, prev_val = key, val
+            prev_key, prev_dim = key, val.dim
         if self.ambient_dim == 0:
             if self.levels:
                 raise ValueError("filtration of the zero space stores no levels")
@@ -83,7 +92,8 @@ class FilteredSpace:
 def filtered_space(
     ambient_dim: int, levels: Mapping[int, Subspace]
 ) -> FilteredSpace:
-    """Canonicalize possibly redundant level data into a FilteredSpace."""
+    """Canonicalize possibly redundant level data into a FilteredSpace,
+    checking that each level lies inside the one before it."""
     items = sorted(levels.items())
     out: list[tuple[int, Subspace]] = []
     prev = full_space(ambient_dim)

@@ -49,9 +49,6 @@ class Matrix:
     def row_list(self) -> list[Vector]:
         return [self.row(i) for i in range(self.rows)]
 
-    def col(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def transpose(self) -> Matrix:
         return Matrix(
             self.cols,
@@ -66,23 +63,8 @@ class Matrix:
     def conj(self) -> Matrix:
         return Matrix(self.rows, self.cols, tuple(e.conj() for e in self.entries))
 
-    def __add__(self, other: Matrix) -> Matrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
-
     def __neg__(self) -> Matrix:
         return Matrix(self.rows, self.cols, tuple(-e for e in self.entries))
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        return self + (-other)
-
-    def scale(self, c: GaussianRational) -> Matrix:
-        return Matrix(self.rows, self.cols, tuple(c * e for e in self.entries))
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
@@ -122,10 +104,6 @@ def identity(n: int) -> Matrix:
     return Matrix(
         n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n))
     )
-
-
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return Matrix(rows, cols, (ZERO,) * (rows * cols))
 
 
 def vstack(a: Matrix, b: Matrix) -> Matrix:

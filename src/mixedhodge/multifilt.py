@@ -10,7 +10,9 @@ Dimension data:
                    index of margin so the full and zero regions are visible;
 * ``bigraded_dims``  s^{p,q} = dim of the (p,q) piece of the common graded
                    of (F, G), the second mixed difference of the f-table;
-* ``trigraded_dims`` the same for (F, G) induced on each W-graded piece;
+* ``trigraded_dims`` the same for (F, G) induced on each W-graded piece,
+                   from the same intersection loop run on the images of
+                   F^p ∩ W^r and G^q ∩ W^r modulo W^{r+1};
 * ``hodge_numbers``  the trigraded entries on the anti-diagonal r = -p-q.
 
 ``simultaneous_splitting`` realizes s^{p,q} by an explicit bigraded
@@ -22,8 +24,8 @@ and cokernels with their induced filtrations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from mixedhodge.filtration import (
     FilteredSpace,
@@ -41,6 +43,7 @@ from mixedhodge.linalg import (
     image,
     intersect,
     kernel as matrix_kernel,
+    reduce_mod,
     span,
     subspace_sum,
     zero_subspace,
@@ -69,20 +72,24 @@ class TrifilteredSpace:
 
 
 def intersection_dims(
-    f: FilteredSpace, g: FilteredSpace, ps: range, qs: range
+    f_at: Callable[[int], Subspace],
+    g_at: Callable[[int], Subspace],
+    ps: range,
+    qs: range,
 ) -> dict[tuple[int, int], int]:
-    """dim(F^p ∩ G^q) for p in ``ps`` and q in ``qs``, p-major."""
+    """dim(F^p ∩ G^q) for p in ``ps`` and q in ``qs``, p-major; the levels
+    are looked up through ``f_at`` and ``g_at``."""
     out: dict[tuple[int, int], int] = {}
     for p in ps:
-        fp = f.at(p)
+        fp = f_at(p)
         for q in qs:
-            out[(p, q)] = intersect(fp, g.at(q)).dim
+            out[(p, q)] = intersect(fp, g_at(q)).dim
     return out
 
 
 def f_table(t: TrifilteredSpace) -> dict[tuple[int, int], int]:
     """f^{p,q} = dim(F^p ∩ G^q) over the margined jump window."""
-    return intersection_dims(t.F, t.G, common_window(t.F), common_window(t.G))
+    return intersection_dims(t.F.at, t.G.at, common_window(t.F), common_window(t.G))
 
 
 def pair_bigraded(f: FilteredSpace, g: FilteredSpace) -> dict[tuple[int, int], int]:
@@ -101,7 +108,7 @@ def _pair_bigraded_items(
 ) -> tuple[tuple[tuple[int, int], int], ...]:
     if f.ambient_dim != g.ambient_dim:
         raise ValueError("filtrations of different spaces")
-    table = intersection_dims(f, g, common_window(f), common_window(g))
+    table = intersection_dims(f.at, g.at, common_window(f), common_window(g))
     return tuple(sorted(second_difference(table).items()))
 
 
@@ -129,19 +136,37 @@ def trigraded_dims(t: TrifilteredSpace) -> dict[tuple[int, int, int], int]:
     return dict(_trigraded_items(t))
 
 
+def _graded_levels(
+    f: FilteredSpace, outer: Subspace, inner: Subspace, ps: range
+) -> dict[int, Subspace]:
+    """Images of F^p ∩ outer under reduction mod ``inner``, in ambient
+    coordinates.  The reduction is linear with kernel ``inner``, so on
+    ``outer`` it maps outer/inner isomorphically onto its image."""
+    out: dict[int, Subspace] = {}
+    for p in ps:
+        meet = intersect(f.at(p), outer)
+        out[p] = span(
+            [reduce_mod(inner, meet.basis.row(i)) for i in range(meet.dim)],
+            f.ambient_dim,
+        )
+    return out
+
+
 @lru_cache(maxsize=8192)
 def _trigraded_items(
     t: TrifilteredSpace,
 ) -> tuple[tuple[tuple[int, int, int], int], ...]:
+    ps, qs = common_window(t.F), common_window(t.G)
     out: dict[tuple[int, int, int], int] = {}
     for r in common_window(t.W):
         outer = t.W.at(r)
         inner = t.W.at(r + 1)
         if outer.dim == inner.dim:
             continue
-        f_gr = induced_on_subquotient(t.F, outer, inner)
-        g_gr = induced_on_subquotient(t.G, outer, inner)
-        for (p, q), d in pair_bigraded(f_gr, g_gr).items():
+        f_gr = _graded_levels(t.F, outer, inner, ps)
+        g_gr = _graded_levels(t.G, outer, inner, qs)
+        table = intersection_dims(f_gr.__getitem__, g_gr.__getitem__, ps, qs)
+        for (p, q), d in second_difference(table).items():
             out[(r, p, q)] = d
     return tuple(sorted(out.items()))
 
@@ -293,15 +318,6 @@ def second_difference(
         if d:
             out[(p, q)] = d
     return out
-
-
-def weighted_sum(
-    table: dict[tuple[int, int], int], weight
-) -> Fraction:
-    acc = Fraction(0)
-    for (p, q), v in table.items():
-        acc += Fraction(weight(p, q)) * v
-    return acc
 
 
 def triple_from_json(data: object) -> TrifilteredSpace:

@@ -33,10 +33,6 @@ from .multifilt import FilteredMorphism
 _ENTRY = 9
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-_ENTRY, _ENTRY))
-
-
 def random_gauss(rng: random.Random, real: bool = False) -> GaussianRational:
     re = rng.randint(-_ENTRY, _ENTRY)
     im = 0 if real else rng.randint(-_ENTRY, _ENTRY)

@@ -145,3 +145,20 @@ def triples(draw, n: int):
         F=draw(filtered_spaces(n)),
         G=draw(filtered_spaces(n)),
     )
+
+
+def weight_graded_pieces(t):
+    """(r, F_gr, G_gr) for each nonzero W-graded piece W^r / W^{r+1}, with
+    F and G induced on it as filtered spaces of their own: the subquotient
+    route that serves as the oracle for delta3."""
+    from mixedhodge.filtration import common_window
+    from mixedhodge.multifilt import induced_on_subquotient
+
+    for r in common_window(t.W):
+        outer, inner = t.W.at(r), t.W.at(r + 1)
+        if outer.dim != inner.dim:
+            yield (
+                r,
+                induced_on_subquotient(t.F, outer, inner),
+                induced_on_subquotient(t.G, outer, inner),
+            )

@@ -45,7 +45,7 @@ from mixedhodge.multifilt import (
     bigraded_dims,
     f_table,
     hodge_numbers,
-    second_difference,
+    simultaneous_splitting,
 )
 from mixedhodge.sampling import (
     random_compatible_morphism,
@@ -101,7 +101,6 @@ def test_c03_mhs_property_suite():
             n = m.ambient_dim
             h = hodge_numbers(t)
             s = bigraded_dims(t)
-            f = f_table(t)
             a = alpha(t)
 
             # zeroth and first moments of h - s vanish, defect is nonnegative
@@ -111,8 +110,9 @@ def test_c03_mhs_property_suite():
             )
             assert a >= 0
 
-            # s is the second mixed difference of the intersection table
-            assert second_difference(f) == s
+            # s is realized by an explicit bigrading of (F, G)
+            split = simultaneous_splitting(t.F, t.G)
+            assert {pq: v.dim for pq, v in split.items()} == s
 
             pieces = deligne_splitting(m)
 

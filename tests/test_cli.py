@@ -152,6 +152,21 @@ def test_curve_alpha_domain_error(tmp_path, capsys):
     code, out, err = run(capsys, ["curve-alpha", "--in", path])
     assert code == 1
     assert "distinct" in json.loads(err)["error"]
+    # cross-ratios that overflow to NaN (far punctures) or to infinity (a
+    # subnormal distance) are domain errors, not NaN or Infinity in a report
+    far = {"genus": 0, "punctures": [[1e308, 0], [-1e308, 0]],
+           "pairs": [[[0, 1], [0, -1]]]}
+    near = {"genus": 0, "punctures": [[0, 0], [2, 0]],
+            "pairs": [[[1e-320, 0], [1, 0]]]}
+    # a theta term past the float range, mid-sum, is a domain error too
+    steep = {"genus": 1, "tau": [0, 1], "punctures": [[0, 0], [0.5, 0.25]],
+             "pairs": [[[0.1, 20], [0.25, 0.5]]]}
+    for name, doc, msg in (("far.json", far, "not finite"),
+                           ("near.json", near, "not finite"),
+                           ("steep.json", steep, "overflows")):
+        code, out, err = run(capsys, ["curve-alpha", "--in", write(tmp_path, name, doc)])
+        assert (code, out) == (1, "")
+        assert msg in json.loads(err)["error"]
 
 
 def test_stratify_json_and_csv(tmp_path, capsys):

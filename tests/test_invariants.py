@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import one_dim_triple, triples
+from conftest import one_dim_triple, triples, weight_graded_pieces
 from mixedhodge.exactfield import I, gauss
 from mixedhodge.families import two_flag_fiber
-from mixedhodge.filtration import common_window, graded_dims
+from mixedhodge.filtration import graded_dims
 from mixedhodge.invariants import (
     alpha,
     alpha_via_f_expansion,
@@ -24,7 +24,6 @@ from mixedhodge.invariants import (
 from mixedhodge.multifilt import (
     bigraded_dims,
     hodge_numbers,
-    induced_on_subquotient,
     is_opposed,
 )
 
@@ -129,14 +128,10 @@ def test_weight_graded_splitting_types():
 @given(triples(4))
 def test_weight_graded_splitting_types_match_subquotients(t):
     # oracle: build each W-graded piece and take the splitting type there
-    want = {}
-    for r in common_window(t.W):
-        outer, inner = t.W.at(r), t.W.at(r + 1)
-        if outer.dim != inner.dim:
-            want[r] = p1_splitting_type(
-                induced_on_subquotient(t.F, outer, inner),
-                induced_on_subquotient(t.G, outer, inner),
-            )
+    want = {
+        r: p1_splitting_type(f_gr, g_gr)
+        for r, f_gr, g_gr in weight_graded_pieces(t)
+    }
     assert weight_graded_splitting_types(t) == want
 
 

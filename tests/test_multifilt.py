@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import filtered_spaces, one_dim_triple, triples
+from conftest import filtered_spaces, one_dim_triple, triples, weight_graded_pieces
 from mixedhodge.exactfield import I, gauss
 from mixedhodge.families import two_flag_fiber
 from mixedhodge.filtration import filtered_space, shift, trivial
@@ -19,7 +19,7 @@ from mixedhodge.multifilt import (
     hodge_numbers,
     induced_on_subquotient,
     is_opposed,
-    second_difference,
+    pair_bigraded,
     simultaneous_splitting,
     trigraded_dims,
 )
@@ -71,8 +71,13 @@ def test_dimension_table_bundles_everything():
 
 @settings(max_examples=100)
 @given(triples(4))
-def test_bigraded_is_second_difference_of_f_table(t):
-    assert bigraded_dims(t) == second_difference(f_table(t))
+def test_trigraded_dims_match_subquotients(t):
+    want = {
+        (r, p, q): d
+        for r, f_gr, g_gr in weight_graded_pieces(t)
+        for (p, q), d in pair_bigraded(f_gr, g_gr).items()
+    }
+    assert trigraded_dims(t) == want
 
 
 @settings(max_examples=100)

@@ -2,7 +2,9 @@
 
 import random
 
+from mixedhodge.filtration import common_window
 from mixedhodge.invariants import alpha
+from mixedhodge.linalg import intersect, span
 from mixedhodge.multifilt import hodge_numbers
 from mixedhodge.sampling import (
     adapted_structure_from_diamond,
@@ -73,6 +75,17 @@ def test_extensions_add_hodge_numbers():
         ht = hodge_numbers(total.triple())
         for key in set(ha) | set(hb) | set(ht):
             assert ht.get(key, 0) == ha.get(key, 0) + hb.get(key, 0)
+        # sub/quotient contract: restricting total.F to V_a gives a.F and
+        # projecting it to V_b gives b.F
+        na, n = a.ambient_dim, total.ambient_dim
+        v_a = span([[int(i == j) for i in range(n)] for j in range(na)], n)
+        for p in common_window(a.F, b.F):
+            level = total.F.at(p)
+            restr = intersect(level, v_a)
+            rows_a = [restr.basis.row(i)[:na] for i in range(restr.dim)]
+            rows_b = [level.basis.row(i)[na:] for i in range(level.dim)]
+            assert span(rows_a, na) == a.F.at(p)
+            assert span(rows_b, n - na) == b.F.at(p)
 
 
 def test_random_morphisms_compatible_and_real():
