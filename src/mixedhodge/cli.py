@@ -102,9 +102,7 @@ def cmd_deligne_split(args) -> tuple[str, int]:
             {
                 "p": p,
                 "q": q,
-                "vectors": [
-                    vector_to_json(v.basis.row(i)) for i in range(v.dim)
-                ],
+                "vectors": [vector_to_json(row) for row in v.basis.row_list()],
             }
             for (p, q), v in sorted(pieces.items())
         ],

@@ -203,8 +203,11 @@ def theta(z: complex, tau: complex, truncation: int = 40) -> complex:
             base = 1j * math.pi * n * n * tau
             osc = 2j * math.pi * n * z
             total += cmath.exp(base + osc) + cmath.exp(base - osc)
-    except OverflowError:
-        raise ValueError("a theta term overflows double precision") from None
+    except (OverflowError, ValueError):
+        # OverflowError: a finite exponent past the double range;
+        # ValueError ("math domain error"): an exponent that is already
+        # infinite, as a huge tau or z makes it
+        raise ValueError(f"theta term |n| = {n} overflows double precision") from None
     return total
 
 
@@ -335,10 +338,10 @@ def _point_to_json(x):
 
 
 def _entries(data: dict, key: str) -> list:
-    try:
-        return list(data.get(key, []))
-    except TypeError:  # a number, boolean or null
-        raise ValueError(f"{key} must be an array") from None
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be an array")
+    return value
 
 
 def config_from_json(data: dict) -> CurveConfig:

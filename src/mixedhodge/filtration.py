@@ -82,7 +82,7 @@ class FilteredSpace:
             "levels": [
                 {
                     "index": k,
-                    "vectors": [vector_to_json(v.basis.row(i)) for i in range(v.dim)],
+                    "vectors": [vector_to_json(row) for row in v.basis.row_list()],
                 }
                 for k, v in self.levels
             ],
@@ -168,10 +168,10 @@ def direct_sum(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:
         rows = []
         zero1 = zero_vec(d1)
         zero2 = zero_vec(d2)
-        for i in range(a.dim):
-            rows.append(a.basis.row(i) + zero2)
-        for i in range(b.dim):
-            rows.append(zero1 + b.basis.row(i))
+        for row in a.basis.row_list():
+            rows.append(row + zero2)
+        for row in b.basis.row_list():
+            rows.append(zero1 + row)
         return span(rows, n)
 
     keys = sorted({k for k, _ in f.levels} | {k for k, _ in g.levels})
@@ -199,11 +199,8 @@ def tensor(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:
     g_hi = g.levels[-1][0]
 
     def product(a: Subspace, b: Subspace) -> list[Vector]:
-        return [
-            tensor_vec(a.basis.row(i), b.basis.row(j))
-            for i in range(a.dim)
-            for j in range(b.dim)
-        ]
+        b_rows = b.basis.row_list()
+        return [tensor_vec(x, y) for x in a.basis.row_list() for y in b_rows]
 
     levels: dict[int, Subspace] = {}
     for p in range(f_lo + g_lo, f_hi + g_hi + 1):
@@ -240,7 +237,7 @@ def induced_on_sub(f: FilteredSpace, sub: Subspace) -> FilteredSpace:
     levels: dict[int, Subspace] = {}
     for key, val in f.levels:
         meet = intersect(val, sub)
-        rows = [coordinates(sub, meet.basis.row(i)) for i in range(meet.dim)]
+        rows = [coordinates(sub, row) for row in meet.basis.row_list()]
         levels[key] = span(rows, d)
     if d == 0:
         return FilteredSpace(0, ())
@@ -270,7 +267,7 @@ def induced_on_quotient(f: FilteredSpace, sub: Subspace) -> FilteredSpace:
         return FilteredSpace(0, ())
     levels: dict[int, Subspace] = {}
     for key, val in f.levels:
-        rows = [project(val.basis.row(i)) for i in range(val.dim)]
+        rows = [project(row) for row in val.basis.row_list()]
         levels[key] = span(rows, d)
     levels.setdefault(f.levels[-1][0], zero_subspace(d))
     return filtered_space(d, levels)
@@ -297,10 +294,9 @@ def from_json(data: object) -> FilteredSpace:
             raise ValueError("level index must be an integer")
         if idx in levels:
             raise ValueError(f"duplicate level index {idx}")
-        try:
-            raw_vectors = list(item["vectors"])
-        except TypeError:  # a number, boolean or null
-            raise ValueError(f"vectors of level {idx} must be an array") from None
+        raw_vectors = item["vectors"]
+        if not isinstance(raw_vectors, list):
+            raise ValueError(f"vectors of level {idx} must be an array")
         vecs = [vector_from_json(v, n) for v in raw_vectors]
         levels[idx] = span(vecs, n)
     return filtered_space(n, levels)

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from mixedhodge.exactfield import fraction_json
 from mixedhodge.filtration import FilteredSpace, graded_dims, shift
-from mixedhodge.linalg import intersect
+from mixedhodge.linalg import intersect_dim
 from mixedhodge.multifilt import (
     TrifilteredSpace,
     bigraded_dims,
@@ -118,7 +118,7 @@ def alpha_via_f_expansion(t: TrifilteredSpace) -> Fraction:
     for p in range(0, max_p + 1):
         fp = t2.F.at(p)
         for q in range(0, max_q + 1):
-            fval = intersect(fp, t2.G.at(q)).dim
+            fval = intersect_dim(fp, t2.G.at(q))
             if not fval:
                 continue
             if p >= 1 and q >= 1:

@@ -1,28 +1,41 @@
-"""Row-reduction linear algebra over Q(i).
+"""Row-reduction linear algebra over Q(i), computed over the Gaussian integers.
 
 Conventions used throughout the package:
 
 * matrices act on column vectors, so an (m x n) matrix maps Q(i)^n to
   Q(i)^m;
-* a ``Subspace`` stores its basis vectors as the ROWS of a matrix in
-  reduced row echelon form with no zero rows, which makes the basis a
-  canonical form: two subspaces are equal iff their dataclasses are;
-* vectors at the API boundary are plain tuples of ``GaussianRational``.
+* a ``Subspace`` stores its basis as rows of Gaussian integers, each an
+  ``(re, im)`` pair of Python ints.  The rows are in reduced echelon form
+  (each pivot column is zero outside its own row) and each row is scaled
+  to a positive integer pivot with the gcd of all its components equal
+  to 1.  That row is the unique positive rational multiple of the
+  corresponding row of the reduced row echelon form over Q(i), so the
+  rows are a canonical form: two subspaces are equal iff their
+  dataclasses are;
+* span, sum, intersection, containment, conjugation and intersection
+  dimensions run on those integer rows.  ``Subspace.basis`` builds the
+  Q(i) reduced row echelon basis on demand; ``rref``, ``kernel``,
+  ``image``, ``reduce_mod`` and ``coordinates`` take and return Q(i)
+  values, and vectors at the API boundary are plain tuples of
+  ``GaussianRational``.
 
-The canonical basis gives a cheap coordinate transfer: if the pivot
-columns are p_0 < p_1 < ... then the coefficient of basis row j in any
-member vector x is just x[p_j].
+The Q(i) basis gives a cheap coordinate transfer: if the pivot columns
+are p_0 < p_1 < ... then the coefficient of basis row j in any member
+vector x is just x[p_j].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from mixedhodge.exactfield import ZERO, ONE, GaussianRational, gauss
 
 Vector = tuple[GaussianRational, ...]
+IntRow = tuple[tuple[int, int], ...]
+
+_Z = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -48,23 +61,6 @@ class Matrix:
 
     def row_list(self) -> list[Vector]:
         return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self) -> Matrix:
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(
-                self.entries[i * self.cols + j]
-                for j in range(self.cols)
-                for i in range(self.rows)
-            ),
-        )
-
-    def conj(self) -> Matrix:
-        return Matrix(self.rows, self.cols, tuple(e.conj() for e in self.entries))
-
-    def __neg__(self) -> Matrix:
-        return Matrix(self.rows, self.cols, tuple(-e for e in self.entries))
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
@@ -106,12 +102,6 @@ def identity(n: int) -> Matrix:
     )
 
 
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.cols:
-        raise ValueError("column count mismatch in vstack")
-    return Matrix(a.rows + b.rows, a.cols, a.entries + b.entries)
-
-
 def from_rows(rows: list[Vector], cols: int) -> Matrix:
     return Matrix(len(rows), cols, tuple(e for r in rows for e in r))
 
@@ -130,11 +120,28 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(out)
 
 
-def _reduce_int_row(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
+# -- the Gaussian-integer kernel -------------------------------------------
+
+
+def _denominator(v: Vector) -> int:
+    return lcm(*(e.re.denominator for e in v), *(e.im.denominator for e in v))
+
+
+def _int_row(v: Vector) -> list[tuple[int, int]]:
+    """v times the lcm of its denominators: a Gaussian-integer row."""
+    den = _denominator(v)
+    return [
+        (e.re.numerator * (den // e.re.denominator),
+         e.im.numerator * (den // e.im.denominator))
+        for e in v
+    ]
+
+
+def _primitive(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """row divided by the gcd of all its components."""
     g = 0
     for a, b in row:
-        g = gcd(g, a)
-        g = gcd(g, b)
+        g = gcd(g, a, b)
         if g == 1:
             return row
     if g <= 1:
@@ -142,22 +149,94 @@ def _reduce_int_row(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(a // g, b // g) for a, b in row]
 
 
+def _pivot(row) -> int:
+    return next(j for j, e in enumerate(row) if e != _Z)
+
+
 def _eliminate(
-    prow: list[tuple[int, int]],
-    row: list[tuple[int, int]],
-    pa: int,
-    pb: int,
-    ca: int,
-    cb: int,
+    prow, row, col: int, d: int, c: tuple[int, int]
 ) -> list[tuple[int, int]]:
-    # pivot * row - entry * prow, over the Gaussian integers
-    out = []
-    for (xa, xb), (ya, yb) in zip(row, prow):
-        out.append(
-            (pa * xa - pb * xb - (ca * ya - cb * yb),
-             pa * xb + pb * xa - (ca * yb + cb * ya))
-        )
-    return _reduce_int_row(out)
+    """d * row - c * prow, computed from column ``col`` on: both rows
+    vanish left of it.  With d the positive integer pivot of prow and c
+    the entry of row in that pivot column, the result vanishes there."""
+    ca, cb = c
+    return list(row[:col]) + [
+        (d * xa - ca * ya + cb * yb, d * xb - ca * yb - cb * ya)
+        for (xa, xb), (ya, yb) in zip(row[col:], prow[col:])
+    ]
+
+
+def _real_pivot(row, col: int) -> list[tuple[int, int]]:
+    """row times a Gaussian integer making its entry at ``col`` a positive
+    integer, primitive."""
+    pa, pb = row[col]
+    if pb == 0 and pa > 0:
+        return _primitive(list(row))
+    # multiply by the conjugate of the pivot: the pivot becomes its norm
+    return _primitive([(a * pa + b * pb, b * pa - a * pb) for a, b in row])
+
+
+def _forward(rows: list, stop: int) -> tuple[list, list[int], list]:
+    """Forward elimination over columns [0, stop).
+
+    Returns the pivot rows (positive integer pivots, primitive), their
+    pivot columns, and the nonzero rows left over, which vanish on every
+    column before ``stop``.
+    """
+    pivots: list[int] = []
+    done: list = []
+    for col in range(stop):
+        sel = next((k for k, r in enumerate(rows) if r[col] != _Z), None)
+        if sel is None:
+            continue
+        prow = _real_pivot(rows.pop(sel), col)
+        d = prow[col][0]
+        rest = []
+        for r in rows:
+            c = r[col]
+            if c != _Z:
+                r = _primitive(_eliminate(prow, r, col, d, c))
+                if not any(a or b for a, b in r):
+                    continue
+            rest.append(r)
+        rows = rest
+        done.append(prow)
+        pivots.append(col)
+        if not rows:
+            break
+    return done, pivots, rows
+
+
+def _canonical(rows: list) -> tuple[IntRow, ...]:
+    """Canonical integer rows (see the module docstring) of a row space."""
+    if not rows:
+        return ()
+    done, pivots, _ = _forward(rows, len(rows[0]))
+    # back substitution from the bottom; each row's own pivot only scales
+    # by a positive integer, because the rows below vanish in its column
+    for k in range(len(done) - 1, 0, -1):
+        col = pivots[k]
+        prow = done[k]
+        d = prow[col][0]
+        for r in range(k):
+            c = done[r][col]
+            if c != _Z:
+                done[r] = _primitive(_eliminate(prow, done[r], pivots[r], d, c))
+    return tuple(tuple(r) for r in done)
+
+
+def _residual(rows, u: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
+    """(w, s): s * u reduced by canonical rows, so w vanishes at their
+    pivot columns and w / s differs from u by an element of their span."""
+    s = 1
+    for row in rows:
+        p = _pivot(row)
+        c = u[p]
+        if c != _Z:
+            d = row[p][0]
+            u = _eliminate(row, u, 0, d, c)
+            s *= d
+    return u, s
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -168,136 +247,111 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     """
     if m.rows == 0 or m.cols == 0:
         return m, 0
-    rows: list[list[tuple[int, int]]] = []
-    for i in range(m.rows):
-        ents = m.row(i)
-        den = 1
-        for e in ents:
-            den = den // gcd(den, e.re.denominator) * e.re.denominator
-            den = den // gcd(den, e.im.denominator) * e.im.denominator
-        rows.append(
-            _reduce_int_row(
-                [
-                    (
-                        e.re.numerator * (den // e.re.denominator),
-                        e.im.numerator * (den // e.im.denominator),
-                    )
-                    for e in ents
-                ]
-            )
-        )
-    rank = 0
-    pivot_cols: list[int] = []
-    for col in range(m.cols):
-        sel = next(
-            (r for r in range(rank, m.rows) if rows[r][col] != (0, 0)), None
-        )
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        pa, pb = rows[rank][col]
-        for r in range(rank + 1, m.rows):
-            ca, cb = rows[r][col]
-            if ca or cb:
-                rows[r] = _eliminate(rows[rank], rows[r], pa, pb, ca, cb)
-        pivot_cols.append(col)
-        rank += 1
-        if rank == m.rows:
-            break
-    for k in range(rank - 1, -1, -1):
-        col = pivot_cols[k]
-        pa, pb = rows[k][col]
-        for r in range(k):
-            ca, cb = rows[r][col]
-            if ca or cb:
-                rows[r] = _eliminate(rows[k], rows[r], pa, pb, ca, cb)
-    entries: list[GaussianRational] = []
-    for k in range(rank):
-        pa, pb = rows[k][pivot_cols[k]]
-        norm = pa * pa + pb * pb
-        for xa, xb in rows[k]:
-            entries.append(
-                gauss(
-                    Fraction(xa * pa + xb * pb, norm),
-                    Fraction(xb * pa - xa * pb, norm),
-                )
-            )
-    entries.extend([ZERO] * ((m.rows - rank) * m.cols))
-    return Matrix(m.rows, m.cols, tuple(entries)), rank
+    rows = _canonical([_int_row(m.row(i)) for i in range(m.rows)])
+    entries = _to_qi(rows)
+    entries.extend([ZERO] * ((m.rows - len(rows)) * m.cols))
+    return Matrix(m.rows, m.cols, tuple(entries)), len(rows)
+
+
+def _to_qi(rows) -> list[GaussianRational]:
+    """Entries of the canonical rows divided by their pivots, row-major."""
+    out: list[GaussianRational] = []
+    for row in rows:
+        d = row[_pivot(row)][0]
+        out.extend(GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in row)
+    return out
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q(i)^ambient_dim with canonical (RREF) row basis."""
+    """A subspace of Q(i)^ambient_dim, stored as canonical Gaussian-integer
+    rows: reduced echelon form, positive integer pivots, primitive rows."""
 
     ambient_dim: int
-    basis: Matrix
+    rows: tuple[IntRow, ...]
 
     def __post_init__(self) -> None:
-        b = self.basis
-        if b.cols != self.ambient_dim:
-            raise ValueError("basis width does not match ambient dimension")
-        if b.rows > self.ambient_dim:
+        n = self.ambient_dim
+        if not isinstance(self.rows, tuple):
+            raise ValueError("subspace rows must be a tuple of integer rows")
+        if len(self.rows) > n:
             raise ValueError("more basis rows than ambient dimension")
         last = -1
-        for i in range(b.rows):
-            piv = next((j for j in range(b.cols) if b.entry(i, j)), None)
+        pivots = []
+        for row in self.rows:
+            if not isinstance(row, tuple) or len(row) != n:
+                raise ValueError("basis row is not a tuple of ambient width")
+            piv = next((j for j, e in enumerate(row) if e != _Z), None)
             if piv is None:
                 raise ValueError("zero row in subspace basis")
             if piv <= last:
                 raise ValueError("pivot columns not strictly increasing")
-            if b.entry(i, piv) != ONE:
-                raise ValueError("pivot entry is not 1")
-            for r in range(b.rows):
-                if r != i and b.entry(r, piv):
-                    raise ValueError("pivot column not cleared")
+            pa, pb = row[piv]
+            if pb != 0 or pa <= 0:
+                raise ValueError("pivot entry is not a positive integer")
+            if gcd(*(x for e in row for x in e)) != 1:
+                raise ValueError("basis row is not primitive")
+            pivots.append(piv)
             last = piv
+        for piv in pivots:
+            if sum(row[piv] != _Z for row in self.rows) != 1:
+                raise ValueError("pivot column not cleared")
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     @property
     def is_zero(self) -> bool:
-        return self.dim == 0
+        return not self.rows
 
     @property
     def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
+        return len(self.rows) == self.ambient_dim
+
+    @property
+    def basis(self) -> Matrix:
+        """The reduced row echelon basis over Q(i), built on each call."""
+        return Matrix(self.dim, self.ambient_dim, tuple(_to_qi(self.rows)))
 
     def pivots(self) -> tuple[int, ...]:
-        return tuple(
-            next(j for j in range(self.ambient_dim) if self.basis.entry(i, j))
-            for i in range(self.dim)
-        )
+        return tuple(_pivot(row) for row in self.rows)
 
     def contains(self, v: Vector) -> bool:
-        return not any(reduce_mod(self, v))
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        return _contains_row(self.rows, _int_row([gauss(e) for e in v]))
 
     def __le__(self, other: Subspace) -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("subspaces of different ambient spaces")
-        return all(other.contains(self.basis.row(i)) for i in range(self.dim))
+        if self.dim > other.dim:
+            return False
+        if other.is_full:
+            return True
+        return all(_contains_row(other.rows, row) for row in self.rows)
+
+
+def _contains_row(rows, u) -> bool:
+    w, _ = _residual(rows, u)
+    return not any(a or b for a, b in w)
 
 
 def zero_subspace(n: int) -> Subspace:
-    return Subspace(n, Matrix(0, n, ()))
+    return Subspace(n, ())
 
 
 def full_space(n: int) -> Subspace:
-    return Subspace(n, identity(n))
+    return Subspace(
+        n, tuple(tuple((1, 0) if i == j else _Z for j in range(n)) for i in range(n))
+    )
 
 
 def span(vectors: list[Vector] | list[list], ambient_dim: int) -> Subspace:
     rows = [tuple(gauss(e) for e in v) for v in vectors]
     if any(len(r) != ambient_dim for r in rows):
         raise ValueError("vector length does not match ambient dimension")
-    if not rows:
-        return zero_subspace(ambient_dim)
-    reduced, rank = rref(from_rows(rows, ambient_dim))
-    return Subspace(
-        ambient_dim, Matrix(rank, ambient_dim, reduced.entries[: rank * ambient_dim])
-    )
+    return Subspace(ambient_dim, _canonical([_int_row(r) for r in rows]))
 
 
 def reduce_mod(a: Subspace, v: Vector) -> Vector:
@@ -310,52 +364,62 @@ def reduce_mod(a: Subspace, v: Vector) -> Vector:
     if len(v) != a.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
     w = [gauss(e) for e in v]
-    for i, p in enumerate(a.pivots()):
-        c = w[p]
-        if c:
-            row = a.basis.row(i)
-            w = [e - c * r for e, r in zip(w, row)]
-    return tuple(w)
+    u, s = _residual(a.rows, _int_row(w))
+    den = _denominator(w) * s
+    return tuple(GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in u)
 
 
 def coordinates(a: Subspace, v: Vector) -> Vector:
-    """Coefficients of v in a's canonical basis; error if v is outside a."""
-    coeffs = tuple(gauss(v[p]) for p in a.pivots())
-    if any(reduce_mod(a, v)):
+    """Coefficients of v in a's Q(i) basis; error if v is outside a."""
+    if not a.contains(v):
         raise ValueError("vector not in subspace")
-    return coeffs
+    return tuple(gauss(v[p]) for p in a.pivots())
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("subspaces of different ambient spaces")
-    if a.is_zero:
+    if a.is_zero or b.is_full:
         return b
-    if b.is_zero:
+    if b.is_zero or a.is_full:
         return a
-    return span(a.basis.row_list() + b.basis.row_list(), a.ambient_dim)
+    return Subspace(a.ambient_dim, _canonical([*a.rows, *b.rows]))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the left nullspace of the stacked bases.
+    """Intersection by the Zassenhaus algorithm.
 
-    A row vector y with y . [A; -B] = 0 splits as (c, d) with c.A = d.B,
-    and c.A is then a general element of the intersection.
+    Every row of the row space of [A A; B 0] is (x + y, x) with x in a and
+    y in b, so a row with zero left half has x = -y in both.  Forward
+    elimination over the left half leaves exactly dim a + dim b - rank[A; B]
+    such rows, independent, and their right halves span the intersection.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("subspaces of different ambient spaces")
-    if a.is_zero or b.is_zero:
-        return zero_subspace(a.ambient_dim)
+    if a.is_zero or b.is_full:
+        return a
+    if b.is_zero or a.is_full:
+        return b
     if a == b:
         return a
-    stacked = vstack(a.basis, -b.basis)
-    left_null = kernel(stacked.transpose())
-    vectors = []
-    for i in range(left_null.dim):
-        y = left_null.basis.row(i)
-        c = y[: a.dim]
-        vectors.append(mat_vec(a.basis.transpose(), c))
-    return span(vectors, a.ambient_dim)
+    n = a.ambient_dim
+    zero = (_Z,) * n
+    _, _, rest = _forward([r + r for r in a.rows] + [r + zero for r in b.rows], n)
+    return Subspace(n, _canonical([r[n:] for r in rest]))
+
+
+def intersect_dim(a: Subspace, b: Subspace) -> int:
+    """dim(a ∩ b) = dim a + dim b - rank[A; B], by forward elimination."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("subspaces of different ambient spaces")
+    if a.is_zero or b.is_full:
+        return a.dim
+    if b.is_zero or a.is_full:
+        return b.dim
+    if a == b:
+        return a.dim
+    rank = len(_forward([*a.rows, *b.rows], a.ambient_dim)[0])
+    return a.dim + b.dim - rank
 
 
 def quotient_dim(a: Subspace, b: Subspace) -> int:
@@ -388,7 +452,7 @@ def image(f: Matrix, a: Subspace) -> Subspace:
         raise ValueError("subspace ambient dimension does not match matrix columns")
     if a.is_zero:
         return zero_subspace(f.rows)
-    vectors = [mat_vec(f, a.basis.row(i)) for i in range(a.dim)]
+    vectors = [mat_vec(f, row) for row in a.basis.row_list()]
     return span(vectors, f.rows)
 
 
@@ -411,9 +475,11 @@ def preimage(f: Matrix, b: Subspace) -> Subspace:
 
 
 def conj_subspace(a: Subspace) -> Subspace:
-    # conjugation fixes pivots (they are 1) and zeros, so the conjugated
-    # basis is again canonical and no re-reduction is needed
-    return Subspace(a.ambient_dim, a.basis.conj())
+    # conjugation negates imaginary parts: pivots are real, zeros stay
+    # zero and the gcd is unchanged, so the rows are again canonical
+    return Subspace(
+        a.ambient_dim, tuple(tuple((x, -y) for x, y in row) for row in a.rows)
+    )
 
 
 def vector_to_json(v: Vector) -> list[list[int]]:

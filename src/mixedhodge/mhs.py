@@ -196,8 +196,8 @@ def assemble_extension(
     f_levels: dict[int, Subspace] = {}
     keys = sorted(set(a.F.jumps()) | set(b.F.jumps()))
     for p in keys:
-        rows = [embed_a(a.F.at(p).basis.row(i)) for i in range(a.F.at(p).dim)]
-        rows += [graph_b(b.F.at(p).basis.row(i)) for i in range(b.F.at(p).dim)]
+        rows = [embed_a(row) for row in a.F.at(p).basis.row_list()]
+        rows += [graph_b(row) for row in b.F.at(p).basis.row_list()]
         f_levels[p] = span(rows, n)
     f_total = filtered_space(n, f_levels)
 

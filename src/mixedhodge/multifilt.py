@@ -10,9 +10,9 @@ Dimension data:
                    index of margin so the full and zero regions are visible;
 * ``bigraded_dims``  s^{p,q} = dim of the (p,q) piece of the common graded
                    of (F, G), the second mixed difference of the f-table;
-* ``trigraded_dims`` the same for (F, G) induced on each W-graded piece,
-                   from the same intersection loop run on the images of
-                   F^p ∩ W^r and G^q ∩ W^r modulo W^{r+1};
+* ``trigraded_dims`` the same for (F, G) induced on each W-graded piece
+                   W^r/W^{r+1}, from the same intersection loop run on the
+                   levels F^p ∩ W^r + W^{r+1} and G^q ∩ W^r + W^{r+1};
 * ``hodge_numbers``  the trigraded entries on the anti-diagonal r = -p-q.
 
 ``simultaneous_splitting`` realizes s^{p,q} by an explicit bigraded
@@ -42,11 +42,10 @@ from mixedhodge.linalg import (
     full_space,
     image,
     intersect,
+    intersect_dim,
     kernel as matrix_kernel,
-    reduce_mod,
     span,
     subspace_sum,
-    zero_subspace,
 )
 
 
@@ -83,7 +82,7 @@ def intersection_dims(
     for p in ps:
         fp = f_at(p)
         for q in qs:
-            out[(p, q)] = intersect(fp, g_at(q)).dim
+            out[(p, q)] = intersect_dim(fp, g_at(q))
     return out
 
 
@@ -125,7 +124,7 @@ def induced_on_subquotient(
         raise ValueError("inner subspace not contained in outer")
     on_sub = induced_on_sub(f, outer)
     inner_in_coords = span(
-        [coordinates(outer, inner.basis.row(i)) for i in range(inner.dim)],
+        [coordinates(outer, row) for row in inner.basis.row_list()],
         outer.dim,
     )
     return induced_on_quotient(on_sub, inner_in_coords)
@@ -136,26 +135,13 @@ def trigraded_dims(t: TrifilteredSpace) -> dict[tuple[int, int, int], int]:
     return dict(_trigraded_items(t))
 
 
-def _graded_levels(
-    f: FilteredSpace, outer: Subspace, inner: Subspace, ps: range
-) -> dict[int, Subspace]:
-    """Images of F^p ∩ outer under reduction mod ``inner``, in ambient
-    coordinates.  The reduction is linear with kernel ``inner``, so on
-    ``outer`` it maps outer/inner isomorphically onto its image."""
-    out: dict[int, Subspace] = {}
-    for p in ps:
-        meet = intersect(f.at(p), outer)
-        out[p] = span(
-            [reduce_mod(inner, meet.basis.row(i)) for i in range(meet.dim)],
-            f.ambient_dim,
-        )
-    return out
-
-
 @lru_cache(maxsize=8192)
 def _trigraded_items(
     t: TrifilteredSpace,
 ) -> tuple[tuple[tuple[int, int, int], int], ...]:
+    # On the piece W^r/W^{r+1} the levels of F and G are the images of
+    # M_F = F^p ∩ W^r and M_G = G^q ∩ W^r, and their intersection has
+    # dimension dim((M_F + W^{r+1}) ∩ (M_G + W^{r+1})) - dim W^{r+1}.
     ps, qs = common_window(t.F), common_window(t.G)
     out: dict[tuple[int, int, int], int] = {}
     for r in common_window(t.W):
@@ -163,9 +149,14 @@ def _trigraded_items(
         inner = t.W.at(r + 1)
         if outer.dim == inner.dim:
             continue
-        f_gr = _graded_levels(t.F, outer, inner, ps)
-        g_gr = _graded_levels(t.G, outer, inner, qs)
-        table = intersection_dims(f_gr.__getitem__, g_gr.__getitem__, ps, qs)
+        f_up = {p: subspace_sum(intersect(t.F.at(p), outer), inner) for p in ps}
+        g_up = {q: subspace_sum(intersect(t.G.at(q), outer), inner) for q in qs}
+        table = {
+            pq: d - inner.dim
+            for pq, d in intersection_dims(
+                f_up.__getitem__, g_up.__getitem__, ps, qs
+            ).items()
+        }
         for (p, q), d in second_difference(table).items():
             out[(r, p, q)] = d
     return tuple(sorted(out.items()))
@@ -216,8 +207,7 @@ def simultaneous_splitting(
             continue
         chosen: list[Vector] = []
         acc = den
-        for i in range(num.dim):
-            row = num.basis.row(i)
+        for row in num.basis.row_list():
             if not acc.contains(row):
                 chosen.append(row)
                 acc = subspace_sum(acc, span([row], n))

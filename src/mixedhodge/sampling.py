@@ -324,10 +324,9 @@ def random_compatible_morphism(
         ann = annihilator(level_dst)
         if ann.dim == 0 or level_src.dim == 0:
             return
-        for vi in range(level_src.dim):
-            v = level_src.basis.row(vi)
-            for ai in range(ann.dim):
-                a = ann.basis.row(ai)
+        ann_rows = ann.basis.row_list()
+        for v in level_src.basis.row_list():
+            for a in ann_rows:
                 re_row = [Fraction(0)] * (nt * ns)
                 im_row = [Fraction(0)] * (nt * ns)
                 for i in range(nt):

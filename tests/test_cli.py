@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import subprocess
 import sys
@@ -161,9 +162,13 @@ def test_curve_alpha_domain_error(tmp_path, capsys):
     # a theta term past the float range, mid-sum, is a domain error too
     steep = {"genus": 1, "tau": [0, 1], "punctures": [[0, 0], [0.5, 0.25]],
              "pairs": [[[0.1, 20], [0.25, 0.5]]]}
+    # a huge Re tau makes the theta exponents infinite, not just large
+    wide = {"genus": 1, "tau": [1e308, 1], "punctures": [[0, 0.1], [0, 0.3]],
+            "pairs": [[[0, 0.5], [0, 0.7]]]}
     for name, doc, msg in (("far.json", far, "not finite"),
                            ("near.json", near, "not finite"),
-                           ("steep.json", steep, "overflows")):
+                           ("steep.json", steep, "overflows"),
+                           ("wide.json", wide, "theta term |n| = 1 overflows")):
         code, out, err = run(capsys, ["curve-alpha", "--in", write(tmp_path, name, doc)])
         assert (code, out) == (1, "")
         assert msg in json.loads(err)["error"]
@@ -223,18 +228,22 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     assert code == 2 and "missing key" in json.loads(err)["error"]
     code, out, err = run(capsys, ["check-mhs", "--in", empty])
     assert code == 2 and "missing key" in json.loads(err)["error"]
-    # a number where an array belongs
+    # a number or an object where an array belongs
     tri = two_flag_fiber(gauss(1), I).to_json()
     tri["W"]["levels"][0]["vectors"] = 5
     mhs = {"ambient_dim": 2, "W": tri["W"], "F": tri["F"]}
+    no_vectors = copy.deepcopy(mhs)
+    no_vectors["W"]["levels"][0]["vectors"] = {}
     curve = {"genus": 0, "punctures": [[0, 0], [1, 0]], "pairs": [["inf", [2, 0]]]}
     docs = [
         ("invariants", tri),
         ("alpha", tri),
         ("check-mhs", mhs),
         ("deligne-split", mhs),
+        ("check-mhs", no_vectors),
         ("curve-alpha", {**curve, "punctures": 5}),
         ("curve-alpha", {**curve, "pairs": 5}),
+        ("curve-alpha", {**curve, "punctures": {"inf": 1}}),
     ]
     for command, doc in docs:
         path = write(tmp_path, "number.json", doc)

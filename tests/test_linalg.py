@@ -64,14 +64,33 @@ def test_span_canonicalizes():
 
 
 def test_subspace_invariants_enforced():
-    with pytest.raises(ValueError):
-        Subspace(2, matrix([[2, 0]]))  # pivot not 1
-    with pytest.raises(ValueError):
-        Subspace(2, matrix([[0, 0]]))  # zero row
-    with pytest.raises(ValueError):
-        Subspace(2, matrix([[0, 1], [1, 0]]))  # pivots out of order
-    with pytest.raises(ValueError):
-        Subspace(2, matrix([[1, 1], [0, 1]]))  # pivot column not cleared
+    assert Subspace(2, (((1, 0), (1, -1)),)).dim == 1
+    bad = [
+        ((((2, 0), (0, 2)),), "not primitive"),
+        ((((0, 1), (1, 0)),), "not a positive integer"),  # pivot i
+        ((((-1, 0), (1, 0)),), "not a positive integer"),
+        ((((0, 0), (0, 0)),), "zero row"),
+        ((((0, 0), (1, 0)), ((1, 0), (0, 0))), "not strictly increasing"),
+        ((((1, 0), (1, 0)), ((0, 0), (1, 0))), "not cleared"),
+        ((((1, 0),),), "ambient width"),
+    ]
+    for rows, msg in bad:
+        with pytest.raises(ValueError, match=msg):
+            Subspace(2, rows)
+    with pytest.raises(ValueError, match="tuple"):
+        Subspace(2, matrix([[1, 0]]))  # a Q(i) matrix is not the stored form
+
+
+def test_integer_rows_basis_and_conjugate_fixed_value():
+    a = span([[4, 0, 2 + 2 * I], [2, 3, 2 + I]], 3)
+    assert a.rows == (((2, 0), (0, 0), (1, 1)), ((0, 0), (3, 0), (1, 0)))
+    half = gauss(1) / gauss(2)
+    assert a.basis == matrix([[1, 0, half + half * I], [0, 1, gauss(1) / gauss(3)]])
+    b = conj_subspace(a)
+    assert b.rows == (((2, 0), (0, 0), (1, -1)), ((0, 0), (3, 0), (1, 0)))
+    assert Subspace(3, b.rows) == b == span([[2, 0, 1 - I], [0, 3, 1]], 3)
+    # a non-real pivot is rotated to a positive integer
+    assert span([[1 + I, 2]], 2).rows == (((1, 0), (1, -1)),)
 
 
 def test_intersection_fixed_value():
