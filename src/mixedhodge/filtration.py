@@ -14,7 +14,6 @@ at p is the input's value at -p.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -67,11 +66,10 @@ class FilteredSpace:
                 raise ValueError("filtration must end at the zero subspace")
 
     def at(self, p: int) -> Subspace:
-        keys = [k for k, _ in self.levels]
-        idx = bisect_right(keys, p) - 1
-        if idx < 0:
-            return full_space(self.ambient_dim)
-        return self.levels[idx][1]
+        for key, val in reversed(self.levels):
+            if key <= p:
+                return val
+        return full_space(self.ambient_dim)
 
     def jumps(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.levels)
@@ -273,6 +271,13 @@ def induced_on_quotient(f: FilteredSpace, sub: Subspace) -> FilteredSpace:
     return filtered_space(d, levels)
 
 
+# Size caps on parsed input: every dimension table costs time and memory
+# growing with the ambient dimension and with the span of level indices,
+# so a small document must not be able to ask for a large structure.
+MAX_AMBIENT_DIM = 64
+MAX_LEVEL_INDEX = 64
+
+
 def from_json(data: object) -> FilteredSpace:
     if not isinstance(data, dict):
         raise ValueError("filtration JSON must be an object")
@@ -283,6 +288,10 @@ def from_json(data: object) -> FilteredSpace:
         raise ValueError(f"filtration JSON missing key {exc.args[0]!r}") from exc
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("ambient_dim must be a nonnegative integer")
+    if n > MAX_AMBIENT_DIM:
+        raise ValueError(
+            f"ambient_dim {n} exceeds the limit of {MAX_AMBIENT_DIM}"
+        )
     if not isinstance(raw_levels, list):
         raise ValueError("levels must be a list")
     levels: dict[int, Subspace] = {}
@@ -292,6 +301,10 @@ def from_json(data: object) -> FilteredSpace:
         idx = item["index"]
         if not isinstance(idx, int) or isinstance(idx, bool):
             raise ValueError("level index must be an integer")
+        if abs(idx) > MAX_LEVEL_INDEX:
+            raise ValueError(
+                f"level index {idx} exceeds the limit |index| <= {MAX_LEVEL_INDEX}"
+            )
         if idx in levels:
             raise ValueError(f"duplicate level index {idx}")
         raw_vectors = item["vectors"]

@@ -22,12 +22,29 @@ Conventions used throughout the package:
 The Q(i) basis gives a cheap coordinate transfer: if the pivot columns
 are p_0 < p_1 < ... then the coefficient of basis row j in any member
 vector x is just x[p_j].
+
+``intersect``, ``intersect_dim`` and ``subspace_sum`` remember their
+results.  The dimension tables, both alpha routes and the Deligne
+splitting of one structure meet and join the same levels many times
+over (a Tate twist keeps the level subspaces under shifted indices), so
+past the zero, full and equal shortcuts each operation hands its operand
+pair to a private ``lru_cache`` keyed by value: ``_intersect``,
+``_intersect_dim`` and ``_sum``, 128 entries each.  The whole invariant
+suite of one random structure of dimension up to 8 needed at most 42
+distinct pairs per operation (96 draws), and different structures share
+few, so a larger bound would only hold memory.  The memo sits on the
+private names because a wrapper that rebinds the public ones (as a
+tracer does) hides ``cache_clear``; module-level caches under their own
+names are found and emptied like any other.  ``full_space`` keeps its
+last 16 results, so filtration lookups below the first jump share one
+object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from mixedhodge.exactfield import ZERO, ONE, GaussianRational, gauss
@@ -341,6 +358,7 @@ def zero_subspace(n: int) -> Subspace:
     return Subspace(n, ())
 
 
+@lru_cache(maxsize=16)
 def full_space(n: int) -> Subspace:
     return Subspace(
         n, tuple(tuple((1, 0) if i == j else _Z for j in range(n)) for i in range(n))
@@ -383,6 +401,11 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
         return b
     if b.is_zero or a.is_full:
         return a
+    return _sum(a, b)
+
+
+@lru_cache(maxsize=128)
+def _sum(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(a.ambient_dim, _canonical([*a.rows, *b.rows]))
 
 
@@ -402,6 +425,11 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         return b
     if a == b:
         return a
+    return _intersect(a, b)
+
+
+@lru_cache(maxsize=128)
+def _intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     zero = (_Z,) * n
     _, _, rest = _forward([r + r for r in a.rows] + [r + zero for r in b.rows], n)
@@ -418,6 +446,11 @@ def intersect_dim(a: Subspace, b: Subspace) -> int:
         return b.dim
     if a == b:
         return a.dim
+    return _intersect_dim(a, b)
+
+
+@lru_cache(maxsize=128)
+def _intersect_dim(a: Subspace, b: Subspace) -> int:
     rank = len(_forward([*a.rows, *b.rows], a.ambient_dim)[0])
     return a.dim + b.dim - rank
 

@@ -98,17 +98,11 @@ def pair_bigraded(f: FilteredSpace, g: FilteredSpace) -> dict[tuple[int, int], i
     the two summands meet in F^{p+1} ∩ G^{q+1}, so its dimension is the
     second mixed difference of the intersection dimensions.
     """
-    return dict(_pair_bigraded_items(f, g))
-
-
-@lru_cache(maxsize=8192)
-def _pair_bigraded_items(
-    f: FilteredSpace, g: FilteredSpace
-) -> tuple[tuple[tuple[int, int], int], ...]:
     if f.ambient_dim != g.ambient_dim:
         raise ValueError("filtrations of different spaces")
-    table = intersection_dims(f.at, g.at, common_window(f), common_window(g))
-    return tuple(sorted(second_difference(table).items()))
+    return second_difference(
+        intersection_dims(f.at, g.at, common_window(f), common_window(g))
+    )
 
 
 def bigraded_dims(t: TrifilteredSpace) -> dict[tuple[int, int], int]:

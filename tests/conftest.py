@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+import mixedhodge
 from mixedhodge.exactfield import GaussianRational
 
 settings.register_profile(
@@ -13,6 +17,25 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+def package_caches() -> list:
+    """Every module-level ``lru_cache`` of the ``mixedhodge`` modules."""
+    found = {}
+    for info in pkgutil.iter_modules(mixedhodge.__path__):
+        mod = importlib.import_module(f"mixedhodge.{info.name}")
+        for obj in vars(mod).values():
+            if callable(getattr(obj, "cache_clear", None)) and hasattr(obj, "cache_info"):
+                found[id(obj)] = obj
+    return list(found.values())
+
+
+@pytest.fixture(autouse=True)
+def _empty_caches():
+    """Start each test with empty caches, so that a test runs the
+    computations it names whatever tests ran before it."""
+    for cache in package_caches():
+        cache.cache_clear()
 
 
 @st.composite

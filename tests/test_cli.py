@@ -252,6 +252,34 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
         assert "must be an array" in json.loads(err)["error"]
 
 
+def test_oversized_structures_exit_2(tmp_path, capsys):
+    # each document is small; accepting it would cost time or memory
+    # growing with its ambient dimension or its span of level indices
+    empty = {"ambient_dim": 1000, "levels": []}
+    wide = {"ambient_dim": 1000, "W": empty, "F": empty}
+
+    def flag(vector, index):
+        return {"ambient_dim": 2, "levels": [
+            {"index": -index, "vectors": [vector]},
+            {"index": index, "vectors": []},
+        ]}
+
+    far = {
+        "ambient_dim": 2,
+        "W": {"ambient_dim": 2, "levels": [{"index": 1, "vectors": []}]},
+        "F": flag([[1, 1, 0, 1], [0, 1, 0, 1]], 400),
+        "G": flag([[0, 1, 0, 1], [1, 1, 0, 1]], 400),
+    }
+    for command, doc, needle in (
+        ("check-mhs", wide, "ambient_dim 1000 exceeds"),
+        ("invariants", far, "level index -400 exceeds"),
+    ):
+        path = write(tmp_path, "big.json", doc)
+        code, out, err = run(capsys, [command, "--in", path])
+        assert code == 2 and out == ""
+        assert needle in json.loads(err)["error"]
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = write(tmp_path, "tri.json", two_flag_fiber(I, I).to_json())
     target = tmp_path / "report.json"

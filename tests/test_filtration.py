@@ -32,6 +32,18 @@ def test_trivial_canonical_form():
     assert trivial(0).levels == ()
 
 
+def test_at_fixed_values():
+    e1 = span([[1, 0, 0]], 3)
+    e12 = span([[1, 0, 0], [0, 1, 0]], 3)
+    f = filtered_space(3, {-1: e12, 2: e1, 4: zero_subspace(3)})
+    below = f.at(-2)
+    assert below == full_space(3)
+    assert f.at(-50) is below and f.at(-2) is below
+    assert f.at(-1) == e12 and f.at(2) == e1 and f.at(4) == zero_subspace(3)
+    assert f.at(0) == e12 and f.at(1) == e12 and f.at(3) == e1
+    assert f.at(5) == zero_subspace(3) and f.at(100) == zero_subspace(3)
+
+
 def test_shift_semantics():
     t3 = shift(trivial(2), 3)
     assert t3.at(3) == full_space(2)
@@ -197,4 +209,19 @@ def test_json_rejects_garbage():
         },
     ):
         with pytest.raises(ValueError):
+            from_json(bad)
+
+
+def test_json_size_caps():
+    def doc(n, index):
+        return {"ambient_dim": n, "levels": [{"index": index, "vectors": []}]}
+
+    assert from_json(doc(2, 64)).jumps() == (64,)
+    assert from_json(doc(2, -64)).jumps() == (-64,)
+    for bad, needle in (
+        (doc(65, 0), "ambient_dim 65 exceeds"),
+        (doc(2, 65), "level index 65 exceeds"),
+        (doc(2, -65), "level index -65 exceeds"),
+    ):
+        with pytest.raises(ValueError, match=needle):
             from_json(bad)

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import subspaces, vectors
+from conftest import package_caches, subspaces, vectors
 from mixedhodge.exactfield import I, ONE, ZERO, gauss
 from mixedhodge.linalg import (
     Matrix,
     Subspace,
+    _intersect,
+    _intersect_dim,
+    _sum,
     annihilator,
     conj_subspace,
     coordinates,
@@ -16,6 +19,7 @@ from mixedhodge.linalg import (
     identity,
     image,
     intersect,
+    intersect_dim,
     kernel,
     mat_vec,
     matrix,
@@ -230,3 +234,38 @@ def test_rank_nullity_and_preimage_roundtrip(data):
     pre = preimage(f, b)
     assert image(f, pre) <= b
     assert kernel(f) <= pre
+
+
+def _copy(a: Subspace) -> Subspace:
+    """An equal subspace sharing no row tuple with a."""
+    return Subspace(a.ambient_dim, tuple(tuple(list(row)) for row in a.rows))
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(subspaces(n), subspaces(n), subspaces(n))
+))
+def test_memoized_ops_match_cold_results(triple):
+    a, b, c = triple
+    ops = (intersect, intersect_dim, subspace_sum)
+    memos = (_intersect, _intersect_dim, _sum)
+    for memo in memos:
+        memo.cache_clear()
+    cold = [op(a, b) for op in ops]
+    assert cold == [memo.__wrapped__(a, b) for memo in memos]
+    # neighbouring pairs share the memo; they must not shadow (a, b)
+    for x, y in ((b, a), (a, c), (c, b)):
+        assert [op(x, y) for op in ops] == [memo.__wrapped__(x, y) for memo in memos]
+    misses = sum(memo.cache_info().misses for memo in memos)
+    warm = [op(_copy(a), _copy(b)) for op in ops]
+    assert warm == cold
+    # equal but distinct operands find the cached results: nothing reruns
+    assert sum(memo.cache_info().misses for memo in memos) == misses
+    assert intersect_dim(a, b) == intersect(a, b).dim
+
+
+def test_package_caches_are_bounded():
+    caches = package_caches()
+    names = {cache.__name__ for cache in caches}
+    assert {"_intersect", "_intersect_dim", "_sum", "full_space"} <= names
+    for cache in caches:
+        assert cache.cache_parameters()["maxsize"] is not None, cache.__name__
