@@ -55,15 +55,28 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _read_json(path: str):
+    # every way json.load can fail on the bytes is a parse failure (exit
+    # 2): bad syntax, non-UTF-8 text, nesting past the recursion limit, an
+    # integer past CPython's digit limit, NaN or Infinity
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, parse_constant=_reject_constant)
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
+        raise _InputError(f"invalid JSON in {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _InputError(f"invalid JSON in {path}: not UTF-8 text") from None
+    except RecursionError:
+        raise _InputError(f"invalid JSON in {path}: nested too deeply") from None
+    except ValueError as exc:
         raise _InputError(f"invalid JSON in {path}: {exc}") from None
 
 

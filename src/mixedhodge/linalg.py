@@ -19,6 +19,15 @@ Conventions used throughout the package:
   values, and vectors at the API boundary are plain tuples of
   ``GaussianRational``.
 
+``Subspace(n, rows)`` checks that its rows are in canonical form, because
+they may come from outside the kernel.  Rows that ``_canonical`` has just
+returned are in that form by construction, and so are their conjugates
+(conjugation keeps the real pivots, the zero pattern and the gcd).  So
+``span``, ``subspace_sum``, ``intersect``, ``conj_subspace`` and the
+sampler wrap such rows with the private ``_trusted`` and skip the check,
+which would only repeat the work of the elimination; a property test
+runs the full check on ``_canonical``'s output.
+
 The Q(i) basis gives a cheap coordinate transfer: if the pivot columns
 are p_0 < p_1 < ... then the coefficient of basis row j in any member
 vector x is just x[p_j].
@@ -349,6 +358,14 @@ class Subspace:
         return all(_contains_row(other.rows, row) for row in self.rows)
 
 
+def _trusted(n: int, rows: tuple[IntRow, ...]) -> Subspace:
+    """A Subspace on rows already in canonical form, without the check."""
+    s = object.__new__(Subspace)
+    object.__setattr__(s, "ambient_dim", n)
+    object.__setattr__(s, "rows", rows)
+    return s
+
+
 def _contains_row(rows, u) -> bool:
     w, _ = _residual(rows, u)
     return not any(a or b for a, b in w)
@@ -369,7 +386,7 @@ def span(vectors: list[Vector] | list[list], ambient_dim: int) -> Subspace:
     rows = [tuple(gauss(e) for e in v) for v in vectors]
     if any(len(r) != ambient_dim for r in rows):
         raise ValueError("vector length does not match ambient dimension")
-    return Subspace(ambient_dim, _canonical([_int_row(r) for r in rows]))
+    return _trusted(ambient_dim, _canonical([_int_row(r) for r in rows]))
 
 
 def reduce_mod(a: Subspace, v: Vector) -> Vector:
@@ -406,7 +423,7 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 @lru_cache(maxsize=128)
 def _sum(a: Subspace, b: Subspace) -> Subspace:
-    return Subspace(a.ambient_dim, _canonical([*a.rows, *b.rows]))
+    return _trusted(a.ambient_dim, _canonical([*a.rows, *b.rows]))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -433,7 +450,7 @@ def _intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     zero = (_Z,) * n
     _, _, rest = _forward([r + r for r in a.rows] + [r + zero for r in b.rows], n)
-    return Subspace(n, _canonical([r[n:] for r in rest]))
+    return _trusted(n, _canonical([r[n:] for r in rest]))
 
 
 def intersect_dim(a: Subspace, b: Subspace) -> int:
@@ -510,7 +527,7 @@ def preimage(f: Matrix, b: Subspace) -> Subspace:
 def conj_subspace(a: Subspace) -> Subspace:
     # conjugation negates imaginary parts: pivots are real, zeros stay
     # zero and the gcd is unchanged, so the rows are again canonical
-    return Subspace(
+    return _trusted(
         a.ambient_dim, tuple(tuple((x, -y) for x, y in row) for row in a.rows)
     )
 

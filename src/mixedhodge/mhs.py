@@ -2,7 +2,7 @@
 
 A structure is a pair (W, F): W a decreasing weight filtration whose
 levels must be stable under coordinatewise conjugation, F an arbitrary
-decreasing filtration.  The conjugate filtration Fbar is always recomputed
+decreasing filtration.  The conjugate filtration Fbar is always computed
 from F, never taken from the user, and the triple (W, F, Fbar) has to be
 opposed; ``validate`` enforces all of it with named offenders.
 
@@ -20,6 +20,7 @@ the nose, which happens exactly when the splitting defect alpha vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from mixedhodge.filtration import (
     FilteredSpace,
@@ -62,8 +63,9 @@ class MixedHodgeStructure:
         if self.F.ambient_dim != self.ambient_dim:
             raise ValueError("Hodge filtration has wrong ambient dimension")
 
-    @property
+    @cached_property
     def fbar(self) -> FilteredSpace:
+        # computed once per structure; equality and hashing stay on the fields
         return conj_filtration(self.F)
 
     def triple(self) -> TrifilteredSpace:

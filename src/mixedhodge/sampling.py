@@ -7,6 +7,17 @@ a random real flag for the weight filtration and a random complex flag for the
 Hodge filtration.  A generic pair of flags with matching dimension data is
 opposed on every graded piece, so the rejection rate stays low; degenerate
 draws are simply discarded and retried.
+
+Vectors are drawn and combined as Gaussian-integer rows, tuples of
+``(re, im)`` int pairs, the form ``linalg`` stores subspaces in: a basis
+candidate is tested against the echelon rows of the vectors kept so far,
+tails are added in integer arithmetic, and each flag level is spanned
+from its rows with ``_canonical``, whose output needs no canonical-form
+check.  ``GaussianRational`` appears only where a ``Matrix`` is
+returned: the lift of ``random_extension`` and the matrix of
+``random_compatible_morphism``.  The sequence of ``randint`` calls is
+fixed: the tests pin seeded draws by a digest, and the benchmark replays
+the proposal stage.
 """
 
 from __future__ import annotations
@@ -14,15 +25,22 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .exactfield import I, GaussianRational, gauss
+from .exactfield import gauss
 from .filtration import FilteredSpace, filtered_space, from_increasing
 from .linalg import (
+    IntRow,
     Matrix,
     Subspace,
+    _canonical,
+    _forward,
+    _pivot,
+    _real_pivot,
+    _residual,
+    _trusted,
     annihilator,
     from_rows,
+    full_space,
     kernel,
-    span,
     zero_subspace,
 )
 from .mhs import MixedHodgeStructure, assemble_extension, validate
@@ -33,35 +51,58 @@ from .multifilt import FilteredMorphism
 _ENTRY = 9
 
 
-def random_gauss(rng: random.Random, real: bool = False) -> GaussianRational:
-    re = rng.randint(-_ENTRY, _ENTRY)
-    im = 0 if real else rng.randint(-_ENTRY, _ENTRY)
-    return gauss(re, im)
+def _random_row(rng: random.Random, n: int, real: bool = False) -> IntRow:
+    """n Gaussian integers from the box, each drawn real part first."""
+    return tuple(
+        (rng.randint(-_ENTRY, _ENTRY), 0 if real else rng.randint(-_ENTRY, _ENTRY))
+        for _ in range(n)
+    )
 
 
-def random_vector(
-    rng: random.Random, n: int, real: bool = False
-) -> tuple[GaussianRational, ...]:
-    return tuple(random_gauss(rng, real=real) for _ in range(n))
+def random_basis(rng: random.Random, n: int, real: bool = False) -> list[IntRow]:
+    """A random ordered basis of the full space, as Gaussian-integer rows
+    with entries in a small box.
 
-
-def random_basis(rng: random.Random, n: int, real: bool = False) -> list:
-    """A random ordered basis of the full space, entries in a small box."""
-    vectors: list[tuple[GaussianRational, ...]] = []
-    current = zero_subspace(n)
+    A candidate is kept when its residual against the echelon rows of the
+    vectors kept so far is nonzero, that is, exactly when it raises the
+    rank; only then do the echelon rows grow.
+    """
+    vectors: list[IntRow] = []
+    echelon: list = []  # sorted by pivot column, as _residual needs
     stuck = 0
-    while current.dim < n:
-        v = random_vector(rng, n, real=real)
-        grown = span([*vectors, v], n)
-        if grown.dim > current.dim:
+    while len(vectors) < n:
+        v = _random_row(rng, n, real=real)
+        w, _ = _residual(echelon, v)
+        if any(a or b for a, b in w):
             vectors.append(v)
-            current = grown
+            echelon.append(_real_pivot(w, _pivot(w)))
+            echelon.sort(key=_pivot)
             stuck = 0
         else:
             stuck += 1
             if stuck > 64:
                 raise RuntimeError("random basis draw failed to reach full rank")
     return vectors
+
+
+def _weight_sizes(h: dict[tuple[int, int], int]) -> dict[int, int]:
+    """Dimension of each weight of the diamond h, in ascending weight order."""
+    weights = sorted({p + q for p, q in h})
+    return {m: sum(d for (p, q), d in h.items() if p + q == m) for m in weights}
+
+
+def _weight_flag(basis: list[IntRow], sizes: dict[int, int], n: int) -> FilteredSpace:
+    """The weight filtration with W_m spanned by the basis vectors of the
+    weights up to m, taken in order; sizes as from ``_weight_sizes``.  The
+    basis spans the full space, so the last level needs no elimination."""
+    increasing: dict[int, Subspace] = {}
+    running = 0
+    for m, size in sizes.items():
+        running += size
+        increasing[m] = (
+            full_space(n) if running == n else _trusted(n, _canonical(basis[:running]))
+        )
+    return from_increasing(n, increasing)
 
 
 def random_hodge_diamond(
@@ -119,9 +160,10 @@ def _flag_from_generators(
     acc: list = []
     for k, p in enumerate(ps):
         acc.extend(gens[p])
+        # _canonical and _forward pop rows off the list they are given
         if k + 1 < len(ps):
-            levels[ps[k + 1] + 1] = span(acc, n)
-    if span(acc, n).dim != n:
+            levels[ps[k + 1] + 1] = _trusted(n, _canonical(list(acc)))
+    if len(_forward(list(acc), n)[0]) != n:
         return None
     return filtered_space(n, levels)
 
@@ -168,14 +210,7 @@ def structure_from_diamond(
     the draw happens to be non-generic the validation step rejects it.
     """
     n = sum(h.values())
-    weights = sorted({p + q for p, q in h})
-    w_basis = random_basis(rng, n, real=True)
-    running = 0
-    increasing: dict[int, Subspace] = {}
-    for m in weights:
-        running += sum(d for (p, q), d in h.items() if p + q == m)
-        increasing[m] = span(w_basis[:running], n)
-    w = from_increasing(n, increasing)
+    w = _weight_flag(random_basis(rng, n, real=True), _weight_sizes(h), n)
 
     f_basis = random_basis(rng, n)
     ps = sorted({p for p, _ in h}, reverse=True)
@@ -206,27 +241,26 @@ def adapted_structure_from_diamond(
     way, including ones that need special flag position.
     """
     n = sum(h.values())
-    weights = sorted({p + q for p, q in h})
-    sizes = {m: sum(d for (p, q), d in h.items() if p + q == m) for m in weights}
+    sizes = _weight_sizes(h)
     w_basis = random_basis(rng, n, real=True)
-    increasing: dict[int, Subspace] = {}
-    running = 0
-    for m in weights:
-        running += sizes[m]
-        increasing[m] = span(w_basis[:running], n)
-    w = from_increasing(n, increasing)
+    w = _weight_flag(w_basis, sizes, n)
 
-    def with_tail(v: tuple, lower: int) -> tuple:
+    def with_tail(v: IntRow, lower: int) -> IntRow:
+        # w_basis is real, so a Gaussian-integer coefficient (cr, ci)
+        # scales each entry (b, 0) to (cr * b, ci * b)
         out = list(v)
         for k in range(lower):
-            coef = gauss(rng.randint(-2, 2), rng.randint(-2, 2))
-            if coef:
-                out = [a + coef * b for a, b in zip(out, w_basis[k])]
+            cr, ci = rng.randint(-2, 2), rng.randint(-2, 2)
+            if cr or ci:
+                out = [
+                    (a + cr * b, c + ci * b)
+                    for (a, c), (b, _) in zip(out, w_basis[k])
+                ]
         return tuple(out)
 
     gens: dict[int, list] = {}
     offset = 0
-    for m in weights:
+    for m in sizes:
         idx = offset
         for p, q in sorted(c for c in h if c[0] + c[1] == m):
             if p < q:
@@ -239,8 +273,8 @@ def adapted_structure_from_diamond(
                 else:
                     x, y = w_basis[idx], w_basis[idx + 1]
                     idx += 2
-                    plus = tuple(a + I * b for a, b in zip(x, y))
-                    minus = tuple(a - I * b for a, b in zip(x, y))
+                    plus = tuple((a, b) for (a, _), (b, _) in zip(x, y))
+                    minus = tuple((a, -b) for (a, _), (b, _) in zip(x, y))
                     gens.setdefault(p, []).append(with_tail(plus, offset))
                     gens.setdefault(q, []).append(with_tail(minus, offset))
         offset += sizes[m]
@@ -294,7 +328,10 @@ def random_extension(
     a = random_mhs(rng, max_dim_each, weight_range=(-2, split))
     b = random_mhs(rng, max_dim_each, weight_range=(split + 1, 3))
     lift = from_rows(
-        [random_vector(rng, b.ambient_dim) for _ in range(a.ambient_dim)],
+        [
+            tuple(gauss(re, im) for re, im in _random_row(rng, b.ambient_dim))
+            for _ in range(a.ambient_dim)
+        ],
         b.ambient_dim,
     )
     total = assemble_extension(a, b, lift)

@@ -252,6 +252,49 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
         assert "must be an array" in json.loads(err)["error"]
 
 
+def parse_error(capsys, command, path):
+    """Run command on path; assert exit 2 with a JSON parse error."""
+    code, out, err = run(capsys, [command, "--in", str(path)])
+    assert (code, out) == (2, "")
+    message = json.loads(err)["error"]
+    assert message.startswith(f"invalid JSON in {path}: ")
+    return message
+
+
+def test_deep_nesting_exits_2(tmp_path, capsys):
+    # 200 KB of brackets: json.load raises RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    for command in ("invariants", "check-mhs", "curve-alpha", "stratify"):
+        assert "nested too deeply" in parse_error(capsys, command, path)
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"genus": 0, "name": "Möbius"}'.encode("latin-1"))
+    assert "not UTF-8" in parse_error(capsys, "curve-alpha", path)
+
+
+def test_overlong_integer_exits_2(tmp_path, capsys):
+    # past CPython's int-to-string limit (4300 digits) json.load raises
+    # a plain ValueError
+    path = tmp_path / "long.json"
+    path.write_text('{"ambient_dim": ' + "7" * 5000 + ', "W": {}, "F": {}}')
+    assert "4300" in parse_error(capsys, "check-mhs", path)
+
+
+def test_non_finite_literals_exit_2(tmp_path, capsys):
+    # NaN != NaN, so a NaN puncture used to pass the distinctness check
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"genus": 0, "punctures": [[0, 0], [%s, 0]], '
+            '"pairs": [["inf", [2, 0]]]}' % literal
+        )
+        message = parse_error(capsys, "curve-alpha", path)
+        assert f"{literal} is not a JSON number" in message
+
+
 def test_oversized_structures_exit_2(tmp_path, capsys):
     # each document is small; accepting it would cost time or memory
     # growing with its ambient dimension or its span of level indices

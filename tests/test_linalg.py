@@ -9,6 +9,7 @@ from mixedhodge.exactfield import I, ONE, ZERO, gauss
 from mixedhodge.linalg import (
     Matrix,
     Subspace,
+    _canonical,
     _intersect,
     _intersect_dim,
     _sum,
@@ -261,6 +262,43 @@ def test_memoized_ops_match_cold_results(triple):
     # equal but distinct operands find the cached results: nothing reruns
     assert sum(memo.cache_info().misses for memo in memos) == misses
     assert intersect_dim(a, b) == intersect(a, b).dim
+
+
+@st.composite
+def int_row_lists(draw, n: int) -> list:
+    """Gaussian-integer rows, with zero, repeated and dependent rows mixed in."""
+    entry = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+    rows = draw(st.lists(st.tuples(*[entry] * n), max_size=n + 1))
+    extra = [((0, 0),) * n] if draw(st.booleans()) else []
+    if rows:
+        u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c, d = draw(entry)  # u + (c + di) v lies in the span already
+        extra.append(u)
+        extra.append(tuple(
+            (a + c * x - d * y, b + c * y + d * x) for (a, b), (x, y) in zip(u, v)
+        ))
+    return list(draw(st.permutations(rows + extra)))
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(st.just(n), int_row_lists(n), int_row_lists(n))
+))
+def test_canonical_rows_pass_the_full_check(data):
+    # the kernel wraps these rows without Subspace's check; run it here
+    n, rows_a, rows_b = data
+    a = Subspace(n, _canonical(list(rows_a)))
+    b = Subspace(n, _canonical(list(rows_b)))
+    assert span([[gauss(x, y) for x, y in r] for r in rows_a], n) == a
+    assert _sum.__wrapped__(a, b) == Subspace(n, _canonical([*rows_a, *rows_b]))
+    assert subspace_sum(a, b) == _sum.__wrapped__(a, b)
+    conj_rows = [tuple((x, -y) for x, y in r) for r in rows_a]
+    assert conj_subspace(a) == Subspace(n, _canonical(conj_rows))
+    meet = _intersect.__wrapped__(a, b)
+    assert intersect(a, b) == meet == _intersect.__wrapped__(b, a)
+    assert meet.dim == a.dim + b.dim - subspace_sum(a, b).dim
+    for out in (meet, _sum.__wrapped__(a, b), conj_subspace(a)):
+        assert Subspace(n, out.rows) == out
+        assert Subspace(n, _canonical(list(out.rows))) == out
 
 
 def test_package_caches_are_bounded():
