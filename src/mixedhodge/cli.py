@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import replace
@@ -136,7 +137,7 @@ def cmd_alpha(args) -> tuple[str, int]:
 def cmd_curve_alpha(args) -> tuple[str, int]:
     cfg = _parse(config_from_json, _read_json(args.infile))
     if args.tol is not None:
-        if args.tol <= 0:
+        if not 0 < args.tol < math.inf:  # also false for NaN
             raise _InputError("tol must be a positive number")
         cfg = replace(cfg, tol=args.tol)
     return _dump(curve_report(cfg)), 0

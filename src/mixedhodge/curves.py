@@ -319,7 +319,23 @@ def curve_report(cfg: CurveConfig) -> dict:
     raise ValueError("genus must be 0 or 1")
 
 
-def _point_from_json(obj):
+# Each theta value sums 2 N + 1 terms for theta_truncation N, so the cost
+# of a genus-1 document grows linearly with it; the default is 40.
+MAX_THETA_TRUNCATION = 1000
+
+
+def _finite(x: int | float, what: str) -> float:
+    """x as a finite double; JSON integers and floats can lie outside."""
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is outside the double range")
+    return value
+
+
+def _point_from_json(obj, name: str = "point"):
     if obj == "inf":
         return INF
     if (
@@ -327,7 +343,7 @@ def _point_from_json(obj):
         and len(obj) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
     ):
-        return complex(obj[0], obj[1])
+        return complex(*(_finite(v, f"{name} coordinate") for v in obj))
     raise ValueError(f"malformed point {obj!r}")
 
 
@@ -358,20 +374,23 @@ def config_from_json(data: dict) -> CurveConfig:
         pairs.append((_point_from_json(pair[0]), _point_from_json(pair[1])))
     tau = None
     if "tau" in data and data["tau"] is not None:
-        t = _point_from_json(data["tau"])
-        tau = t
+        tau = _point_from_json(data["tau"], "tau")
     tol = data.get("tol", 1e-9)
     if not (isinstance(tol, (int, float)) and tol > 0):
         raise ValueError("tol must be a positive number")
     trunc = data.get("theta_truncation", 40)
     if not (isinstance(trunc, int) and not isinstance(trunc, bool) and trunc >= 1):
         raise ValueError("theta_truncation must be a positive integer")
+    if trunc > MAX_THETA_TRUNCATION:
+        raise ValueError(
+            f"theta_truncation {trunc} exceeds the limit of {MAX_THETA_TRUNCATION}"
+        )
     return CurveConfig(
         genus=genus,
         punctures=punctures,
         pairs=tuple(pairs),
         tau=tau,
-        tol=float(tol),
+        tol=_finite(tol, "tol"),
         theta_truncation=trunc,
     )
 

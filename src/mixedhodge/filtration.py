@@ -10,6 +10,12 @@ canonicalize it.
 Increasing filtrations (weight filtrations in particular) are converted on
 input: ``from_increasing`` produces the decreasing filtration whose value
 at p is the input's value at -p.
+
+The constructions (direct sum, tensor product, dual, induced filtrations)
+build their levels from the canonical Gaussian-integer rows of the input
+levels; only ``from_json`` and ``to_json`` see Q(i) vectors.  A filtration
+induced on a subspace or a quotient lives in the coordinates of the
+subspace's Q(i) basis, as ``linalg`` sets out.
 """
 
 from __future__ import annotations
@@ -17,15 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from mixedhodge.exactfield import ZERO
 from mixedhodge.linalg import (
     Subspace,
-    Vector,
+    _Z,
+    _canonical,
+    _in_basis,
+    _mul,
+    _residual,
+    _trusted,
     annihilator,
-    coordinates,
     full_space,
     intersect,
-    reduce_mod,
     span,
     vector_from_json,
     vector_to_json,
@@ -163,26 +171,16 @@ def direct_sum(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:
     n = d1 + d2
 
     def embed(a: Subspace, b: Subspace) -> Subspace:
-        rows = []
-        zero1 = zero_vec(d1)
-        zero2 = zero_vec(d2)
-        for row in a.basis.row_list():
-            rows.append(row + zero2)
-        for row in b.basis.row_list():
-            rows.append(zero1 + row)
-        return span(rows, n)
+        # the padded rows of a and b keep their pivots, signs and gcds,
+        # and each pivot column stays zero outside its row: canonical
+        return _trusted(
+            n,
+            tuple(row + (_Z,) * d2 for row in a.rows)
+            + tuple((_Z,) * d1 + row for row in b.rows),
+        )
 
     keys = sorted({k for k, _ in f.levels} | {k for k, _ in g.levels})
     return filtered_space(n, {k: embed(f.at(k), g.at(k)) for k in keys})
-
-
-def zero_vec(n: int) -> Vector:
-    return (ZERO,) * n
-
-
-def tensor_vec(v: Vector, w: Vector) -> Vector:
-    """Kronecker product: basis vector (i, j) of V (x) W sits at i*len(w)+j."""
-    return tuple(a * b for a in v for b in w)
 
 
 def tensor(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:
@@ -196,19 +194,16 @@ def tensor(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:
     g_lo = g.levels[0][0] - 1
     g_hi = g.levels[-1][0]
 
-    def product(a: Subspace, b: Subspace) -> list[Vector]:
-        b_rows = b.basis.row_list()
-        return [tensor_vec(x, y) for x in a.basis.row_list() for y in b_rows]
-
     levels: dict[int, Subspace] = {}
     for p in range(f_lo + g_lo, f_hi + g_hi + 1):
-        vecs: list[Vector] = []
-        for a in range(f_lo, f_hi + 1):
-            fa = f.at(a)
-            gb = g.at(p - a)
-            if fa.dim and gb.dim:
-                vecs.extend(product(fa, gb))
-        levels[p] = span(vecs, n)
+        # Kronecker products: basis vector (i, j) of V (x) W sits at i*d2+j
+        rows = [
+            [_mul(s, t) for s in x for t in y]
+            for a in range(f_lo, f_hi + 1)
+            for x in f.at(a).rows
+            for y in g.at(p - a).rows
+        ]
+        levels[p] = _trusted(n, _canonical(rows))
     levels[f_hi + g_hi + 1] = zero_subspace(n)
     return filtered_space(n, levels)
 
@@ -234,9 +229,7 @@ def induced_on_sub(f: FilteredSpace, sub: Subspace) -> FilteredSpace:
     d = sub.dim
     levels: dict[int, Subspace] = {}
     for key, val in f.levels:
-        meet = intersect(val, sub)
-        rows = [coordinates(sub, row) for row in meet.basis.row_list()]
-        levels[key] = span(rows, d)
+        levels[key] = _in_basis(sub, intersect(val, sub).rows)
     if d == 0:
         return FilteredSpace(0, ())
     levels.setdefault(f.levels[-1][0], zero_subspace(d))
@@ -256,17 +249,13 @@ def induced_on_quotient(f: FilteredSpace, sub: Subspace) -> FilteredSpace:
     d = n - sub.dim
     pivots = set(sub.pivots())
     free = [j for j in range(n) if j not in pivots]
-
-    def project(v: Vector) -> Vector:
-        r = reduce_mod(sub, v)
-        return tuple(r[j] for j in free)
-
     if d == 0:
         return FilteredSpace(0, ())
     levels: dict[int, Subspace] = {}
     for key, val in f.levels:
-        rows = [project(row) for row in val.basis.row_list()]
-        levels[key] = span(rows, d)
+        # each residual is a positive multiple of a reduction mod sub
+        residuals = (_residual(sub.rows, x)[0] for x in val.rows)
+        levels[key] = _trusted(d, _canonical([[w[j] for j in free] for w in residuals]))
     levels.setdefault(f.levels[-1][0], zero_subspace(d))
     return filtered_space(d, levels)
 
@@ -313,6 +302,26 @@ def from_json(data: object) -> FilteredSpace:
         vecs = [vector_from_json(v, n) for v in raw_vectors]
         levels[idx] = span(vecs, n)
     return filtered_space(n, levels)
+
+
+def _filtrations_from_json(
+    data: object, name: str, keys: tuple[str, ...]
+) -> list[FilteredSpace]:
+    """The filtrations under ``keys`` of a structure document called
+    ``name``: its shape is checked and every filtration must live in the
+    document's ``ambient_dim``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} JSON must be an object")
+    for key in ("ambient_dim", *keys):
+        if key not in data:
+            raise ValueError(f"{name} JSON missing key {key!r}")
+    n = data["ambient_dim"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError("ambient_dim must be a nonnegative integer")
+    filtrations = [from_json(data[key]) for key in keys]
+    if any(f.ambient_dim != n for f in filtrations):
+        raise ValueError("filtration dimensions disagree with ambient_dim")
+    return filtrations
 
 
 def common_window(*filtrations: FilteredSpace) -> range:

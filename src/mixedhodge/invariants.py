@@ -189,10 +189,6 @@ def weight_graded_splitting_types(
     return {r: _merge_degrees(c) for r, c in cells.items()}
 
 
-def splitting_type_total_degree(st: SplittingType) -> int:
-    return sum(deg * mult for deg, mult in st)
-
-
 def invariants_report(t: TrifilteredSpace) -> dict:
     """All scalar invariants as one JSON-ready dict.
 

@@ -11,26 +11,30 @@ Conventions used throughout the package:
   to 1.  That row is the unique positive rational multiple of the
   corresponding row of the reduced row echelon form over Q(i), so the
   rows are a canonical form: two subspaces are equal iff their
-  dataclasses are;
-* span, sum, intersection, containment, conjugation and intersection
-  dimensions run on those integer rows.  ``Subspace.basis`` builds the
-  Q(i) reduced row echelon basis on demand; ``rref``, ``kernel``,
-  ``image``, ``reduce_mod`` and ``coordinates`` take and return Q(i)
-  values, and vectors at the API boundary are plain tuples of
-  ``GaussianRational``.
+  dataclasses are.
+
+Q(i) values (``GaussianRational``) appear only at the boundary: in
+``Matrix`` (``matrix``, ``from_rows``), the type of user-given linear
+maps; in ``rref``; in what ``span`` and ``Subspace.contains`` take and
+``reduce_mod`` takes and returns; and in ``Subspace.basis``, the Q(i)
+reduced row echelon basis built on demand for JSON output.  Everything
+else runs on the integer rows, ``kernel``, ``image`` and ``annihilator``
+included (a ``Matrix`` is scaled to Gaussian integers first), and so do
+the constructions of the other modules, through the private helpers.
 
 ``Subspace(n, rows)`` checks that its rows are in canonical form, because
 they may come from outside the kernel.  Rows that ``_canonical`` has just
 returned are in that form by construction, and so are their conjugates
 (conjugation keeps the real pivots, the zero pattern and the gcd).  So
-``span``, ``subspace_sum``, ``intersect``, ``conj_subspace`` and the
-sampler wrap such rows with the private ``_trusted`` and skip the check,
-which would only repeat the work of the elimination; a property test
-runs the full check on ``_canonical``'s output.
+``span``, ``subspace_sum``, ``intersect``, ``conj_subspace``, the
+constructions and the sampler wrap such rows with the private
+``_trusted`` and skip the check, which would only repeat the work of the
+elimination; a property test runs the full check on ``_canonical``'s
+output.
 
-The Q(i) basis gives a cheap coordinate transfer: if the pivot columns
-are p_0 < p_1 < ... then the coefficient of basis row j in any member
-vector x is just x[p_j].
+Coordinates in a subspace are taken in its Q(i) basis, not in its
+integer rows: with pivot columns p_0 < p_1 < ..., the coefficient of
+basis row j in a member x is just x[p_j] (``_in_basis``).
 
 ``intersect``, ``intersect_dim`` and ``subspace_sum`` remember their
 results.  The dimension tables, both alpha routes and the Deligne
@@ -56,7 +60,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from mixedhodge.exactfield import ZERO, ONE, GaussianRational, gauss
+from mixedhodge.exactfield import ZERO, GaussianRational, gauss
 
 Vector = tuple[GaussianRational, ...]
 IntRow = tuple[tuple[int, int], ...]
@@ -88,27 +92,6 @@ class Matrix:
     def row_list(self) -> list[Vector]:
         return [self.row(i) for i in range(self.rows)]
 
-    def __matmul__(self, other: Matrix) -> Matrix:
-        if self.cols != other.rows:
-            raise ValueError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        out: list[GaussianRational] = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        acc = acc + a * other.entry(k, j)
-                out.append(acc)
-        return Matrix(self.rows, other.cols, tuple(out))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
 
 def matrix(rows: list[list]) -> Matrix:
     """Build a Matrix from nested lists, coercing entries via ``gauss``."""
@@ -122,28 +105,8 @@ def matrix(rows: list[list]) -> Matrix:
     )
 
 
-def identity(n: int) -> Matrix:
-    return Matrix(
-        n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n))
-    )
-
-
 def from_rows(rows: list[Vector], cols: int) -> Matrix:
     return Matrix(len(rows), cols, tuple(e for r in rows for e in r))
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    if len(v) != m.cols:
-        raise ValueError("vector length does not match matrix columns")
-    out = []
-    for i in range(m.rows):
-        acc = ZERO
-        ri = m.row(i)
-        for k in range(m.cols):
-            if ri[k] and v[k]:
-                acc = acc + ri[k] * v[k]
-        out.append(acc)
-    return tuple(out)
 
 
 # -- the Gaussian-integer kernel -------------------------------------------
@@ -153,14 +116,34 @@ def _denominator(v: Vector) -> int:
     return lcm(*(e.re.denominator for e in v), *(e.im.denominator for e in v))
 
 
-def _int_row(v: Vector) -> list[tuple[int, int]]:
-    """v times the lcm of its denominators: a Gaussian-integer row."""
-    den = _denominator(v)
+def _int_row(v: Vector, den: int | None = None) -> list[tuple[int, int]]:
+    """v times den (default: the lcm of its denominators), as int pairs."""
+    if den is None:
+        den = _denominator(v)
     return [
         (e.re.numerator * (den // e.re.denominator),
          e.im.numerator * (den // e.im.denominator))
         for e in v
     ]
+
+
+def _mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """Product of two Gaussian integers."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _apply(f: Matrix, rows) -> tuple[list[list[tuple[int, int]]], int]:
+    """(images, D): D is the lcm of the denominators of f's entries, and
+    images holds the Gaussian-integer row D f x for each row x."""
+    den = _denominator(f.entries)
+    scaled = [_int_row(f.row(i), den) for i in range(f.rows)]
+    return [[_dot(r, x) for r in scaled] for x in rows], den
+
+
+def _dot(r, x) -> tuple[int, int]:
+    """The sum of the Gaussian-integer products r[k] x[k]."""
+    products = [_mul(e, y) for e, y in zip(r, x)]
+    return sum(a for a, _ in products), sum(b for _, b in products)
 
 
 def _primitive(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -249,6 +232,29 @@ def _canonical(rows: list) -> tuple[IntRow, ...]:
             if c != _Z:
                 done[r] = _primitive(_eliminate(prow, done[r], pivots[r], d, c))
     return tuple(tuple(r) for r in done)
+
+
+def _null_rows(rows, n: int) -> tuple[IntRow, ...]:
+    """Canonical rows of {x : r . x = 0 for each r in rows}, rows canonical.
+
+    With L the lcm of the pivots d_j, free column k gives the vector
+    L e_k - sum_j r_j[k] (L / d_j) e_{p_j}: each r_j vanishes at the other
+    pivot columns, so r_j . x = r_j[k] L - d_j r_j[k] L / d_j = 0.
+    """
+    pivots = [_pivot(r) for r in rows]
+    big = lcm(*(r[p][0] for r, p in zip(rows, pivots)))
+    taken = set(pivots)
+    out = []
+    for k in range(n):
+        if k in taken:
+            continue
+        v = [_Z] * n
+        v[k] = (big, 0)
+        for r, p in zip(rows, pivots):
+            s = big // r[p][0]
+            v[p] = (-r[k][0] * s, -r[k][1] * s)
+        out.append(v)
+    return _canonical(out)
 
 
 def _residual(rows, u: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
@@ -366,6 +372,13 @@ def _trusted(n: int, rows: tuple[IntRow, ...]) -> Subspace:
     return s
 
 
+def _in_basis(sub: Subspace, rows) -> Subspace:
+    """The span of ``rows``, members of sub, in the coordinates of sub's
+    Q(i) basis: x has coordinate x[p] on the basis row with pivot p."""
+    pivots = sub.pivots()
+    return _trusted(sub.dim, _canonical([[x[p] for p in pivots] for x in rows]))
+
+
 def _contains_row(rows, u) -> bool:
     w, _ = _residual(rows, u)
     return not any(a or b for a, b in w)
@@ -402,13 +415,6 @@ def reduce_mod(a: Subspace, v: Vector) -> Vector:
     u, s = _residual(a.rows, _int_row(w))
     den = _denominator(w) * s
     return tuple(GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in u)
-
-
-def coordinates(a: Subspace, v: Vector) -> Vector:
-    """Coefficients of v in a's Q(i) basis; error if v is outside a."""
-    if not a.contains(v):
-        raise ValueError("vector not in subspace")
-    return tuple(gauss(v[p]) for p in a.pivots())
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -472,56 +478,21 @@ def _intersect_dim(a: Subspace, b: Subspace) -> int:
     return a.dim + b.dim - rank
 
 
-def quotient_dim(a: Subspace, b: Subspace) -> int:
-    """dim(a/b); b must be contained in a."""
-    if not (b <= a):
-        raise ValueError("b ⊄ a")
-    return a.dim - b.dim
-
-
 def kernel(f: Matrix) -> Subspace:
     """Kernel of the column-vector action of f, as a subspace of Q(i)^cols."""
-    reduced, rank = rref(f)
-    pivot_cols = [
-        next(j for j in range(f.cols) if reduced.entry(r, j)) for r in range(rank)
-    ]
-    free_cols = [j for j in range(f.cols) if j not in pivot_cols]
-    vectors = []
-    for j in free_cols:
-        v = [ZERO] * f.cols
-        v[j] = ONE
-        for r, p in enumerate(pivot_cols):
-            v[p] = -reduced.entry(r, j)
-        vectors.append(tuple(v))
-    return span(vectors, f.cols)
+    return annihilator(span(f.row_list(), f.cols))
 
 
 def image(f: Matrix, a: Subspace) -> Subspace:
     """Image of a under f, as a subspace of Q(i)^(f.rows)."""
     if a.ambient_dim != f.cols:
         raise ValueError("subspace ambient dimension does not match matrix columns")
-    if a.is_zero:
-        return zero_subspace(f.rows)
-    vectors = [mat_vec(f, row) for row in a.basis.row_list()]
-    return span(vectors, f.rows)
+    return _trusted(f.rows, _canonical(_apply(f, a.rows)[0]))
 
 
 def annihilator(a: Subspace) -> Subspace:
     """Functionals (as row vectors in the dual basis) vanishing on a."""
-    if a.is_zero:
-        return full_space(a.ambient_dim)
-    return kernel(a.basis)
-
-
-def preimage(f: Matrix, b: Subspace) -> Subspace:
-    """Full preimage f^{-1}(b), as a subspace of Q(i)^(f.cols)."""
-    if b.ambient_dim != f.rows:
-        raise ValueError("subspace ambient dimension does not match matrix rows")
-    if b.is_full:
-        return full_space(f.cols)
-    ann = annihilator(b)
-    constraints = ann.basis @ f
-    return kernel(constraints)
+    return _trusted(a.ambient_dim, _null_rows(a.rows, a.ambient_dim))
 
 
 def conj_subspace(a: Subspace) -> Subspace:

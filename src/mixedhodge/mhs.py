@@ -24,23 +24,23 @@ from functools import cached_property
 
 from mixedhodge.filtration import (
     FilteredSpace,
+    _filtrations_from_json,
     direct_sum,
     dual,
     filtered_space,
-    from_json as filtration_from_json,
     shift,
     tensor,
     trivial,
-    zero_vec,
 )
 from mixedhodge.linalg import (
     Matrix,
     Subspace,
-    Vector,
+    _Z,
+    _apply,
+    _canonical,
+    _trusted,
     conj_subspace,
     intersect,
-    mat_vec,
-    span,
     subspace_sum,
     zero_subspace,
 )
@@ -177,7 +177,8 @@ def assemble_extension(
 
     The underlying space is V_a + V_b.  Weights add up componentwise; the
     Hodge filtration of the total space is spanned by F_a^p and the graph
-    vectors (lift . v, v) for v in F_b^p.  The graph construction makes
+    vectors (lift . v, v) for v in F_b^p, taken as (D lift . v, D v) on
+    integer rows v, D the common denominator of lift.  The graph makes
     the sub/quotient contract hold by itself: a vector of F^p lies in V_a
     only when its graph part is zero, so restricting to V_a gives back
     F_a^p, and projecting to V_b gives back F_b^p.  The result is
@@ -185,42 +186,25 @@ def assemble_extension(
     """
     if lift.rows != a.ambient_dim or lift.cols != b.ambient_dim:
         raise ValueError("lift must map the second summand into the first")
-    na, nb = a.ambient_dim, b.ambient_dim
-    n = na + nb
-    w_total = direct_sum(a.W, b.W)
-
-    def embed_a(v: Vector) -> Vector:
-        return v + zero_vec(nb)
-
-    def graph_b(v: Vector) -> Vector:
-        return mat_vec(lift, v) + v
-
+    n = a.ambient_dim + b.ambient_dim
+    pad = (_Z,) * b.ambient_dim
     f_levels: dict[int, Subspace] = {}
-    keys = sorted(set(a.F.jumps()) | set(b.F.jumps()))
-    for p in keys:
-        rows = [embed_a(row) for row in a.F.at(p).basis.row_list()]
-        rows += [graph_b(row) for row in b.F.at(p).basis.row_list()]
-        f_levels[p] = span(rows, n)
-    f_total = filtered_space(n, f_levels)
-
-    return validate(w_total, f_total)
+    for p in sorted(set(a.F.jumps()) | set(b.F.jumps())):
+        b_rows = b.F.at(p).rows
+        images, den = _apply(lift, b_rows)
+        rows = [row + pad for row in a.F.at(p).rows]
+        rows += [
+            [*image, *((den * x, den * y) for x, y in row)]
+            for image, row in zip(images, b_rows)
+        ]
+        f_levels[p] = _trusted(n, _canonical(rows))
+    return validate(direct_sum(a.W, b.W), filtered_space(n, f_levels))
 
 
 def parse_json(data: object) -> tuple[FilteredSpace, FilteredSpace]:
     """The (W, F) pair of an MHS document, shape-checked but not validated,
     so a malformed file and an inconsistent structure can be told apart."""
-    if not isinstance(data, dict):
-        raise ValueError("mixed Hodge structure JSON must be an object")
-    for key in ("ambient_dim", "W", "F"):
-        if key not in data:
-            raise ValueError(f"mixed Hodge structure JSON missing key {key!r}")
-    n = data["ambient_dim"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError("ambient_dim must be a nonnegative integer")
-    w = filtration_from_json(data["W"])
-    f = filtration_from_json(data["F"])
-    if w.ambient_dim != n or f.ambient_dim != n:
-        raise ValueError("filtration dimensions disagree with ambient_dim")
+    w, f = _filtrations_from_json(data, "mixed Hodge structure", ("W", "F"))
     return w, f
 
 

@@ -18,7 +18,8 @@ Dimension data:
 ``simultaneous_splitting`` realizes s^{p,q} by an explicit bigraded
 decomposition, which exists for any two filtrations.  Morphisms between
 triples can be tested for compatibility and strictness, and have kernels
-and cokernels with their induced filtrations.
+and cokernels with their induced filtrations: a kernel in the coordinates
+of its Q(i) basis, a cokernel in the non-pivot columns of the image.
 """
 
 from __future__ import annotations
@@ -29,22 +30,22 @@ from typing import Callable
 
 from mixedhodge.filtration import (
     FilteredSpace,
+    _filtrations_from_json,
     common_window,
-    from_json as filtration_from_json,
     induced_on_quotient,
     induced_on_sub,
 )
 from mixedhodge.linalg import (
     Matrix,
     Subspace,
-    Vector,
-    coordinates,
+    _canonical,
+    _in_basis,
+    _trusted,
     full_space,
     image,
     intersect,
     intersect_dim,
     kernel as matrix_kernel,
-    span,
     subspace_sum,
 )
 
@@ -116,12 +117,7 @@ def induced_on_subquotient(
     """Filtration induced on outer/inner; inner must sit inside outer."""
     if not (inner <= outer):
         raise ValueError("inner subspace not contained in outer")
-    on_sub = induced_on_sub(f, outer)
-    inner_in_coords = span(
-        [coordinates(outer, row) for row in inner.basis.row_list()],
-        outer.dim,
-    )
-    return induced_on_quotient(on_sub, inner_in_coords)
+    return induced_on_quotient(induced_on_sub(f, outer), _in_basis(outer, inner.rows))
 
 
 def trigraded_dims(t: TrifilteredSpace) -> dict[tuple[int, int, int], int]:
@@ -199,31 +195,15 @@ def simultaneous_splitting(
         )
         if num.dim == den.dim:
             continue
-        chosen: list[Vector] = []
+        chosen = []
         acc = den
-        for row in num.basis.row_list():
-            if not acc.contains(row):
+        for row in num.rows:
+            line = _trusted(n, (row,))  # one canonical row is canonical alone
+            if not line <= acc:
                 chosen.append(row)
-                acc = subspace_sum(acc, span([row], n))
-        pieces[(p, q)] = span(chosen, n)
+                acc = subspace_sum(acc, line)
+        pieces[(p, q)] = _trusted(n, _canonical(chosen))
     return pieces
-
-
-@dataclass(frozen=True)
-class DimensionTable:
-    h: dict[tuple[int, int], int]
-    s: dict[tuple[int, int], int]
-    f: dict[tuple[int, int], int]
-    delta3: dict[tuple[int, int, int], int]
-
-
-def dimension_table(t: TrifilteredSpace) -> DimensionTable:
-    return DimensionTable(
-        h=hodge_numbers(t),
-        s=bigraded_dims(t),
-        f=f_table(t),
-        delta3=trigraded_dims(t),
-    )
 
 
 @dataclass(frozen=True)
@@ -305,17 +285,5 @@ def second_difference(
 
 
 def triple_from_json(data: object) -> TrifilteredSpace:
-    if not isinstance(data, dict):
-        raise ValueError("trifiltered space JSON must be an object")
-    for key in ("ambient_dim", "W", "F", "G"):
-        if key not in data:
-            raise ValueError(f"trifiltered space JSON missing key {key!r}")
-    n = data["ambient_dim"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError("ambient_dim must be a nonnegative integer")
-    w = filtration_from_json(data["W"])
-    f = filtration_from_json(data["F"])
-    g = filtration_from_json(data["G"])
-    if any(x.ambient_dim != n for x in (w, f, g)):
-        raise ValueError("filtration dimensions disagree with ambient_dim")
-    return TrifilteredSpace(n, W=w, F=f, G=g)
+    w, f, g = _filtrations_from_json(data, "trifiltered space", ("W", "F", "G"))
+    return TrifilteredSpace(w.ambient_dim, W=w, F=f, G=g)

@@ -33,6 +33,7 @@ from .linalg import (
     Subspace,
     _canonical,
     _forward,
+    _mul,
     _pivot,
     _real_pivot,
     _residual,
@@ -40,7 +41,6 @@ from .linalg import (
     annihilator,
     from_rows,
     full_space,
-    kernel,
     zero_subspace,
 )
 from .mhs import MixedHodgeStructure, assemble_extension, validate
@@ -355,38 +355,23 @@ def random_compatible_morphism(
     construction never fails.
     """
     ns, nt = src.ambient_dim, dst.ambient_dim
-    rows: list[list[Fraction]] = []
-
-    def add_constraints(level_src: Subspace, level_dst: Subspace) -> None:
-        ann = annihilator(level_dst)
-        if ann.dim == 0 or level_src.dim == 0:
-            return
-        ann_rows = ann.basis.row_list()
-        for v in level_src.basis.row_list():
-            for a in ann_rows:
-                re_row = [Fraction(0)] * (nt * ns)
-                im_row = [Fraction(0)] * (nt * ns)
-                for i in range(nt):
-                    for j in range(ns):
-                        coeff = a[i] * v[j]
-                        re_row[i * ns + j] = coeff.re
-                        im_row[i * ns + j] = coeff.im
-                rows.append(re_row)
-                if any(im_row):
-                    rows.append(im_row)
-
+    # real and imaginary parts of a_i v_j, unknown (i, j) at i * ns + j,
+    # for integer rows v of a source level and a of the target annihilator
+    rows: list[list[tuple[int, int]]] = []
     for fs, fd in ((src.W, dst.W), (src.F, dst.F)):
-        keys = {k for k, _ in fs.levels} | {k for k, _ in fd.levels}
-        for key in sorted(keys):
-            add_constraints(fs.at(key), fd.at(key))
+        for key in sorted({k for k, _ in fs.levels} | {k for k, _ in fd.levels}):
+            ann_rows = annihilator(fd.at(key)).rows
+            for v in fs.at(key).rows:
+                for a in ann_rows:
+                    coeffs = [_mul(x, y) for x in a for y in v]
+                    rows.append([(re, 0) for re, _ in coeffs])
+                    if any(im for _, im in coeffs):
+                        rows.append([(im, 0) for _, im in coeffs])
 
     # rational solution space of the homogeneous system, one row per basis vector
     nu = nt * ns
-    if rows:
-        ker = kernel(from_rows([[gauss(c) for c in row] for row in rows], nu)).basis
-        basis = [[ker.entry(i, j).re for j in range(nu)] for i in range(ker.rows)]
-    else:
-        basis = [[Fraction(i == j) for j in range(nu)] for i in range(nu)]
+    ker = annihilator(_trusted(nu, _canonical(rows))).basis
+    basis = [[ker.entry(i, j).re for j in range(nu)] for i in range(ker.rows)]
     entries = [Fraction(0)] * nu
     for brow in basis:
         c = rng.randint(-3, 3)

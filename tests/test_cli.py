@@ -139,8 +139,29 @@ def test_curve_alpha_tol_flag(tmp_path, capsys):
     assert json.loads(out)["alpha"] == 1
     code, out, _ = run(capsys, ["curve-alpha", "--in", path, "--tol", "0.01"])
     assert json.loads(out)["alpha"] == 0
-    code, out, err = run(capsys, ["curve-alpha", "--in", path, "--tol", "-1"])
-    assert code == 2 and "positive" in json.loads(err)["error"]
+    for bad in ("-1", "inf", "nan"):
+        code, out, err = run(capsys, ["curve-alpha", "--in", path, "--tol", bad])
+        assert code == 2 and "positive" in json.loads(err)["error"]
+
+
+BIG = int("9" * 400)  # a JSON integer far past the double range
+
+
+@pytest.mark.parametrize("key, value, needle", [
+    ("tol", BIG, "tol is outside the double range"),
+    ("punctures", [[BIG, 0], [0.5, 0.25]], "point coordinate is outside"),
+    ("tau", [0, BIG], "tau coordinate is outside the double range"),
+    ("theta_truncation", 2_000_000, "theta_truncation 2000000 exceeds the limit"),
+])
+def test_curve_alpha_out_of_range_exits_2(tmp_path, capsys, key, value, needle):
+    # the integers used to escape float() as an OverflowError traceback,
+    # and the theta sums cost time linear in theta_truncation
+    cfg = {"genus": 1, "tau": [0, 1], "punctures": [[0, 0], [0.5, 0.25]],
+           "pairs": [[[0.1, 0.2], [0.25, 0.5]]], key: value}
+    path = write(tmp_path, "range.json", cfg)
+    code, out, err = run(capsys, ["curve-alpha", "--in", path])
+    assert (code, out) == (2, "")
+    assert needle in json.loads(err)["error"]
 
 
 def test_curve_alpha_domain_error(tmp_path, capsys):

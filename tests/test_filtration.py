@@ -162,6 +162,28 @@ def test_induced_on_sub_and_quotient_fixed_value():
     assert graded_dims(on_quot) == {-1: 1}  # the quotient sees only the full level
 
 
+def test_induced_on_sub_uses_rref_coordinates():
+    # sub's canonical rows have pivots 6 and 3 and its Q(i) basis is
+    # (1, 0, -1/6), (0, 1, 1/3): (2, 1, 0) has coordinates (2, 1) there,
+    # but (1/3, 1/3) in the integer rows
+    sub = span([[2, 1, 0], [0, 3, 1]], 3)
+    assert sub.rows == (((6, 0), (0, 0), (-1, 0)), ((0, 0), (3, 0), (1, 0)))
+    f = filtered_space(3, {1: span([[2, 1, 0]], 3), 2: zero_subspace(3)})
+    assert induced_on_sub(f, sub) == filtered_space(
+        2, {1: span([[2, 1]], 2), 2: zero_subspace(2)}
+    )
+
+
+def test_induced_on_quotient_reduces_by_the_rref_basis():
+    # mod the line (2, 1, 0, 0), (1, 0, 0, 1) reduces to (0, -1/2, 0, 1),
+    # quotient coordinates (-1/2, 0, 1); subtracting the integer row once
+    # would leave (-1, 0, 1)
+    f = filtered_space(4, {1: span([[1, 0, 0, 1]], 4), 2: zero_subspace(4)})
+    assert induced_on_quotient(f, span([[2, 1, 0, 0]], 4)) == filtered_space(
+        3, {1: span([[1, 0, -2]], 3), 2: zero_subspace(3)}
+    )
+
+
 @given(st.data())
 def test_induced_dims_are_additive(data):
     from conftest import subspaces

@@ -17,7 +17,6 @@ from mixedhodge.invariants import (
     invariants_report,
     k0_class,
     p1_splitting_type,
-    splitting_type_total_degree,
     tate_twist_triple,
     weight_graded_splitting_types,
 )
@@ -139,7 +138,7 @@ def test_splitting_type_degree_sum_matches_bigraded():
     for lmb, kap in ((I, I), (I, gauss(1)), (gauss(0), gauss(1, 1))):
         t = two_flag_fiber(lmb, kap)
         st_ = p1_splitting_type(t.F, t.G)
-        assert splitting_type_total_degree(st_) == sum(
+        assert sum(deg * mult for deg, mult in st_) == sum(
             (p + q) * d for (p, q), d in bigraded_dims(t).items()
         )
         assert sum(m for _, m in st_) == 2

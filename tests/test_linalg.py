@@ -15,17 +15,12 @@ from mixedhodge.linalg import (
     _sum,
     annihilator,
     conj_subspace,
-    coordinates,
     full_space,
-    identity,
     image,
     intersect,
     intersect_dim,
     kernel,
-    mat_vec,
     matrix,
-    preimage,
-    quotient_dim,
     reduce_mod,
     rref,
     span,
@@ -41,13 +36,6 @@ def test_matrix_shape_validation():
         matrix([[1, 0], [1]])
 
 
-def test_matrix_product_fixed_value():
-    a = matrix([[1, I], [0, 1]])
-    b = matrix([[1, 0], [I, 1]])
-    assert a @ b == matrix([[0, I], [I, 1]])
-    assert mat_vec(a, (gauss(1), gauss(1))) == (gauss(1, 1), gauss(1))
-
-
 def test_rref_fixed_value():
     # the second row is i times the first, so the rank collapses to 1
     m = matrix([[1, I], [I, -1]])
@@ -57,8 +45,9 @@ def test_rref_fixed_value():
 
 
 def test_rref_identity_is_fixed_point():
-    reduced, rank = rref(identity(3))
-    assert reduced == identity(3)
+    identity = matrix([[int(i == j) for j in range(3)] for i in range(3)])
+    reduced, rank = rref(identity)
+    assert reduced == identity
     assert rank == 3
 
 
@@ -114,22 +103,10 @@ def test_containment_and_contains():
     assert not a.contains((gauss(0), gauss(0), gauss(1)))
 
 
-def test_quotient_dim_and_error():
-    a = span([[1, 0], [0, 1]], 2)
-    b = span([[1, 0]], 2)
-    assert quotient_dim(a, b) == 1
-    c = span([[0, 1]], 2)
-    with pytest.raises(ValueError, match="⊄"):
-        quotient_dim(b, c)
-
-
 def test_coordinates_and_reduce_mod():
     a = span([[1, 0, 2], [0, 1, 3]], 3)
     v = (gauss(2), gauss(-1), gauss(1))
-    assert coordinates(a, v) == (gauss(2), gauss(-1))
     w = (gauss(0), gauss(0), gauss(1))
-    with pytest.raises(ValueError):
-        coordinates(a, w)
     r = reduce_mod(a, w)
     assert r == w  # already orthogonal to the pivot columns
     assert reduce_mod(a, v) == (ZERO, ZERO, ZERO)
@@ -142,16 +119,6 @@ def test_kernel_image_fixed_values():
     assert k.contains((gauss(-1), gauss(-1), gauss(1)))
     assert image(f, full_space(3)) == full_space(2)
     assert image(f, zero_subspace(3)) == zero_subspace(2)
-
-
-def test_preimage_fixed_value():
-    f = matrix([[1, 0, 1], [0, 1, 1]])
-    b = span([[1, 0]], 2)
-    pre = preimage(f, b)
-    # preimage of a line under a surjection from dim 3 has dim 2
-    assert pre.dim == 2
-    assert kernel(f) <= pre
-    assert image(f, pre) <= b
 
 
 def test_annihilator_dims():
@@ -232,9 +199,7 @@ def test_rank_nullity_and_preimage_roundtrip(data):
     n, b, rows = data
     f = matrix([list(r) for r in rows])
     assert image(f, full_space(n)).dim + kernel(f).dim == n
-    pre = preimage(f, b)
-    assert image(f, pre) <= b
-    assert kernel(f) <= pre
+    assert image(f, kernel(f)).is_zero
 
 
 def _copy(a: Subspace) -> Subspace:

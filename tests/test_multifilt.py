@@ -8,13 +8,11 @@ from conftest import filtered_spaces, one_dim_triple, triples, weight_graded_pie
 from mixedhodge.exactfield import I, gauss
 from mixedhodge.families import two_flag_fiber
 from mixedhodge.filtration import filtered_space, shift, trivial
-from mixedhodge.linalg import full_space, identity, matrix, span, subspace_sum, zero_subspace
+from mixedhodge.linalg import matrix, span, subspace_sum, zero_subspace
 from mixedhodge.multifilt import (
-    DimensionTable,
     FilteredMorphism,
     TrifilteredSpace,
     bigraded_dims,
-    dimension_table,
     f_table,
     hodge_numbers,
     induced_on_subquotient,
@@ -57,16 +55,6 @@ def test_non_opposed_triple_detected():
     )
     assert trigraded_dims(t) == {(0, 1, 1): 1}
     assert not is_opposed(t)
-
-
-def test_dimension_table_bundles_everything():
-    t = two_flag_fiber(I, 1)
-    dt = dimension_table(t)
-    assert isinstance(dt, DimensionTable)
-    assert dt.h == hodge_numbers(t)
-    assert dt.s == bigraded_dims(t)
-    assert dt.f == f_table(t)
-    assert dt.delta3 == trigraded_dims(t)
 
 
 @settings(max_examples=100)
@@ -145,9 +133,9 @@ def test_induced_on_subquotient_requires_nesting():
 def test_morphism_compatibility():
     src = one_dim_triple(0, 0, 0)
     dst = one_dim_triple(0, 1, 0)
-    up = FilteredMorphism(identity(1), src, dst)  # target F is deeper: fine
+    up = FilteredMorphism(matrix([[1]]), src, dst)  # target F is deeper: fine
     assert up.compatible()
-    down = FilteredMorphism(identity(1), dst, src)  # source F too deep
+    down = FilteredMorphism(matrix([[1]]), dst, src)  # source F too deep
     assert not down.compatible()
     with pytest.raises(ValueError):
         down.is_strict()
@@ -158,11 +146,11 @@ def test_strictness_fixed_example():
     # than the image of source level 1
     src = one_dim_triple(0, 0, 0)
     dst = one_dim_triple(0, 1, 0)
-    m = FilteredMorphism(identity(1), src, dst)
+    m = FilteredMorphism(matrix([[1]]), src, dst)
     assert m.compatible()
     assert not m.is_strict()
     # identity to an identical target is strict
-    m2 = FilteredMorphism(identity(1), src, src)
+    m2 = FilteredMorphism(matrix([[1]]), src, src)
     assert m2.is_strict()
 
 
@@ -185,6 +173,35 @@ def test_kernel_and_cokernel_fixed_example():
     cok = proj.cokernel()
     assert cok.ambient_dim == 0
     assert trigraded_dims(cok) == {}
+
+
+def _line(*v):
+    """The filtration of Q(i)^len(v) with level 1 the line through v."""
+    n = len(v)
+    return filtered_space(n, {1: span([list(v)], n), 2: zero_subspace(n)})
+
+
+def test_induced_on_subquotient_uses_rref_coordinates():
+    # outer's canonical rows have pivots 6, 3 and 1; in its Q(i) basis
+    # (2, 1, 0, 1) has coordinates (2, 1, 1) and inner's (2, -2, -1, 0)
+    # has (2, -2, 0), which leaves (3, 1) on the quotient
+    outer = span([[2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 0, 1]], 4)
+    inner = span([[2, -2, -1, 0]], 4)
+    assert induced_on_subquotient(_line(2, 1, 0, 1), outer, inner) == _line(3, 1)
+
+
+def test_kernel_and_cokernel_use_rref_coordinates():
+    # the kernel of (1, -2, 6) has canonical rows (6, 0, -1), (0, 3, 1);
+    # in its Q(i) basis (2, 1, 0) and (2, -2, -1) have coordinates (2, 1)
+    # and (2, -2)
+    src = TrifilteredSpace(3, W=trivial(3), F=_line(2, 1, 0), G=_line(2, -2, -1))
+    point = one_dim_triple(0, 0, 0)
+    ker = FilteredMorphism(matrix([[1, -2, 6]]), src, point).kernel()
+    assert (ker.W, ker.F, ker.G) == (trivial(2), _line(2, 1), _line(1, -1))
+    # the image is the line (2, 1, 0, 0): (1, 0, 0, 1) leaves (-1/2, 0, 1)
+    dst = TrifilteredSpace(4, W=trivial(4), F=_line(1, 0, 0, 1), G=trivial(4))
+    cok = FilteredMorphism(matrix([[2], [1], [0], [0]]), point, dst).cokernel()
+    assert (cok.W, cok.F, cok.G) == (trivial(3), _line(1, 0, -2), trivial(3))
 
 
 def test_cokernel_of_inclusion():

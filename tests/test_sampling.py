@@ -8,7 +8,8 @@ from mixedhodge.exactfield import gauss
 from mixedhodge.filtration import common_window
 from mixedhodge.invariants import alpha
 from mixedhodge.linalg import intersect, span
-from mixedhodge.multifilt import hodge_numbers
+from mixedhodge.mhs import direct_sum_mhs, dual_mhs, tate_twist, tensor_mhs
+from mixedhodge.multifilt import hodge_numbers, simultaneous_splitting
 from mixedhodge.sampling import (
     adapted_structure_from_diamond,
     generically_realizable,
@@ -23,6 +24,12 @@ from mixedhodge.sampling import (
 # for k = 0..199: a change in how the sampler consumes its random stream
 # changes the draws, and the tests and benchmark corpora built on them
 PINNED_DRAWS = "7b9f4dfc09ca6029ae28e679ffe30567966549cc25ebbfbf5c7574ec0f95eb0f"
+
+# sha256 over the constructions on seeded draws (see
+# test_seeded_constructions_are_pinned): a change in how dual, tensor,
+# direct sum, twist, extension, morphism, kernel, cokernel or splitting
+# build their rows that changes a result changes this
+PINNED_CONSTRUCTIONS = "4b0236ce0fddb2c2bedc784535bf31be241e79da3e26e992569043e915bdb849"
 
 
 def stored_keys(f):
@@ -41,6 +48,35 @@ def test_seeded_draws_are_pinned():
         m = random_mhs(random.Random(k), max_dim=8)
         digest.update(json.dumps(m.to_json(), sort_keys=True).encode())
     assert digest.hexdigest() == PINNED_DRAWS
+
+
+def test_seeded_constructions_are_pinned():
+    def matrix_json(m):
+        return [[e.to_json() for e in m.row(i)] for i in range(m.rows)]
+
+    digest = hashlib.sha256()
+    for k in range(48):
+        rng = random.Random(f"constructions:{k}")
+        a, b = random_mhs(rng, 3), random_mhs(rng, 3)
+        _, _, lift, total = random_extension(rng, 2)
+        mor = random_compatible_morphism(rng, total, a)
+        splitting = simultaneous_splitting(a.F, a.fbar)
+        out = [
+            dual_mhs(a).to_json(),
+            tensor_mhs(a, b).to_json(),
+            direct_sum_mhs(a, b).to_json(),
+            tate_twist(a, k % 5 - 2).to_json(),
+            matrix_json(lift),
+            total.to_json(),
+            matrix_json(mor.matrix),
+            mor.kernel().to_json(),
+            mor.cokernel().to_json(),
+            mor.compatible(),
+            mor.is_strict(),
+            sorted((p, q, v.rows) for (p, q), v in splitting.items()),
+        ]
+        digest.update(json.dumps(out, sort_keys=True).encode())
+    assert digest.hexdigest() == PINNED_CONSTRUCTIONS
 
 
 def test_random_basis_spans_full_space():
