@@ -224,8 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, run, help_text: str, *, needs_in=True, fmt=False,
-            tol=False, seed=False):
+    def add(name: str, run, help_text: str, *, needs_in=True):
         sp = sub.add_parser(name, help=help_text)
         if needs_in:
             sp.add_argument(
@@ -236,14 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--out", dest="outfile", default=None, metavar="PATH",
             help="output file, stdout by default",
         )
-        if fmt:
-            sp.add_argument("--format", choices=("json", "csv"), default="json")
-        if tol:
-            sp.add_argument("--tol", type=float, default=None,
-                            help="override the tolerance in the config")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
         sp.set_defaults(run=run)
+        return sp
 
     add("invariants", cmd_invariants,
         "chern data, defect and splitting types of a trifiltered space")
@@ -253,14 +246,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "canonical bigraded pieces of a mixed Hodge structure")
     add("alpha", cmd_alpha,
         "splitting defect of a trifiltered space or mixed Hodge structure")
-    add("curve-alpha", cmd_curve_alpha,
-        "period matrix defect of a punctured genus 0 or 1 configuration",
-        tol=True)
-    add("stratify", cmd_stratify,
-        "defect strata of a sampled family", fmt=True)
-    add("selftest", cmd_selftest,
-        "run the worked examples and print a pass/fail table",
-        needs_in=False, seed=True)
+    curve = add("curve-alpha", cmd_curve_alpha,
+                "period matrix defect of a punctured genus 0 or 1 configuration")
+    curve.add_argument("--tol", type=float, default=None,
+                       help="override the tolerance in the config")
+    stratify = add("stratify", cmd_stratify, "defect strata of a sampled family")
+    stratify.add_argument("--format", choices=("json", "csv"), default="json")
+    selftest = add("selftest", cmd_selftest,
+                   "run the worked examples and print a pass/fail table",
+                   needs_in=False)
+    selftest.add_argument("--seed", type=int, default=0)
     return parser
 
 

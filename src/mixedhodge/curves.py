@@ -25,6 +25,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+from mixedhodge.exactfield import finite_from_json
+
 
 class _Infinity:
     """The point at infinity on the projective line."""
@@ -75,14 +77,8 @@ def cross_ratio(a, b, c, d) -> complex:
     through it cancel pairwise in the limit.  Four pairwise distinct points
     never yield 0 or a zero denominator, so either one raises.
     """
-    pts = (a, b, c, d)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            u, v = pts[i], pts[j]
-            if (is_inf(u) and is_inf(v)) or (
-                not is_inf(u) and not is_inf(v) and u == v
-            ):
-                raise ValueError("coincident points in cross-ratio")
+    if len({a, b, c, d}) < 4:  # INF equals only itself
+        raise ValueError("coincident points in cross-ratio")
     if is_inf(a):
         num, den = b - d, b - c
     elif is_inf(b):
@@ -117,13 +113,8 @@ def _check_genus0(cfg: CurveConfig) -> None:
     if len(cfg.punctures) < 1:
         raise ValueError("at least one puncture is required")
     pts = list(cfg.punctures) + [x for pair in cfg.pairs for x in pair]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            u, v = pts[i], pts[j]
-            if (is_inf(u) and is_inf(v)) or (
-                not is_inf(u) and not is_inf(v) and u == v
-            ):
-                raise ValueError("configuration points are not pairwise distinct")
+    if len(set(pts)) < len(pts):
+        raise ValueError("configuration points are not pairwise distinct")
 
 
 def _row_ratios(cfg: CurveConfig) -> list:
@@ -324,26 +315,11 @@ def curve_report(cfg: CurveConfig) -> dict:
 MAX_THETA_TRUNCATION = 1000
 
 
-def _finite(x: int | float, what: str) -> float:
-    """x as a finite double; JSON integers and floats can lie outside."""
-    try:
-        value = float(x)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"{what} is outside the double range")
-    return value
-
-
 def _point_from_json(obj, name: str = "point"):
     if obj == "inf":
         return INF
-    if (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
-    ):
-        return complex(*(_finite(v, f"{name} coordinate") for v in obj))
+    if isinstance(obj, list) and len(obj) == 2:
+        return complex(*(finite_from_json(v, f"{name} coordinate") for v in obj))
     raise ValueError(f"malformed point {obj!r}")
 
 
@@ -375,8 +351,8 @@ def config_from_json(data: dict) -> CurveConfig:
     tau = None
     if "tau" in data and data["tau"] is not None:
         tau = _point_from_json(data["tau"], "tau")
-    tol = data.get("tol", 1e-9)
-    if not (isinstance(tol, (int, float)) and tol > 0):
+    tol = finite_from_json(data.get("tol", 1e-9), "tol")
+    if not tol > 0:
         raise ValueError("tol must be a positive number")
     trunc = data.get("theta_truncation", 40)
     if not (isinstance(trunc, int) and not isinstance(trunc, bool) and trunc >= 1):
@@ -390,7 +366,7 @@ def config_from_json(data: dict) -> CurveConfig:
         punctures=punctures,
         pairs=tuple(pairs),
         tau=tau,
-        tol=_finite(tol, "tol"),
+        tol=tol,
         theta_truncation=trunc,
     )
 

@@ -6,11 +6,14 @@ is a + b*i with rational a, b; conjugation negates the imaginary part and
 is a field automorphism.  Everything is immutable and hashable.
 
 Interchange formats: text "a/b+c/di" and JSON ``[a, b, c, d]`` (numerator
-and denominator of the real part, then of the imaginary part).
+and denominator of the real part, then of the imaginary part).  JSON
+numbers that stand for doubles (curve points, tolerances, family
+coordinates) are read by ``finite_from_json`` alone.
 """
 
 from __future__ import annotations
 
+import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,14 +121,6 @@ def gauss(
     return GaussianRational(_as_fraction(re), _as_fraction(im))
 
 
-def conj(x: GaussianRational) -> GaussianRational:
-    return x.conj()
-
-
-def to_complex_float(x: GaussianRational) -> complex:
-    return x.to_complex_float()
-
-
 def _fraction_to_float(x: Fraction) -> float:
     # float(Fraction) raises OverflowError past the double range; keep that
     # explicit rather than ever producing an infinity.
@@ -160,6 +155,20 @@ def gauss_from_json(data: object) -> GaussianRational:
     if b == 0 or d == 0:
         raise ValueError("zero denominator in Gaussian rational")
     return GaussianRational(Fraction(a, b), Fraction(c, d))
+
+
+def finite_from_json(x: object, what: str) -> float:
+    """A JSON number as a finite double.  Booleans are not numbers, and
+    JSON integers and floats can lie outside the double range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"malformed {what} {x!r}")
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is outside the double range")
+    return value
 
 
 _TERM = _re.compile(r"([+-]?[^+-]+)")

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mixedhodge.exactfield import GaussianRational, fraction_json, gauss
+from mixedhodge.exactfield import GaussianRational, finite_from_json, fraction_json, gauss
 from mixedhodge.filtration import common_window, filtered_space
 from mixedhodge.invariants import alpha
 from mixedhodge.linalg import span, zero_subspace
@@ -160,14 +160,6 @@ class StrataReport:
     changing_edges: tuple[tuple[int, int], ...]
 
 
-def _family_windows(fam: SampledFamily) -> tuple[range, range]:
-    f_lo = min(common_window(t.F).start for t in fam.fibers)
-    f_hi = max(common_window(t.F).stop for t in fam.fibers)
-    g_lo = min(common_window(t.G).start for t in fam.fibers)
-    g_hi = max(common_window(t.G).stop for t in fam.fibers)
-    return range(f_lo, f_hi), range(g_lo, g_hi)
-
-
 def _point_data(
     fam: SampledFamily, i: int, ps: range, qs: range
 ) -> tuple[Fraction, FTable]:
@@ -188,7 +180,8 @@ def alpha_map(fam: SampledFamily) -> StrataReport:
     """
     if not fam.weight_locked:
         raise ValueError("alpha_map requires a weight-locked family")
-    ps, qs = _family_windows(fam)
+    ps = common_window(*(t.F for t in fam.fibers))
+    qs = common_window(*(t.G for t in fam.fibers))
     rows = [_point_data(fam, i, ps, qs) for i in range(len(fam.fibers))]
     alphas = tuple(a for a, _ in rows)
     tables = tuple(tab for _, tab in rows)
@@ -289,17 +282,9 @@ def _coord_json(value: float | complex):
 
 
 def _coord_from_json(obj) -> float | complex:
-    if isinstance(obj, bool):
-        raise ValueError(f"malformed coordinate value {obj!r}")
-    if isinstance(obj, (int, float)):
-        return float(obj)
-    if (
-        isinstance(obj, (list, tuple))
-        and len(obj) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
-    ):
-        return complex(float(obj[0]), float(obj[1]))
-    raise ValueError(f"malformed coordinate value {obj!r}")
+    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        return complex(*(finite_from_json(x, "coordinate value") for x in obj))
+    return finite_from_json(obj, "coordinate value")
 
 
 def family_to_json(fam: SampledFamily) -> dict:
@@ -426,16 +411,20 @@ def two_flag_fiber(lam: GaussianRational, kap: GaussianRational) -> TrifilteredS
     return TrifilteredSpace(2, W=w, F=f, G=g)
 
 
-def _grid_edges(nrows: int, ncols: int) -> list[tuple[int, int]]:
-    edges = []
-    for r in range(nrows):
-        for c in range(ncols):
-            i = r * ncols + c
-            if c + 1 < ncols:
-                edges.append((i, i + 1))
-            if r + 1 < nrows:
-                edges.append((i, i + ncols))
-    return edges
+def _square_grid(radius: int, step, names: tuple[str, str], fiber) -> SampledFamily:
+    """The points (a, b) with a and b in step * [-radius, radius], a-major,
+    each carrying ``fiber(a, b)``, with edges between grid neighbors."""
+    side = 2 * radius + 1
+    ticks = [(i - radius) * step for i in range(side)]
+    params = [
+        parameter_point(f"({a},{b})", zip(names, (a, b))) for a in ticks for b in ticks
+    ]
+    fibers = [fiber(a, b) for a in ticks for b in ticks]
+    n = side * side
+    edges = [(i, i + 1) for i in range(n) if (i + 1) % side] + [
+        (i, i + side) for i in range(n - side)
+    ]
+    return sampled_family(params, fibers, edges, weight_locked=True)
 
 
 def lambda_conjugate_grid(
@@ -449,21 +438,10 @@ def lambda_conjugate_grid(
     Grid coordinates are exact multiples of ``step``, so the real axis is
     hit exactly.
     """
-    side = 2 * radius + 1
-    params = []
-    fibers = []
-    for ia in range(side):
-        re = (ia - radius) * step
-        for ib in range(side):
-            im = (ib - radius) * step
-            lam = gauss(re, im)
-            params.append(
-                parameter_point(
-                    f"({re},{im})", (("lambda_re", re), ("lambda_im", im))
-                )
-            )
-            fibers.append(two_flag_fiber(lam, lam.conj()))
-    return sampled_family(params, fibers, _grid_edges(side, side), weight_locked=True)
+    return _square_grid(
+        radius, step, ("lambda_re", "lambda_im"),
+        lambda re, im: two_flag_fiber(gauss(re, im), gauss(re, -im)),
+    )
 
 
 def lambda_kappa_grid(
@@ -471,15 +449,7 @@ def lambda_kappa_grid(
 ) -> SampledFamily:
     """Two independent real flag positions; the defect vanishes exactly on
     the diagonal lam = kap."""
-    side = 2 * radius + 1
-    params = []
-    fibers = []
-    for ia in range(side):
-        lam = (ia - radius) * step
-        for ib in range(side):
-            kap = (ib - radius) * step
-            params.append(
-                parameter_point(f"({lam},{kap})", (("lambda", lam), ("kappa", kap)))
-            )
-            fibers.append(two_flag_fiber(gauss(lam), gauss(kap)))
-    return sampled_family(params, fibers, _grid_edges(side, side), weight_locked=True)
+    return _square_grid(
+        radius, step, ("lambda", "kappa"),
+        lambda lam, kap: two_flag_fiber(gauss(lam), gauss(kap)),
+    )

@@ -262,9 +262,12 @@ def induced_on_quotient(f: FilteredSpace, sub: Subspace) -> FilteredSpace:
 
 # Size caps on parsed input: every dimension table costs time and memory
 # growing with the ambient dimension and with the span of level indices,
-# so a small document must not be able to ask for a large structure.
+# so a small document must not be able to ask for a large structure; and
+# spanning a level costs time growing with its number of vectors, of which
+# at most ambient_dim can be independent.
 MAX_AMBIENT_DIM = 64
 MAX_LEVEL_INDEX = 64
+MAX_VECTORS_PER_DIM = 4
 
 
 def from_json(data: object) -> FilteredSpace:
@@ -299,6 +302,11 @@ def from_json(data: object) -> FilteredSpace:
         raw_vectors = item["vectors"]
         if not isinstance(raw_vectors, list):
             raise ValueError(f"vectors of level {idx} must be an array")
+        if len(raw_vectors) > MAX_VECTORS_PER_DIM * n:
+            raise ValueError(
+                f"level {idx} lists {len(raw_vectors)} vectors, more than "
+                f"{MAX_VECTORS_PER_DIM} per ambient dimension"
+            )
         vecs = [vector_from_json(v, n) for v in raw_vectors]
         levels[idx] = span(vecs, n)
     return filtered_space(n, levels)

@@ -15,9 +15,9 @@ Conventions used throughout the package:
 
 Q(i) values (``GaussianRational``) appear only at the boundary: in
 ``Matrix`` (``matrix``, ``from_rows``), the type of user-given linear
-maps; in ``rref``; in what ``span`` and ``Subspace.contains`` take and
-``reduce_mod`` takes and returns; and in ``Subspace.basis``, the Q(i)
-reduced row echelon basis built on demand for JSON output.  Everything
+maps; in ``rref``; in what ``span`` takes and ``reduce_mod`` takes and
+returns; and in ``Subspace.basis``, the Q(i) reduced row echelon basis
+built on demand for JSON output.  Everything
 else runs on the integer rows, ``kernel``, ``image`` and ``annihilator``
 included (a ``Matrix`` is scaled to Gaussian integers first), and so do
 the constructions of the other modules, through the private helpers.
@@ -348,11 +348,6 @@ class Subspace:
 
     def pivots(self) -> tuple[int, ...]:
         return tuple(_pivot(row) for row in self.rows)
-
-    def contains(self, v: Vector) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        return _contains_row(self.rows, _int_row([gauss(e) for e in v]))
 
     def __le__(self, other: Subspace) -> bool:
         if self.ambient_dim != other.ambient_dim:

@@ -15,6 +15,10 @@ in increasing weight notation W_m = W.at(-m); the sum stops once the
 weight term hits zero.  Conjugation maps I^{p,q} into I^{q,p} only up to
 lower weight; the structure is R-split when it maps it onto I^{q,p} on
 the nose, which happens exactly when the splitting defect alpha vanishes.
+
+A structure keeps Fbar, its triple (W, F, Fbar) and its Deligne pieces
+once computed, so ``validate``, ``deligne_splitting``, ``is_r_split`` and
+their callers share one triple and one set of pieces per structure.
 """
 
 from __future__ import annotations
@@ -63,13 +67,36 @@ class MixedHodgeStructure:
         if self.F.ambient_dim != self.ambient_dim:
             raise ValueError("Hodge filtration has wrong ambient dimension")
 
+    # cached per structure; equality and hashing stay on the fields
     @cached_property
     def fbar(self) -> FilteredSpace:
-        # computed once per structure; equality and hashing stay on the fields
         return conj_filtration(self.F)
 
-    def triple(self) -> TrifilteredSpace:
+    @cached_property
+    def _triple(self) -> TrifilteredSpace:
         return TrifilteredSpace(self.ambient_dim, W=self.W, F=self.F, G=self.fbar)
+
+    def triple(self) -> TrifilteredSpace:
+        return self._triple
+
+    @cached_property
+    def _deligne(self) -> dict[tuple[int, int], Subspace]:
+        fbar = self.fbar
+        pieces: dict[tuple[int, int], Subspace] = {}
+        for (p, q), _ in sorted(hodge_numbers(self.triple()).items()):
+            first = intersect(self.F.at(p), self.weight_at(p + q))
+            corrector = intersect(fbar.at(q), self.weight_at(p + q))
+            i = 1
+            while True:
+                # weight term W_{p+q-i-1} shrinks with i and hits zero, since
+                # the decreasing form of W ends at the zero subspace
+                wterm = self.weight_at(p + q - i - 1)
+                if wterm.is_zero:
+                    break
+                corrector = subspace_sum(corrector, intersect(fbar.at(q - i), wterm))
+                i += 1
+            pieces[(p, q)] = intersect(first, corrector)
+        return pieces
 
     def weight_at(self, m: int) -> Subspace:
         """Increasing weight lookup: W_m is the decreasing W at -m."""
@@ -116,23 +143,9 @@ def validate(w: FilteredSpace, f: FilteredSpace) -> MixedHodgeStructure:
 
 
 def deligne_splitting(m: MixedHodgeStructure) -> dict[tuple[int, int], Subspace]:
-    """The canonical bigraded pieces I^{p,q}, over the Hodge support."""
-    fbar = m.fbar
-    pieces: dict[tuple[int, int], Subspace] = {}
-    for (p, q), _ in sorted(hodge_numbers(m.triple()).items()):
-        first = intersect(m.F.at(p), m.weight_at(p + q))
-        corrector = intersect(fbar.at(q), m.weight_at(p + q))
-        i = 1
-        while True:
-            # weight term W_{p+q-i-1} shrinks with i and hits zero, since
-            # the decreasing form of W ends at the zero subspace
-            wterm = m.weight_at(p + q - i - 1)
-            if wterm.is_zero:
-                break
-            corrector = subspace_sum(corrector, intersect(fbar.at(q - i), wterm))
-            i += 1
-        pieces[(p, q)] = intersect(first, corrector)
-    return pieces
+    """The canonical bigraded pieces I^{p,q}, over the Hodge support,
+    computed once per structure; each call returns its own dict."""
+    return dict(m._deligne)
 
 
 def is_r_split(m: MixedHodgeStructure) -> bool:

@@ -15,6 +15,10 @@ Dimension data:
                    levels F^p ∩ W^r + W^{r+1} and G^q ∩ W^r + W^{r+1};
 * ``hodge_numbers``  the trigraded entries on the anti-diagonal r = -p-q.
 
+The trigraded table is computed once per triple and kept on it, so
+``hodge_numbers``, ``is_opposed`` and the invariants of one triple share
+it, and it goes away with the triple.
+
 ``simultaneous_splitting`` realizes s^{p,q} by an explicit bigraded
 decomposition, which exists for any two filtrations.  Morphisms between
 triples can be tested for compatibility and strictness, and have kernels
@@ -25,7 +29,7 @@ of its Q(i) basis, a cokernel in the non-pivot columns of the image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable
 
 from mixedhodge.filtration import (
@@ -69,6 +73,31 @@ class TrifilteredSpace:
             "F": self.F.to_json(),
             "G": self.G.to_json(),
         }
+
+    @cached_property
+    def _trigraded(self) -> dict[tuple[int, int, int], int]:
+        # computed once per triple; equality and hashing stay on the fields.
+        # On the piece W^r/W^{r+1} the levels of F and G are the images of
+        # M_F = F^p ∩ W^r and M_G = G^q ∩ W^r, and their intersection has
+        # dimension dim((M_F + W^{r+1}) ∩ (M_G + W^{r+1})) - dim W^{r+1}.
+        ps, qs = common_window(self.F), common_window(self.G)
+        out: dict[tuple[int, int, int], int] = {}
+        for r in common_window(self.W):
+            outer = self.W.at(r)
+            inner = self.W.at(r + 1)
+            if outer.dim == inner.dim:
+                continue
+            f_up = {p: subspace_sum(intersect(self.F.at(p), outer), inner) for p in ps}
+            g_up = {q: subspace_sum(intersect(self.G.at(q), outer), inner) for q in qs}
+            table = {
+                pq: d - inner.dim
+                for pq, d in intersection_dims(
+                    f_up.__getitem__, g_up.__getitem__, ps, qs
+                ).items()
+            }
+            for (p, q), d in second_difference(table).items():
+                out[(r, p, q)] = d
+        return dict(sorted(out.items()))
 
 
 def intersection_dims(
@@ -122,34 +151,7 @@ def induced_on_subquotient(
 
 def trigraded_dims(t: TrifilteredSpace) -> dict[tuple[int, int, int], int]:
     """delta(r, p, q): bigraded dims of (F, G) on each W-graded piece."""
-    return dict(_trigraded_items(t))
-
-
-@lru_cache(maxsize=8192)
-def _trigraded_items(
-    t: TrifilteredSpace,
-) -> tuple[tuple[tuple[int, int, int], int], ...]:
-    # On the piece W^r/W^{r+1} the levels of F and G are the images of
-    # M_F = F^p ∩ W^r and M_G = G^q ∩ W^r, and their intersection has
-    # dimension dim((M_F + W^{r+1}) ∩ (M_G + W^{r+1})) - dim W^{r+1}.
-    ps, qs = common_window(t.F), common_window(t.G)
-    out: dict[tuple[int, int, int], int] = {}
-    for r in common_window(t.W):
-        outer = t.W.at(r)
-        inner = t.W.at(r + 1)
-        if outer.dim == inner.dim:
-            continue
-        f_up = {p: subspace_sum(intersect(t.F.at(p), outer), inner) for p in ps}
-        g_up = {q: subspace_sum(intersect(t.G.at(q), outer), inner) for q in qs}
-        table = {
-            pq: d - inner.dim
-            for pq, d in intersection_dims(
-                f_up.__getitem__, g_up.__getitem__, ps, qs
-            ).items()
-        }
-        for (p, q), d in second_difference(table).items():
-            out[(r, p, q)] = d
-    return tuple(sorted(out.items()))
+    return dict(t._trigraded)
 
 
 def hodge_numbers(t: TrifilteredSpace) -> dict[tuple[int, int], int]:
@@ -218,17 +220,15 @@ class FilteredMorphism:
         if self.matrix.rows != self.target.ambient_dim:
             raise ValueError("matrix rows do not match the target dimension")
 
-    def _pairs(self):
-        yield "W", self.source.W, self.target.W
-        yield "F", self.source.F, self.target.F
-        yield "G", self.source.G, self.target.G
+    def _levels(self):
+        """(source level, target level) at every jump of W, F and G."""
+        s, t = self.source, self.target
+        for src, dst in ((s.W, t.W), (s.F, t.F), (s.G, t.G)):
+            for p in sorted(set(src.jumps()) | set(dst.jumps())):
+                yield src.at(p), dst.at(p)
 
     def compatible(self) -> bool:
-        for _, src, dst in self._pairs():
-            for p in sorted(set(src.jumps()) | set(dst.jumps())):
-                if not (image(self.matrix, src.at(p)) <= dst.at(p)):
-                    return False
-        return True
+        return all(image(self.matrix, src) <= dst for src, dst in self._levels())
 
     def is_strict(self) -> bool:
         """Whether the image meets each target level exactly in the image
@@ -238,13 +238,10 @@ class FilteredMorphism:
         if not self.compatible():
             raise ValueError("morphism is not compatible with the filtrations")
         full_image = image(self.matrix, full_space(self.source.ambient_dim))
-        for _, src, dst in self._pairs():
-            for p in sorted(set(src.jumps()) | set(dst.jumps())):
-                want = intersect(full_image, dst.at(p))
-                have = image(self.matrix, src.at(p))
-                if want != have:
-                    return False
-        return True
+        return all(
+            intersect(full_image, dst) == image(self.matrix, src)
+            for src, dst in self._levels()
+        )
 
     def kernel(self) -> TrifilteredSpace:
         """Kernel with the filtrations induced from the source."""

@@ -49,6 +49,9 @@ from .multifilt import FilteredMorphism
 # Entry range for random flag vectors.  Small integers keep the exact
 # arithmetic fast; the retry loop absorbs the occasional rank collision.
 _ENTRY = 9
+# Type box of random diamonds, and proposals per structure before giving up.
+_TYPE_RANGE = (-2, 2)
+_ATTEMPTS = 400
 
 
 def _random_row(rng: random.Random, n: int, real: bool = False) -> IntRow:
@@ -108,16 +111,16 @@ def _weight_flag(basis: list[IntRow], sizes: dict[int, int], n: int) -> Filtered
 def random_hodge_diamond(
     rng: random.Random,
     max_dim: int,
-    type_range: tuple[int, int] = (-2, 2),
     weight_range: tuple[int, int] = (-2, 3),
 ) -> dict[tuple[int, int], int]:
     """A symmetric table h^{p,q} = h^{q,p} with total dimension in [1, max_dim].
 
-    Types (p, q) run over the box type_range with p + q inside weight_range.
-    Off-diagonal cells are filled in mirror pairs; a leftover odd unit goes to
-    a diagonal cell, or the total is rounded up when no diagonal cell exists.
+    Types (p, q) run over the box ``_TYPE_RANGE`` with p + q inside
+    weight_range.  Off-diagonal cells are filled in mirror pairs; a leftover
+    odd unit goes to a diagonal cell, or the total is rounded up when no
+    diagonal cell exists.
     """
-    lo, hi = type_range
+    lo, hi = _TYPE_RANGE
     cells = [
         (p, q)
         for p in range(lo, hi + 1)
@@ -171,31 +174,23 @@ def _flag_from_generators(
 def generically_realizable(h: dict[tuple[int, int], int]) -> bool:
     """Whether flags in general position can realise the diamond h.
 
-    For independent generic flags, dim(F^p ∩ W_m) = max(0, c_p + w_m - n).
+    For independent generic flags, dim(F^p ∩ W_m) = max(0, c_p + w_m - n),
+    with c_p = dim F^p and w_m = dim W_m.
     The diamond prescribes that intersection dimension directly; when the two
     disagree for some (p, m) the diamond needs special position, and drawing
     random flags for it would loop forever.  Dropping those diamonds up front
     keeps the rejection loop cheap without changing what it accepts.
     """
     n = sum(h.values())
-    ps = sorted({p for p, _ in h}, reverse=True)
-    weights = sorted({p + q for p, q in h})
-    c: dict[int, int] = {}
-    running = 0
-    for p in ps:
-        running += sum(d for (pp, _), d in h.items() if pp == p)
-        c[p] = running
-    w: dict[int, int] = {}
-    running = 0
-    for m in weights:
-        running += sum(d for (pp, qq), d in h.items() if pp + qq == m)
-        w[m] = running
-    for p in ps:
-        for m in weights:
+    weights = {p + q for p, q in h}
+    w = {m: sum(d for (p, q), d in h.items() if p + q <= m) for m in weights}
+    for p in {p for p, _ in h}:
+        c_p = sum(d for (pp, _), d in h.items() if pp >= p)
+        for m, w_m in w.items():
             prescribed = sum(
                 d for (pp, qq), d in h.items() if pp >= p and pp + qq <= m
             )
-            if prescribed != max(0, c[p] + w[m] - n):
+            if prescribed != max(0, c_p + w_m - n):
                 return False
     return True
 
@@ -291,9 +286,7 @@ def adapted_structure_from_diamond(
 def random_mhs(
     rng: random.Random,
     max_dim: int = 8,
-    type_range: tuple[int, int] = (-2, 2),
     weight_range: tuple[int, int] = (-2, 3),
-    attempts: int = 400,
 ) -> MixedHodgeStructure:
     """A random valid structure, by rejection sampling over random flags.
 
@@ -303,8 +296,8 @@ def random_mhs(
     diamonds as well.  Every candidate goes through validation; failures
     are discarded and redrawn.
     """
-    for _ in range(attempts):
-        h = random_hodge_diamond(rng, max_dim, type_range, weight_range)
+    for _ in range(_ATTEMPTS):
+        h = random_hodge_diamond(rng, max_dim, weight_range)
         if rng.random() < 0.5:
             if not generically_realizable(h):
                 continue
@@ -313,7 +306,7 @@ def random_mhs(
             m = adapted_structure_from_diamond(rng, h)
         if m is not None:
             return m
-    raise RuntimeError(f"no valid structure after {attempts} attempts")
+    raise RuntimeError(f"no valid structure after {_ATTEMPTS} attempts")
 
 
 def random_extension(

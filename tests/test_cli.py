@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -13,6 +15,7 @@ from mixedhodge.families import family_to_json, lambda_kappa_grid, two_flag_fibe
 from mixedhodge.filtration import filtered_space
 from mixedhodge.linalg import matrix, span, zero_subspace
 from mixedhodge.mhs import assemble_extension, tate
+from mixedhodge.sampling import random_mhs
 
 
 def run(capsys, argv):
@@ -152,10 +155,12 @@ BIG = int("9" * 400)  # a JSON integer far past the double range
     ("punctures", [[BIG, 0], [0.5, 0.25]], "point coordinate is outside"),
     ("tau", [0, BIG], "tau coordinate is outside the double range"),
     ("theta_truncation", 2_000_000, "theta_truncation 2000000 exceeds the limit"),
+    ("tol", True, "malformed tol True"),
 ])
 def test_curve_alpha_out_of_range_exits_2(tmp_path, capsys, key, value, needle):
     # the integers used to escape float() as an OverflowError traceback,
-    # and the theta sums cost time linear in theta_truncation
+    # the theta sums cost time linear in theta_truncation, and a boolean
+    # tol used to run as 1.0
     cfg = {"genus": 1, "tau": [0, 1], "punctures": [[0, 0], [0.5, 0.25]],
            "pairs": [[[0.1, 0.2], [0.25, 0.5]]], key: value}
     path = write(tmp_path, "range.json", cfg)
@@ -209,6 +214,24 @@ def test_stratify_json_and_csv(tmp_path, capsys):
     assert len(lines) == 10
     code2, csv_again, _ = run(capsys, ["stratify", "--in", path, "--format", "csv"])
     assert csv_again == csv_out
+
+
+@pytest.mark.parametrize("value, fmt", [
+    (str(BIG), "json"),
+    ("1e400", "json"),
+    ("1e400", "csv"),
+], ids=["400-digits", "1e400-json", "1e400-csv"])
+def test_stratify_out_of_range_coordinate_exits_2(tmp_path, capsys, value, fmt):
+    # the integer used to escape float() as an OverflowError traceback;
+    # 1e400 parsed to an infinite coordinate, which the JSON report
+    # rejected with exit 1 and the CSV report printed as inf
+    doc = family_to_json(lambda_kappa_grid(radius=1))
+    doc["parameters"][0]["coords"][0][1] = "X"
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(doc).replace('"X"', value))
+    code, out, err = run(capsys, ["stratify", "--in", str(path), "--format", fmt])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "coordinate value is outside the double range"}
 
 
 def test_stratify_promotes_and_checks_weight_lock(tmp_path, capsys):
@@ -318,9 +341,14 @@ def test_non_finite_literals_exit_2(tmp_path, capsys):
 
 def test_oversized_structures_exit_2(tmp_path, capsys):
     # each document is small; accepting it would cost time or memory
-    # growing with its ambient dimension or its span of level indices
+    # growing with its ambient dimension, its span of level indices or
+    # its number of vectors per level
     empty = {"ambient_dim": 1000, "levels": []}
     wide = {"ambient_dim": 1000, "W": empty, "F": empty}
+    crowded = {"ambient_dim": 2, "levels": [
+        {"index": 0, "vectors": [[[1, 1, 0, 1], [0, 1, 0, 1]]] * 9},
+        {"index": 1, "vectors": []},
+    ]}
 
     def flag(vector, index):
         return {"ambient_dim": 2, "levels": [
@@ -337,6 +365,8 @@ def test_oversized_structures_exit_2(tmp_path, capsys):
     for command, doc, needle in (
         ("check-mhs", wide, "ambient_dim 1000 exceeds"),
         ("invariants", far, "level index -400 exceeds"),
+        ("check-mhs", {"ambient_dim": 2, "W": crowded, "F": crowded},
+         "level 0 lists 9 vectors, more than 4 per ambient dimension"),
     ):
         path = write(tmp_path, "big.json", doc)
         code, out, err = run(capsys, [command, "--in", path])
@@ -393,3 +423,40 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["c2"] == 1
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys):
+    # byte-identical output over a fixed corpus: every subcommand, both
+    # document shapes of alpha, json and csv, domain and parse errors
+    docs = []
+    rng = random.Random(5)
+    for k in range(6):
+        m = random_mhs(rng, max_dim=5)
+        triple = write(tmp_path, f"t{k}.json", m.triple().to_json())
+        mhs = write(tmp_path, f"m{k}.json", m.to_json())
+        docs += [["invariants", "--in", triple], ["check-mhs", "--in", mhs],
+                 ["deligne-split", "--in", mhs], ["alpha", "--in", triple],
+                 ["alpha", "--in", mhs]]
+    genus0 = {"genus": 0, "punctures": [[0, 0], [1, 0], [2.5, -1]],
+              "pairs": [["inf", [0.5, 0.7]], [[3, 1], [-2, 0.25]]]}
+    genus1 = {"genus": 1, "tau": [0.25, 1.2], "punctures": [[0, 0], [0.5, 0.25]],
+              "pairs": [[[0.1, 0.2], [0.25, 0.5]]]}
+    coincident = {**genus0, "punctures": [[0, 0], [0, 0]]}
+    for name, cfg in (("g0", genus0), ("g1", genus1), ("co", coincident)):
+        docs.append(["curve-alpha", "--in", write(tmp_path, f"{name}.json", cfg)])
+    fam = write(tmp_path, "fam.json", family_to_json(lambda_kappa_grid(radius=1)))
+    docs += [["stratify", "--in", fam], ["stratify", "--in", fam, "--format", "csv"],
+             ["selftest", "--seed", "3"]]
+    junk = tmp_path / "junk.json"
+    junk.write_text('{"ambient_dim": 2, "W"')
+    docs += [["invariants", "--in", str(junk)],
+             ["check-mhs", "--in", write(tmp_path, "nokey.json", {"ambient_dim": 2})]]
+    results = []
+    for argv in docs:
+        code, out, err = run(capsys, argv)
+        results.append([argv[0], code, out, err.replace(str(tmp_path), "DIR")])
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert len(docs) == 38
+    assert digest == (
+        "ffd4fc09a1c2d10c46c85bfbf0b55426c853546296e931527271fa2008d3e5f6"
+    )

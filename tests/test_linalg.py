@@ -99,8 +99,8 @@ def test_containment_and_contains():
     b = span([[1, 1, 0]], 3)
     assert b <= a
     assert not (a <= b)
-    assert a.contains((gauss(2), gauss(-3), gauss(0)))
-    assert not a.contains((gauss(0), gauss(0), gauss(1)))
+    assert span([(gauss(2), gauss(-3), gauss(0))], 3) <= a
+    assert not span([(gauss(0), gauss(0), gauss(1))], 3) <= a
 
 
 def test_coordinates_and_reduce_mod():
@@ -116,7 +116,7 @@ def test_kernel_image_fixed_values():
     f = matrix([[1, 0, 1], [0, 1, 1]])
     k = kernel(f)
     assert k.dim == 1
-    assert k.contains((gauss(-1), gauss(-1), gauss(1)))
+    assert span([(gauss(-1), gauss(-1), gauss(1))], 3) <= k
     assert image(f, full_space(3)) == full_space(2)
     assert image(f, zero_subspace(3)) == zero_subspace(2)
 
