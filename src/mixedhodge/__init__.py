@@ -1,6 +1,6 @@
 """Exact-arithmetic invariants of multifiltered vector spaces.
 
-Layers, bottom up: Q(i) scalars (exactfield), row-reduction linear algebra
+Layers, bottom up: Q(i) values (exactfield), row-reduction linear algebra
 (linalg), single decreasing filtrations (filtration), triples of filtrations
 with dimension tables and morphisms (multifilt), Chern and K-theoretic
 invariants (invariants), mixed Hodge structures with their canonical

@@ -9,9 +9,10 @@ for stdin) and writes one report (``--out``, stdout by default).
 Output is deterministic byte for byte: JSON is dumped with sorted keys at
 a fixed indent, CSV rows come straight from the family order.  Exit codes:
 0 on success, 1 when the input parses but the mathematics rejects it (an
-inconsistent structure, a non-opposed triple, coincident curve points),
-2 when the input cannot be parsed at all.  Either failure writes a
-``{"error": ...}`` object to stderr.
+inconsistent structure, a non-opposed triple, coincident curve points, a
+family whose Hodge numbers move, which ``alpha_map`` checks as its
+precondition), 2 when the input cannot be parsed at all or breaks a size
+limit.  Either failure writes a ``{"error": ...}`` object to stderr.
 """
 
 from __future__ import annotations
@@ -145,10 +146,6 @@ def cmd_curve_alpha(args) -> tuple[str, int]:
 
 def cmd_stratify(args) -> tuple[str, int]:
     fam = _parse(family_from_json, _read_json(args.infile))
-    if not fam.weight_locked:
-        # promote; the constant-hodge-numbers check runs here and a family
-        # that moves its weights is a domain error, not a parse error
-        fam = replace(fam, weight_locked=True)
     report = alpha_map(fam)
     if args.format == "csv":
         return strata_csv(fam, report), 0

@@ -340,7 +340,8 @@ def config_from_json(data: dict) -> CurveConfig:
     if not isinstance(data, dict):
         raise ValueError("curve config must be an object")
     genus = data.get("genus")
-    if genus not in (0, 1):
+    # True == 1 and 0.0 == 0, but neither is a genus
+    if type(genus) is not int or genus not in (0, 1):
         raise ValueError("genus must be 0 or 1")
     punctures = tuple(_point_from_json(p) for p in _entries(data, "punctures"))
     pairs = []

@@ -1,14 +1,12 @@
-"""Exact arithmetic over Q and Q(i).
-
-Rationals are stdlib ``fractions.Fraction`` (already gcd-reduced with a
-positive denominator, so equality is component-wise).  ``GaussianRational``
-is a + b*i with rational a, b; conjugation negates the imaginary part and
-is a field automorphism.  Everything is immutable and hashable.
+"""Q(i) values at the boundary: what JSON, ``linalg.Matrix``, ``span`` and
+``reduce_mod`` exchange.  ``GaussianRational`` is a + b*i with gcd-reduced
+``Fraction`` parts (so equality is component-wise) and no arithmetic: all
+of that runs on Gaussian-integer rows in ``linalg``.
 
 Interchange formats: text "a/b+c/di" and JSON ``[a, b, c, d]`` (numerator
-and denominator of the real part, then of the imaginary part).  JSON
-numbers that stand for doubles (curve points, tolerances, family
-coordinates) are read by ``finite_from_json`` alone.
+and denominator of the real part, then of the imaginary part; at most
+``MAX_ENTRY_BITS`` bits each).  JSON numbers that stand for doubles (curve
+points, tolerances, family coordinates) are read by ``finite_from_json``.
 """
 
 from __future__ import annotations
@@ -34,54 +32,8 @@ class GaussianRational:
     re: Fraction
     im: Fraction
 
-    def __add__(self, other: GaussianRational | _RationalLike) -> GaussianRational:
-        other = gauss(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other: GaussianRational | _RationalLike) -> GaussianRational:
-        return self + (-gauss(other))
-
-    def __rsub__(self, other: GaussianRational | _RationalLike) -> GaussianRational:
-        return gauss(other) + (-self)
-
-    def __mul__(self, other: GaussianRational | _RationalLike) -> GaussianRational:
-        other = gauss(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: GaussianRational | _RationalLike) -> GaussianRational:
-        return self * gauss(other).inverse()
-
-    def __rtruediv__(self, other: GaussianRational | _RationalLike) -> GaussianRational:
-        return gauss(other) * self.inverse()
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
-
-    def inverse(self) -> GaussianRational:
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0 in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def conj(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def to_complex_float(self) -> complex:
-        return complex(_fraction_to_float(self.re), _fraction_to_float(self.im))
 
     def to_json(self) -> list[int]:
         return [
@@ -106,7 +58,6 @@ class GaussianRational:
 
 
 ZERO = GaussianRational(Fraction(0), Fraction(0))
-ONE = GaussianRational(Fraction(1), Fraction(0))
 I = GaussianRational(Fraction(0), Fraction(1))
 
 
@@ -121,17 +72,6 @@ def gauss(
     return GaussianRational(_as_fraction(re), _as_fraction(im))
 
 
-def _fraction_to_float(x: Fraction) -> float:
-    # float(Fraction) raises OverflowError past the double range; keep that
-    # explicit rather than ever producing an infinity.
-    try:
-        return float(x)
-    except OverflowError as exc:
-        raise OverflowError(
-            f"rational {x.numerator}/{x.denominator} exceeds double precision range"
-        ) from exc
-
-
 def _frac_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
@@ -143,6 +83,11 @@ def fraction_json(x: Fraction) -> int | list[int]:
     return x.numerator if x.denominator == 1 else [x.numerator, x.denominator]
 
 
+# row reduction slows steeply with the size of the entries; seeded random
+# structures of dimension up to 8 write integers of at most 63 bits
+MAX_ENTRY_BITS = 128
+
+
 def gauss_from_json(data: object) -> GaussianRational:
     """Parse the JSON quadruple [re_num, re_den, im_num, im_den]."""
     if (
@@ -151,6 +96,11 @@ def gauss_from_json(data: object) -> GaussianRational:
         or not all(isinstance(v, int) and not isinstance(v, bool) for v in data)
     ):
         raise ValueError(f"expected four integers [a, b, c, d], got {data!r}")
+    bits = max(map(abs, data)).bit_length()
+    if bits > MAX_ENTRY_BITS:
+        raise ValueError(
+            f"entry integer of {bits} bits exceeds the limit of {MAX_ENTRY_BITS} bits"
+        )
     a, b, c, d = data
     if b == 0 or d == 0:
         raise ValueError("zero denominator in Gaussian rational")

@@ -2,13 +2,14 @@
 
 A ``SampledFamily`` pairs labeled parameter points with one fiber each and
 an optional adjacency graph recording which samples are neighbors (grid
-edges, typically).  Declaring a family ``weight_locked`` asserts that the
-Hodge numbers are the same at every sample; this is checked at
-construction time and is the precondition for ``alpha_map``.
+edges, typically).
 
 ``alpha_map`` evaluates the splitting defect fiberwise and partitions the
-sample set into strata of constant defect.  Two diagnostics sit on top of
-it:
+sample set into strata of constant defect.  The paper's semicontinuity
+statement is for families whose Hodge numbers are constant, so that is
+``alpha_map``'s precondition: it checks the Hodge numbers of every fiber,
+then each fiber for opposedness.  The caller declares nothing; there is
+no lock to set.  Two diagnostics sit on top of it:
 
 * ``hypothesis_H_audit`` compares the full f-table at each point against
   its most frequent value over the family, per (p, q).  The locus where
@@ -54,14 +55,15 @@ class ParameterPoint:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise ValueError("parameter label must be a nonempty string")
-        names = [n for n, _ in self.coords]
-        if len(set(names)) != len(names):
-            raise ValueError(f"repeated coordinate name at {self.label!r}")
         for name, value in self.coords:
             if not isinstance(name, str) or not name:
                 raise ValueError("coordinate names must be nonempty strings")
             if not isinstance(value, (float, complex)):
                 raise ValueError(f"coordinate {name!r} must be float or complex")
+        # after the loop: set() cannot hash a name that is a list or an object
+        names = [n for n, _ in self.coords]
+        if len(set(names)) != len(names):
+            raise ValueError(f"repeated coordinate name at {self.label!r}")
 
 
 def parameter_point(label: str, coords) -> ParameterPoint:
@@ -83,7 +85,6 @@ class SampledFamily:
     parameters: tuple[ParameterPoint, ...]
     fibers: tuple[TrifilteredSpace, ...]
     edges: tuple[tuple[int, int], ...] = ()
-    weight_locked: bool = False
 
     def __post_init__(self) -> None:
         if not self.parameters:
@@ -118,33 +119,18 @@ class SampledFamily:
                 raise ValueError(f"bad edge {e!r}")
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("repeated edge")
-        if self.weight_locked:
-            h0 = hodge_numbers(self.fibers[0])
-            for p, t in zip(self.parameters, self.fibers):
-                if hodge_numbers(t) != h0:
-                    raise ValueError(
-                        "weight locked family has varying "
-                        f"hodge numbers at {p.label!r}"
-                    )
 
 
-def sampled_family(
-    parameters,
-    fibers,
-    edges=(),
-    weight_locked: bool = False,
-) -> SampledFamily:
+def sampled_family(parameters, fibers, edges=()) -> SampledFamily:
     """Normalizing constructor: tuples throughout, edges deduplicated and
     stored with the smaller endpoint first."""
     canon = sorted({(min(i, j), max(i, j)) for i, j in edges})
-    return SampledFamily(
-        tuple(parameters), tuple(fibers), tuple(canon), weight_locked
-    )
+    return SampledFamily(tuple(parameters), tuple(fibers), tuple(canon))
 
 
 @dataclass(frozen=True)
 class StrataReport:
-    """Fiberwise defect data over a weight locked family.
+    """Fiberwise defect data over a family with constant Hodge numbers.
 
     ``alphas`` is indexed like the sample points.  ``strata`` lists
     (defect value, point indices) with values ascending; the cells are
@@ -175,11 +161,15 @@ def _point_data(
 def alpha_map(fam: SampledFamily) -> StrataReport:
     """Defect of every fiber, grouped into strata of constant value.
 
-    Requires a weight locked family; a non-opposed fiber is reported by
-    its parameter label.
+    Requires the same Hodge numbers at every fiber and opposed fibers; the
+    first point that breaks either is reported by its parameter label.
     """
-    if not fam.weight_locked:
-        raise ValueError("alpha_map requires a weight-locked family")
+    h0 = hodge_numbers(fam.fibers[0])
+    for p, t in zip(fam.parameters, fam.fibers):
+        if hodge_numbers(t) != h0:
+            raise ValueError(
+                f"weight locked family has varying hodge numbers at {p.label!r}"
+            )
     ps = common_window(*(t.F for t in fam.fibers))
     qs = common_window(*(t.G for t in fam.fibers))
     rows = [_point_data(fam, i, ps, qs) for i in range(len(fam.fibers))]
@@ -298,8 +288,12 @@ def family_to_json(fam: SampledFamily) -> dict:
         ],
         "fibers": [t.to_json() for t in fam.fibers],
         "edges": [list(e) for e in fam.edges],
-        "weight_locked": fam.weight_locked,
     }
+
+
+# a 32 x 32 grid; the largest family in the package, the default
+# conjugate grid, has 121 points
+MAX_FAMILY_POINTS = 1024
 
 
 def family_from_json(data: object) -> SampledFamily:
@@ -312,6 +306,12 @@ def family_from_json(data: object) -> SampledFamily:
     raw_fibers = data["fibers"]
     if not isinstance(raw_params, list) or not isinstance(raw_fibers, list):
         raise ValueError("parameters and fibers must be arrays")
+    for key, raw in (("parameter points", raw_params), ("fibers", raw_fibers)):
+        if len(raw) > MAX_FAMILY_POINTS:
+            raise ValueError(
+                f"family lists {len(raw)} {key}, more than the limit of "
+                f"{MAX_FAMILY_POINTS}"
+            )
     params = []
     for obj in raw_params:
         if not isinstance(obj, dict) or "label" not in obj or "coords" not in obj:
@@ -340,10 +340,7 @@ def family_from_json(data: object) -> SampledFamily:
         ):
             raise ValueError(f"malformed edge {e!r}")
         pairs.append((e[0], e[1]))
-    locked = data.get("weight_locked", False)
-    if not isinstance(locked, bool):
-        raise ValueError("weight_locked must be a boolean")
-    return sampled_family(params, fibers, pairs, locked)
+    return sampled_family(params, fibers, pairs)
 
 
 def strata_json(fam: SampledFamily, report: StrataReport) -> dict:
@@ -424,7 +421,7 @@ def _square_grid(radius: int, step, names: tuple[str, str], fiber) -> SampledFam
     edges = [(i, i + 1) for i in range(n) if (i + 1) % side] + [
         (i, i + side) for i in range(n - side)
     ]
-    return sampled_family(params, fibers, edges, weight_locked=True)
+    return sampled_family(params, fibers, edges)
 
 
 def lambda_conjugate_grid(

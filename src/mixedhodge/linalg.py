@@ -16,11 +16,15 @@ Conventions used throughout the package:
 Q(i) values (``GaussianRational``) appear only at the boundary: in
 ``Matrix`` (``matrix``, ``from_rows``), the type of user-given linear
 maps; in ``rref``; in what ``span`` takes and ``reduce_mod`` takes and
-returns; and in ``Subspace.basis``, the Q(i) reduced row echelon basis
-built on demand for JSON output.  Everything
-else runs on the integer rows, ``kernel``, ``image`` and ``annihilator``
-included (a ``Matrix`` is scaled to Gaussian integers first), and so do
-the constructions of the other modules, through the private helpers.
+returns; in ``Subspace.basis``, the Q(i) reduced row echelon basis
+built on demand for JSON output; and in ``vector_to_json`` and
+``vector_from_json``.  ``GaussianRational`` has no arithmetic of its own:
+``_int_row`` clears a vector's denominators into a Gaussian-integer row
+on the way in, and ``_to_qi`` and ``reduce_mod`` divide by one integer on
+the way out.  Everything else runs on the integer rows, ``kernel``,
+``image`` and ``annihilator`` included (a ``Matrix`` is scaled to Gaussian
+integers first), and so do the constructions of the other modules,
+through the private helpers.
 
 ``Subspace(n, rows)`` checks that its rows are in canonical form, because
 they may come from outside the kernel.  Rows that ``_canonical`` has just

@@ -50,14 +50,6 @@ def gaussians(draw, **kw) -> GaussianRational:
     return GaussianRational(draw(fractions_(**kw)), draw(fractions_(**kw)))
 
 
-@st.composite
-def nonzero_gaussians(draw, **kw) -> GaussianRational:
-    x = draw(gaussians(**kw))
-    if not x:
-        return GaussianRational(Fraction(1), Fraction(0))
-    return x
-
-
 # small entries keep exact row reduction fast in property tests
 @st.composite
 def small_gaussians(draw) -> GaussianRational:

@@ -10,8 +10,13 @@ import sys
 import pytest
 
 from mixedhodge.cli import main
-from mixedhodge.exactfield import I, gauss
-from mixedhodge.families import family_to_json, lambda_kappa_grid, two_flag_fiber
+from mixedhodge.exactfield import I, MAX_ENTRY_BITS, gauss
+from mixedhodge.families import (
+    MAX_FAMILY_POINTS,
+    family_to_json,
+    lambda_kappa_grid,
+    two_flag_fiber,
+)
 from mixedhodge.filtration import filtered_space
 from mixedhodge.linalg import matrix, span, zero_subspace
 from mixedhodge.mhs import assemble_extension, tate
@@ -156,11 +161,16 @@ BIG = int("9" * 400)  # a JSON integer far past the double range
     ("tau", [0, BIG], "tau coordinate is outside the double range"),
     ("theta_truncation", 2_000_000, "theta_truncation 2000000 exceeds the limit"),
     ("tol", True, "malformed tol True"),
+    ("genus", True, "genus must be 0 or 1"),
+    ("genus", False, "genus must be 0 or 1"),
+    ("genus", 0.0, "genus must be 0 or 1"),
+    ("genus", 1.0, "genus must be 0 or 1"),
 ])
 def test_curve_alpha_out_of_range_exits_2(tmp_path, capsys, key, value, needle):
     # the integers used to escape float() as an OverflowError traceback,
     # the theta sums cost time linear in theta_truncation, and a boolean
-    # tol used to run as 1.0
+    # tol used to run as 1.0; true == 1 and 0.0 == 0, so a boolean or
+    # float genus used to run too
     cfg = {"genus": 1, "tau": [0, 1], "punctures": [[0, 0], [0.5, 0.25]],
            "pairs": [[[0.1, 0.2], [0.25, 0.5]]], key: value}
     path = write(tmp_path, "range.json", cfg)
@@ -234,14 +244,12 @@ def test_stratify_out_of_range_coordinate_exits_2(tmp_path, capsys, value, fmt):
     assert json.loads(err) == {"error": "coordinate value is outside the double range"}
 
 
-def test_stratify_promotes_and_checks_weight_lock(tmp_path, capsys):
+def test_stratify_moving_hodge_numbers_exit_1(tmp_path, capsys):
     from conftest import one_dim_triple
 
-    fam = lambda_kappa_grid(radius=1)
-    data = family_to_json(fam)
-    del data["weight_locked"]
-    path = write(tmp_path, "fam.json", data)
-    code, out, _ = run(capsys, ["stratify", "--in", path])
+    data = family_to_json(lambda_kappa_grid(radius=1))
+    assert "weight_locked" not in data
+    code, out, _ = run(capsys, ["stratify", "--in", write(tmp_path, "fam.json", data)])
     assert code == 0
 
     moving = {
@@ -254,10 +262,27 @@ def test_stratify_promotes_and_checks_weight_lock(tmp_path, capsys):
             one_dim_triple(-2, 1, 1).to_json(),
         ],
     }
-    path = write(tmp_path, "moving.json", moving)
-    code, out, err = run(capsys, ["stratify", "--in", path])
-    assert code == 1 and out == ""
-    assert "hodge numbers" in json.loads(err)["error"]
+    # constant Hodge numbers are the defect map's precondition, a domain
+    # error whatever an old document declares; "weight_locked": true used
+    # to make the same family a parse error (exit 2)
+    for extra in ({}, {"weight_locked": True}, {"weight_locked": "no"}):
+        path = write(tmp_path, "moving.json", {**moving, **extra})
+        code, out, err = run(capsys, ["stratify", "--in", path])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "weight locked family has varying hodge numbers at 'b'"
+        }
+
+
+@pytest.mark.parametrize("name", [["x"], {}, 5, None, ""])
+def test_stratify_non_string_coordinate_name_exits_2(tmp_path, capsys, name):
+    # a list or an object as the name used to escape cli.main as a
+    # TypeError (unhashable type) with a traceback
+    doc = family_to_json(lambda_kappa_grid(radius=1))
+    doc["parameters"][0]["coords"][0][0] = name
+    code, out, err = run(capsys, ["stratify", "--in", write(tmp_path, "fam.json", doc)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "coordinate names must be nonempty strings"}
 
 
 def test_malformed_inputs_exit_2(tmp_path, capsys):
@@ -362,11 +387,22 @@ def test_oversized_structures_exit_2(tmp_path, capsys):
         "F": flag([[1, 1, 0, 1], [0, 1, 0, 1]], 400),
         "G": flag([[0, 1, 0, 1], [1, 1, 0, 1]], 400),
     }
+    # or the size of its entries, or its number of sample points
+    huge = two_flag_fiber(gauss(1), I).to_json()
+    huge["F"]["levels"][0]["vectors"][0][0] = [2**MAX_ENTRY_BITS, 1, 0, 1]
+    populous = family_to_json(lambda_kappa_grid(radius=1))
+    populous["parameters"] = [
+        {"label": f"p{i}", "coords": [["t", 0.0]]} for i in range(MAX_FAMILY_POINTS + 1)
+    ]
     for command, doc, needle in (
         ("check-mhs", wide, "ambient_dim 1000 exceeds"),
         ("invariants", far, "level index -400 exceeds"),
         ("check-mhs", {"ambient_dim": 2, "W": crowded, "F": crowded},
          "level 0 lists 9 vectors, more than 4 per ambient dimension"),
+        ("invariants", huge, f"entry integer of {MAX_ENTRY_BITS + 1} bits exceeds "
+         f"the limit of {MAX_ENTRY_BITS} bits"),
+        ("stratify", populous, f"family lists {MAX_FAMILY_POINTS + 1} parameter "
+         f"points, more than the limit of {MAX_FAMILY_POINTS}"),
     ):
         path = write(tmp_path, "big.json", doc)
         code, out, err = run(capsys, [command, "--in", path])

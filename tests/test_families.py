@@ -10,6 +10,7 @@ import pytest
 from conftest import one_dim_triple
 from mixedhodge.exactfield import I, gauss
 from mixedhodge.families import (
+    MAX_FAMILY_POINTS,
     ParameterPoint,
     alpha_map,
     family_from_json,
@@ -27,11 +28,11 @@ from mixedhodge.families import (
 from mixedhodge.multifilt import bigraded_dims
 
 
-def constant_family(n=5, weight_locked=True):
+def constant_family(n=5):
     fiber = two_flag_fiber(gauss(1), gauss(1))
     params = [parameter_point(f"t{i}", (("t", float(i)),)) for i in range(n)]
     edges = [(i, i + 1) for i in range(n - 1)]
-    return sampled_family(params, [fiber] * n, edges, weight_locked)
+    return sampled_family(params, [fiber] * n, edges)
 
 
 def test_lambda_grid_strata_match_real_axis():
@@ -64,16 +65,20 @@ def test_sum_of_bigraded_dims_is_constant():
 
 
 def test_alpha_map_requires_weight_lock():
-    fam = lambda_conjugate_grid(radius=1)
-    unlocked = sampled_family(fam.parameters, fam.fibers, fam.edges)
-    with pytest.raises(ValueError, match="weight-locked"):
-        alpha_map(unlocked)
+    # constant Hodge numbers are checked at every fiber before any fiber is
+    # checked for opposedness: p0 is not opposed, but p1 moves the numbers
+    params = [parameter_point(f"p{i}", (("t", float(i)),)) for i in range(2)]
+    fam = sampled_family(params, [one_dim_triple(0, 1, 1), one_dim_triple(0, 0, 0)])
+    with pytest.raises(
+        ValueError, match="^weight locked family has varying hodge numbers at 'p1'$"
+    ):
+        alpha_map(fam)
 
 
 def test_non_opposed_fiber_is_reported_by_label():
     bad = one_dim_triple(0, 1, 1)
     params = [parameter_point(f"p{i}", (("t", float(i)),)) for i in range(2)]
-    fam = sampled_family(params, [bad, bad], weight_locked=True)
+    fam = sampled_family(params, [bad, bad])
     with pytest.raises(ValueError, match="'p0' is not opposed"):
         alpha_map(fam)
 
@@ -82,8 +87,11 @@ def test_weight_lock_rejects_moving_hodge_numbers():
     a = one_dim_triple(0, 0, 0)
     b = one_dim_triple(-2, 1, 1)
     params = [parameter_point(f"p{i}", (("t", float(i)),)) for i in range(2)]
-    with pytest.raises(ValueError, match="'p1'"):
-        sampled_family(params, [a, b], weight_locked=True)
+    # the family itself is well formed; its defect map is not defined
+    fam = sampled_family(params, [a, b])
+    for run in (alpha_map, hypothesis_H_audit, semicontinuity_report):
+        with pytest.raises(ValueError, match="'p1'"):
+            run(fam)
 
 
 def test_audit_deviation_locus_is_real_axis():
@@ -158,7 +166,7 @@ def test_lambda_kappa_zero_stratum_is_diagonal():
 def test_isolated_defect_maximum_is_flagged():
     # 3x3 grid, defect 0 everywhere except the center
     vals = [gauss(0)] * 9
-    fibers = [two_flag_fiber(v, v.conj()) for v in vals]
+    fibers = [two_flag_fiber(v, v) for v in vals]
     fibers[4] = two_flag_fiber(I, gauss(0, -1))
     params = [
         parameter_point(f"p{i}", (("x", float(i % 3)), ("y", float(i // 3))))
@@ -167,7 +175,7 @@ def test_isolated_defect_maximum_is_flagged():
     edges = [(i, i + 1) for i in (0, 1, 3, 4, 6, 7)] + [
         (i, i + 3) for i in range(6)
     ]
-    fam = sampled_family(params, fibers, edges, weight_locked=True)
+    fam = sampled_family(params, fibers, edges)
     sem = semicontinuity_report(fam)
     assert sem.suspects == (4,)
     assert all(j == 4 for _, j in sem.increasing_edges)
@@ -183,6 +191,10 @@ def test_family_json_round_trip():
         [one_dim_triple(0, 0, 0)],
     )
     assert family_from_json(family_to_json(small)) == small
+    # the weight_locked key of older documents is ignored like any other
+    assert "weight_locked" not in family_to_json(fam)
+    for value in (True, False, "yes"):
+        assert family_from_json({**json.loads(blob), "weight_locked": value}) == fam
 
 
 def test_family_json_rejects_malformed_input():
@@ -204,6 +216,20 @@ def test_family_json_rejects_malformed_input():
     del bad["fibers"][0]
     with pytest.raises(ValueError, match="parameter points"):
         family_from_json(bad)
+
+
+def test_family_json_size_cap():
+    doc = family_to_json(constant_family(MAX_FAMILY_POINTS))
+    assert len(family_from_json(doc).parameters) == MAX_FAMILY_POINTS
+    n = MAX_FAMILY_POINTS + 1
+    for key, extra in (("parameter points", {"label": "x", "coords": [["t", 0.0]]}),
+                       ("fibers", doc["fibers"][0])):
+        field = "parameters" if key == "parameter points" else "fibers"
+        bad = {**doc, field: doc[field] + [extra]}
+        with pytest.raises(ValueError, match=(
+            f"^family lists {n} {key}, more than the limit of {MAX_FAMILY_POINTS}$"
+        )):
+            family_from_json(bad)
 
 
 def test_family_validation():
@@ -237,6 +263,10 @@ def test_parameter_point_coercion():
         ParameterPoint("x", (("a", 1.0), ("a", 2.0)))
     with pytest.raises(ValueError, match="nonempty string"):
         ParameterPoint("", (("a", 1.0),))
+    # names are checked before they are hashed
+    for name in (["a"], {}, 5, None):
+        with pytest.raises(ValueError, match="coordinate names must be nonempty"):
+            ParameterPoint("x", ((name, 1.0), ("b", 2.0)))
 
 
 def test_strata_csv_layout():

@@ -163,7 +163,7 @@ def test_random_morphisms_compatible_and_real():
         assert mor.compatible()
         for i in range(mor.matrix.rows):
             for j in range(mor.matrix.cols):
-                assert mor.matrix.entry(i, j).is_real
+                assert mor.matrix.entry(i, j).im == 0
 
 
 def test_alpha_spread_includes_split_and_nonsplit():
