@@ -12,7 +12,8 @@ a fixed indent, CSV rows come straight from the family order.  Exit codes:
 inconsistent structure, a non-opposed triple, coincident curve points, a
 family whose Hodge numbers move, which ``alpha_map`` checks as its
 precondition), 2 when the input cannot be parsed at all or breaks a size
-limit.  Either failure writes a ``{"error": ...}`` object to stderr.
+limit, or when ``--out`` cannot be written.  Either failure writes a
+``{"error": ...}`` object to stderr.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from mixedhodge.multifilt import hodge_numbers, triple_from_json
 
 
 class _InputError(Exception):
-    """Unparseable input; exits 2 where domain errors exit 1."""
+    """Unparseable input or an unwritable output; exits 2 where domain
+    errors exit 1."""
 
 
 def _dump(obj) -> str:
@@ -259,22 +261,25 @@ def _build_parser() -> argparse.ArgumentParser:
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text, code = args.run(args)
+        _write(args.outfile, text)
     except _InputError as exc:
         sys.stderr.write(_dump({"error": str(exc)}))
         return 2
     except ValueError as exc:
         sys.stderr.write(_dump({"error": str(exc)}))
         return 1
-    _write(args.outfile, text)
     return code
 
 

@@ -167,9 +167,7 @@ def alpha_map(fam: SampledFamily) -> StrataReport:
     h0 = hodge_numbers(fam.fibers[0])
     for p, t in zip(fam.parameters, fam.fibers):
         if hodge_numbers(t) != h0:
-            raise ValueError(
-                f"weight locked family has varying hodge numbers at {p.label!r}"
-            )
+            raise ValueError(f"hodge numbers vary at {p.label!r}")
     ps = common_window(*(t.F for t in fam.fibers))
     qs = common_window(*(t.G for t in fam.fibers))
     rows = [_point_data(fam, i, ps, qs) for i in range(len(fam.fibers))]

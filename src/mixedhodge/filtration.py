@@ -26,14 +26,13 @@ from typing import Mapping
 from mixedhodge.linalg import (
     Subspace,
     _Z,
-    _canonical,
     _in_basis,
     _mul,
     _residual,
-    _trusted,
     annihilator,
     full_space,
     intersect,
+    row_space,
     span,
     vector_from_json,
     vector_to_json,
@@ -173,7 +172,7 @@ def direct_sum(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:
     def embed(a: Subspace, b: Subspace) -> Subspace:
         # the padded rows of a and b keep their pivots, signs and gcds,
         # and each pivot column stays zero outside its row: canonical
-        return _trusted(
+        return Subspace(
             n,
             tuple(row + (_Z,) * d2 for row in a.rows)
             + tuple((_Z,) * d1 + row for row in b.rows),
@@ -203,7 +202,7 @@ def tensor(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:
             for x in f.at(a).rows
             for y in g.at(p - a).rows
         ]
-        levels[p] = _trusted(n, _canonical(rows))
+        levels[p] = row_space(rows, n)
     levels[f_hi + g_hi + 1] = zero_subspace(n)
     return filtered_space(n, levels)
 
@@ -255,7 +254,7 @@ def induced_on_quotient(f: FilteredSpace, sub: Subspace) -> FilteredSpace:
     for key, val in f.levels:
         # each residual is a positive multiple of a reduction mod sub
         residuals = (_residual(sub.rows, x)[0] for x in val.rows)
-        levels[key] = _trusted(d, _canonical([[w[j] for j in free] for w in residuals]))
+        levels[key] = row_space([[w[j] for j in free] for w in residuals], d)
     levels.setdefault(f.levels[-1][0], zero_subspace(d))
     return filtered_space(d, levels)
 

@@ -23,18 +23,15 @@ built on demand for JSON output; and in ``vector_to_json`` and
 on the way in, and ``_to_qi`` and ``reduce_mod`` divide by one integer on
 the way out.  Everything else runs on the integer rows, ``kernel``,
 ``image`` and ``annihilator`` included (a ``Matrix`` is scaled to Gaussian
-integers first), and so do the constructions of the other modules,
-through the private helpers.
+integers first), and so do the constructions of the other modules.
 
-``Subspace(n, rows)`` checks that its rows are in canonical form, because
-they may come from outside the kernel.  Rows that ``_canonical`` has just
-returned are in that form by construction, and so are their conjugates
-(conjugation keeps the real pivots, the zero pattern and the gcd).  So
-``span``, ``subspace_sum``, ``intersect``, ``conj_subspace``, the
-constructions and the sampler wrap such rows with the private
-``_trusted`` and skip the check, which would only repeat the work of the
-elimination; a property test runs the full check on ``_canonical``'s
-output.
+A ``Subspace`` holds canonical rows.  ``row_space`` makes one from any
+Gaussian-integer rows, and ``span`` from any Q(i) vectors; a vector's
+common denominator, which scales its integer row, is capped at
+``MAX_ENTRY_BITS`` bits like each entry.  A direct ``Subspace(n, rows)``
+call must pass rows that are canonical already (conjugation, the
+padding of a direct sum, a single canonical row), and the tests check the
+canonical form at every such site.
 
 Coordinates in a subspace are taken in its Q(i) basis, not in its
 integer rows: with pivot columns p_0 < p_1 < ..., the coefficient of
@@ -64,7 +61,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from mixedhodge.exactfield import ZERO, GaussianRational, gauss
+from mixedhodge.exactfield import MAX_ENTRY_BITS, ZERO, GaussianRational, gauss
 
 Vector = tuple[GaussianRational, ...]
 IntRow = tuple[tuple[int, int], ...]
@@ -238,29 +235,6 @@ def _canonical(rows: list) -> tuple[IntRow, ...]:
     return tuple(tuple(r) for r in done)
 
 
-def _null_rows(rows, n: int) -> tuple[IntRow, ...]:
-    """Canonical rows of {x : r . x = 0 for each r in rows}, rows canonical.
-
-    With L the lcm of the pivots d_j, free column k gives the vector
-    L e_k - sum_j r_j[k] (L / d_j) e_{p_j}: each r_j vanishes at the other
-    pivot columns, so r_j . x = r_j[k] L - d_j r_j[k] L / d_j = 0.
-    """
-    pivots = [_pivot(r) for r in rows]
-    big = lcm(*(r[p][0] for r, p in zip(rows, pivots)))
-    taken = set(pivots)
-    out = []
-    for k in range(n):
-        if k in taken:
-            continue
-        v = [_Z] * n
-        v[k] = (big, 0)
-        for r, p in zip(rows, pivots):
-            s = big // r[p][0]
-            v[p] = (-r[k][0] * s, -r[k][1] * s)
-        out.append(v)
-    return _canonical(out)
-
-
 def _residual(rows, u: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
     """(w, s): s * u reduced by canonical rows, so w vanishes at their
     pivot columns and w / s differs from u by an element of their span."""
@@ -306,33 +280,6 @@ class Subspace:
     ambient_dim: int
     rows: tuple[IntRow, ...]
 
-    def __post_init__(self) -> None:
-        n = self.ambient_dim
-        if not isinstance(self.rows, tuple):
-            raise ValueError("subspace rows must be a tuple of integer rows")
-        if len(self.rows) > n:
-            raise ValueError("more basis rows than ambient dimension")
-        last = -1
-        pivots = []
-        for row in self.rows:
-            if not isinstance(row, tuple) or len(row) != n:
-                raise ValueError("basis row is not a tuple of ambient width")
-            piv = next((j for j, e in enumerate(row) if e != _Z), None)
-            if piv is None:
-                raise ValueError("zero row in subspace basis")
-            if piv <= last:
-                raise ValueError("pivot columns not strictly increasing")
-            pa, pb = row[piv]
-            if pb != 0 or pa <= 0:
-                raise ValueError("pivot entry is not a positive integer")
-            if gcd(*(x for e in row for x in e)) != 1:
-                raise ValueError("basis row is not primitive")
-            pivots.append(piv)
-            last = piv
-        for piv in pivots:
-            if sum(row[piv] != _Z for row in self.rows) != 1:
-                raise ValueError("pivot column not cleared")
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -363,19 +310,11 @@ class Subspace:
         return all(_contains_row(other.rows, row) for row in self.rows)
 
 
-def _trusted(n: int, rows: tuple[IntRow, ...]) -> Subspace:
-    """A Subspace on rows already in canonical form, without the check."""
-    s = object.__new__(Subspace)
-    object.__setattr__(s, "ambient_dim", n)
-    object.__setattr__(s, "rows", rows)
-    return s
-
-
 def _in_basis(sub: Subspace, rows) -> Subspace:
     """The span of ``rows``, members of sub, in the coordinates of sub's
     Q(i) basis: x has coordinate x[p] on the basis row with pivot p."""
     pivots = sub.pivots()
-    return _trusted(sub.dim, _canonical([[x[p] for p in pivots] for x in rows]))
+    return row_space([[x[p] for p in pivots] for x in rows], sub.dim)
 
 
 def _contains_row(rows, u) -> bool:
@@ -394,11 +333,27 @@ def full_space(n: int) -> Subspace:
     )
 
 
+def row_space(rows: list, n: int) -> Subspace:
+    """The span of Gaussian-integer rows of width n (``_canonical`` pops
+    rows off the list it is given)."""
+    return Subspace(n, _canonical(rows))
+
+
 def span(vectors: list[Vector] | list[list], ambient_dim: int) -> Subspace:
-    rows = [tuple(gauss(e) for e in v) for v in vectors]
-    if any(len(r) != ambient_dim for r in rows):
-        raise ValueError("vector length does not match ambient dimension")
-    return _trusted(ambient_dim, _canonical([_int_row(r) for r in rows]))
+    """The span of Q(i) vectors: their cleared rows, canonicalized."""
+    rows = []
+    for v in vectors:
+        w = tuple(gauss(e) for e in v)
+        if len(w) != ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        den = _denominator(w)
+        if den.bit_length() > MAX_ENTRY_BITS:
+            raise ValueError(
+                f"vector common denominator of {den.bit_length()} bits exceeds "
+                f"the limit of {MAX_ENTRY_BITS} bits"
+            )
+        rows.append(_int_row(w, den))
+    return row_space(rows, ambient_dim)
 
 
 def reduce_mod(a: Subspace, v: Vector) -> Vector:
@@ -428,7 +383,7 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 @lru_cache(maxsize=128)
 def _sum(a: Subspace, b: Subspace) -> Subspace:
-    return _trusted(a.ambient_dim, _canonical([*a.rows, *b.rows]))
+    return row_space([*a.rows, *b.rows], a.ambient_dim)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -455,7 +410,7 @@ def _intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     zero = (_Z,) * n
     _, _, rest = _forward([r + r for r in a.rows] + [r + zero for r in b.rows], n)
-    return _trusted(n, _canonical([r[n:] for r in rest]))
+    return row_space([r[n:] for r in rest], n)
 
 
 def intersect_dim(a: Subspace, b: Subspace) -> int:
@@ -479,25 +434,44 @@ def _intersect_dim(a: Subspace, b: Subspace) -> int:
 
 def kernel(f: Matrix) -> Subspace:
     """Kernel of the column-vector action of f, as a subspace of Q(i)^cols."""
-    return annihilator(span(f.row_list(), f.cols))
+    return annihilator(row_space([_int_row(r) for r in f.row_list()], f.cols))
 
 
 def image(f: Matrix, a: Subspace) -> Subspace:
     """Image of a under f, as a subspace of Q(i)^(f.rows)."""
     if a.ambient_dim != f.cols:
         raise ValueError("subspace ambient dimension does not match matrix columns")
-    return _trusted(f.rows, _canonical(_apply(f, a.rows)[0]))
+    return row_space(_apply(f, a.rows)[0], f.rows)
 
 
 def annihilator(a: Subspace) -> Subspace:
-    """Functionals (as row vectors in the dual basis) vanishing on a."""
-    return _trusted(a.ambient_dim, _null_rows(a.rows, a.ambient_dim))
+    """Functionals (as row vectors in the dual basis) vanishing on a.
+
+    With L the lcm of the pivots d_j of a's rows r_j, free column k gives
+    the vector L e_k - sum_j r_j[k] (L / d_j) e_{p_j}: each r_j vanishes at
+    the other pivot columns, so r_j . x = r_j[k] L - d_j r_j[k] L / d_j = 0.
+    """
+    n = a.ambient_dim
+    pivots = a.pivots()
+    big = lcm(*(r[p][0] for r, p in zip(a.rows, pivots)))
+    taken = set(pivots)
+    out = []
+    for k in range(n):
+        if k in taken:
+            continue
+        v = [_Z] * n
+        v[k] = (big, 0)
+        for r, p in zip(a.rows, pivots):
+            s = big // r[p][0]
+            v[p] = (-r[k][0] * s, -r[k][1] * s)
+        out.append(v)
+    return row_space(out, n)
 
 
 def conj_subspace(a: Subspace) -> Subspace:
     # conjugation negates imaginary parts: pivots are real, zeros stay
     # zero and the gcd is unchanged, so the rows are again canonical
-    return _trusted(
+    return Subspace(
         a.ambient_dim, tuple(tuple((x, -y) for x, y in row) for row in a.rows)
     )
 

@@ -41,10 +41,9 @@ from mixedhodge.linalg import (
     Subspace,
     _Z,
     _apply,
-    _canonical,
-    _trusted,
     conj_subspace,
     intersect,
+    row_space,
     subspace_sum,
     zero_subspace,
 )
@@ -210,7 +209,7 @@ def assemble_extension(
             [*image, *((den * x, den * y) for x, y in row)]
             for image, row in zip(images, b_rows)
         ]
-        f_levels[p] = _trusted(n, _canonical(rows))
+        f_levels[p] = row_space(rows, n)
     return validate(direct_sum(a.W, b.W), filtered_space(n, f_levels))
 
 

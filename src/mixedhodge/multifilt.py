@@ -42,14 +42,13 @@ from mixedhodge.filtration import (
 from mixedhodge.linalg import (
     Matrix,
     Subspace,
-    _canonical,
     _in_basis,
-    _trusted,
     full_space,
     image,
     intersect,
     intersect_dim,
     kernel as matrix_kernel,
+    row_space,
     subspace_sum,
 )
 
@@ -200,11 +199,11 @@ def simultaneous_splitting(
         chosen = []
         acc = den
         for row in num.rows:
-            line = _trusted(n, (row,))  # one canonical row is canonical alone
+            line = Subspace(n, (row,))  # one canonical row is canonical alone
             if not line <= acc:
                 chosen.append(row)
                 acc = subspace_sum(acc, line)
-        pieces[(p, q)] = _trusted(n, _canonical(chosen))
+        pieces[(p, q)] = row_space(chosen, n)
     return pieces
 
 

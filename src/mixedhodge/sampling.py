@@ -12,8 +12,7 @@ Vectors are drawn and combined as Gaussian-integer rows, tuples of
 ``(re, im)`` int pairs, the form ``linalg`` stores subspaces in: a basis
 candidate is tested against the echelon rows of the vectors kept so far,
 tails are added in integer arithmetic, and each flag level is spanned
-from its rows with ``_canonical``, whose output needs no canonical-form
-check.  ``GaussianRational`` appears only where a ``Matrix`` is
+from its rows with ``row_space``.  ``GaussianRational`` appears only where a ``Matrix`` is
 returned: the lift of ``random_extension`` and the matrix of
 ``random_compatible_morphism``.  The sequence of ``randint`` calls is
 fixed: the tests pin seeded draws by a digest, and the benchmark replays
@@ -31,16 +30,15 @@ from .linalg import (
     IntRow,
     Matrix,
     Subspace,
-    _canonical,
     _forward,
     _mul,
     _pivot,
     _real_pivot,
     _residual,
-    _trusted,
     annihilator,
     from_rows,
     full_space,
+    row_space,
     zero_subspace,
 )
 from .mhs import MixedHodgeStructure, assemble_extension, validate
@@ -103,7 +101,7 @@ def _weight_flag(basis: list[IntRow], sizes: dict[int, int], n: int) -> Filtered
     for m, size in sizes.items():
         running += size
         increasing[m] = (
-            full_space(n) if running == n else _trusted(n, _canonical(basis[:running]))
+            full_space(n) if running == n else row_space(basis[:running], n)
         )
     return from_increasing(n, increasing)
 
@@ -163,9 +161,9 @@ def _flag_from_generators(
     acc: list = []
     for k, p in enumerate(ps):
         acc.extend(gens[p])
-        # _canonical and _forward pop rows off the list they are given
+        # row_space and _forward pop rows off the list they are given
         if k + 1 < len(ps):
-            levels[ps[k + 1] + 1] = _trusted(n, _canonical(list(acc)))
+            levels[ps[k + 1] + 1] = row_space(list(acc), n)
     if len(_forward(list(acc), n)[0]) != n:
         return None
     return filtered_space(n, levels)
@@ -363,7 +361,7 @@ def random_compatible_morphism(
 
     # rational solution space of the homogeneous system, one row per basis vector
     nu = nt * ns
-    ker = annihilator(_trusted(nu, _canonical(rows))).basis
+    ker = annihilator(row_space(rows, nu)).basis
     basis = [[ker.entry(i, j).re for j in range(nu)] for i in range(ker.rows)]
     entries = [Fraction(0)] * nu
     for brow in basis:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import pkgutil
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -36,6 +37,32 @@ def _empty_caches():
     computations it names whatever tests ran before it."""
     for cache in package_caches():
         cache.cache_clear()
+
+
+def assert_canonical(sub) -> None:
+    """The stored form of a ``Subspace`` (see ``linalg``), which its
+    constructor trusts: a tuple of at most ambient_dim rows, each a tuple
+    of ambient width whose pivot is a positive integer right of the pivot
+    above, primitive, and alone in its pivot column."""
+    n, rows = sub.ambient_dim, sub.rows
+    assert isinstance(rows, tuple), "subspace rows must be a tuple of integer rows"
+    assert len(rows) <= n, "more basis rows than ambient dimension"
+    last = -1
+    pivots = []
+    for row in rows:
+        assert isinstance(row, tuple) and len(row) == n, (
+            "basis row is not a tuple of ambient width"
+        )
+        piv = next((j for j, e in enumerate(row) if e != (0, 0)), None)
+        assert piv is not None, "zero row in subspace basis"
+        assert piv > last, "pivot columns not strictly increasing"
+        pa, pb = row[piv]
+        assert pb == 0 and pa > 0, "pivot entry is not a positive integer"
+        assert gcd(*(x for e in row for x in e)) == 1, "basis row is not primitive"
+        pivots.append(piv)
+        last = piv
+    for piv in pivots:
+        assert sum(r[piv] != (0, 0) for r in rows) == 1, "pivot column not cleared"
 
 
 @st.composite

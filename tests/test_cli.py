@@ -270,7 +270,7 @@ def test_stratify_moving_hodge_numbers_exit_1(tmp_path, capsys):
         code, out, err = run(capsys, ["stratify", "--in", path])
         assert (code, out) == (1, "")
         assert json.loads(err) == {
-            "error": "weight locked family has varying hodge numbers at 'b'"
+            "error": "hodge numbers vary at 'b'"
         }
 
 
@@ -416,6 +416,36 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code, out, _ = run(capsys, ["alpha", "--in", path, "--out", str(target)])
     assert code == 0 and out == ""
     assert json.loads(target.read_text()) == {"alpha": 0}
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # an --out in a missing directory, or naming a directory, used to end
+    # in an OSError traceback with exit 1
+    for target, reason in (
+        (tmp_path / "missing" / "x.json", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+    ):
+        code, out, err = run(capsys, ["selftest", "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": f"cannot write {target}: {reason}"}
+
+
+def test_vector_common_denominator_cap_exits_2(tmp_path, capsys):
+    # each entry is under the entry cap, but the vector's row is scaled by
+    # the lcm of its denominators, 2**64 * 3**41: 129 bits
+    doc = two_flag_fiber(gauss(1), I).to_json()
+    doc["F"]["levels"][0]["vectors"][0] = [[1, 2**64, 0, 1], [1, 3**41, 0, 1]]
+    path = write(tmp_path, "rational.json", doc)
+    code, out, err = run(capsys, ["invariants", "--in", path])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": f"vector common denominator of {MAX_ENTRY_BITS + 1} bits "
+        f"exceeds the limit of {MAX_ENTRY_BITS} bits"
+    }
+    # 2**64 * 3**40 has 128 bits, at the cap
+    doc["F"]["levels"][0]["vectors"][0][1] = [1, 3**40, 0, 1]
+    path = write(tmp_path, "rational.json", doc)
+    assert run(capsys, ["invariants", "--in", path])[0] == 0
 
 
 def test_selftest_passes_and_is_deterministic(capsys):

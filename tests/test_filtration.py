@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import filtered_spaces
+from conftest import assert_canonical, filtered_spaces, subspaces
 from mixedhodge.exactfield import gauss
 from mixedhodge.filtration import (
     FilteredSpace,
@@ -21,6 +21,7 @@ from mixedhodge.filtration import (
     trivial,
 )
 from mixedhodge.linalg import full_space, span, zero_subspace
+from mixedhodge.multifilt import simultaneous_splitting
 
 
 def test_trivial_canonical_form():
@@ -186,14 +187,30 @@ def test_induced_on_quotient_reduces_by_the_rref_basis():
 
 @given(st.data())
 def test_induced_dims_are_additive(data):
-    from conftest import subspaces
-
     f = data.draw(filtered_spaces(4))
     s = data.draw(subspaces(4))
     on_sub = induced_on_sub(f, s)
     on_quot = induced_on_quotient(f, s)
     for p in range(-4, 5):
         assert on_sub.at(p).dim + on_quot.at(p).dim == f.at(p).dim
+
+
+@settings(max_examples=50)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(filtered_spaces(n), filtered_spaces(n), subspaces(n))
+))
+def test_constructions_store_canonical_rows(data):
+    # the constructions hand their rows to Subspace, which trusts them
+    f, g, sub = data
+    built = (
+        direct_sum(f, g), tensor(f, g), dual(f), induced_on_sub(f, sub),
+        induced_on_quotient(f, sub),
+    )
+    for h in built:
+        for _, level in h.levels:
+            assert_canonical(level)
+    for piece in simultaneous_splitting(f, g).values():
+        assert_canonical(piece)
 
 
 def test_json_round_trip_fixed_value():

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import package_caches, subspaces, vectors
-from mixedhodge.exactfield import I, ZERO, gauss
+from conftest import assert_canonical, package_caches, subspaces, vectors
+from mixedhodge.exactfield import I, MAX_ENTRY_BITS, ZERO, gauss
 from mixedhodge.linalg import (
     Matrix,
     Subspace,
-    _canonical,
+    _in_basis,
     _intersect,
     _intersect_dim,
     _sum,
@@ -24,6 +24,7 @@ from mixedhodge.linalg import (
     kernel,
     matrix,
     reduce_mod,
+    row_space,
     rref,
     span,
     subspace_sum,
@@ -60,7 +61,10 @@ def test_span_canonicalizes():
 
 
 def test_subspace_invariants_enforced():
-    assert Subspace(2, (((1, 0), (1, -1)),)).dim == 1
+    # Subspace trusts its rows; the tests check the stored form instead
+    good = Subspace(2, (((1, 0), (1, -1)),))
+    assert good.dim == 1
+    assert_canonical(good)
     bad = [
         ((((2, 0), (0, 2)),), "not primitive"),
         ((((0, 1), (1, 0)),), "not a positive integer"),  # pivot i
@@ -71,10 +75,24 @@ def test_subspace_invariants_enforced():
         ((((1, 0),),), "ambient width"),
     ]
     for rows, msg in bad:
-        with pytest.raises(ValueError, match=msg):
-            Subspace(2, rows)
-    with pytest.raises(ValueError, match="tuple"):
-        Subspace(2, matrix([[1, 0]]))  # a Q(i) matrix is not the stored form
+        with pytest.raises(AssertionError, match=msg):
+            assert_canonical(Subspace(2, rows))
+    with pytest.raises(AssertionError, match="tuple"):
+        # a Q(i) matrix is not the stored form
+        assert_canonical(Subspace(2, matrix([[1, 0]])))
+
+
+def test_vector_common_denominator_is_capped():
+    # each entry is small, but a row is scaled by the lcm of its entries'
+    # denominators: 2**64 * 3**40 has 128 bits, 2**64 * 3**41 has 129
+    at_cap = [Fraction(1, 2**64), Fraction(1, 3**40)]
+    assert span([at_cap], 2).dim == 1
+    with pytest.raises(
+        ValueError,
+        match=f"^vector common denominator of {MAX_ENTRY_BITS + 1} bits exceeds "
+        f"the limit of {MAX_ENTRY_BITS} bits$",
+    ):
+        span([[1, 1], [Fraction(1, 2**64), Fraction(1, 3**41)]], 2)
 
 
 def test_integer_rows_basis_and_conjugate_fixed_value():
@@ -249,21 +267,33 @@ def int_row_lists(draw, n: int) -> list:
     lambda n: st.tuples(st.just(n), int_row_lists(n), int_row_lists(n))
 ))
 def test_canonical_rows_pass_the_full_check(data):
-    # the kernel wraps these rows without Subspace's check; run it here
+    # Subspace(n, rows) trusts its rows, so check every way linalg builds
+    # them: row_space, span, the memoized operations, conjugation, image,
+    # kernel, annihilator, coordinates in a basis, the zero and full spaces
     n, rows_a, rows_b = data
-    a = Subspace(n, _canonical(list(rows_a)))
-    b = Subspace(n, _canonical(list(rows_b)))
+    a = row_space(list(rows_a), n)
+    b = row_space(list(rows_b), n)
     assert span([[gauss(x, y) for x, y in r] for r in rows_a], n) == a
-    assert _sum.__wrapped__(a, b) == Subspace(n, _canonical([*rows_a, *rows_b]))
+    assert _sum.__wrapped__(a, b) == row_space([*rows_a, *rows_b], n)
     assert subspace_sum(a, b) == _sum.__wrapped__(a, b)
     conj_rows = [tuple((x, -y) for x, y in r) for r in rows_a]
-    assert conj_subspace(a) == Subspace(n, _canonical(conj_rows))
+    assert conj_subspace(a) == row_space(conj_rows, n)
     meet = _intersect.__wrapped__(a, b)
     assert intersect(a, b) == meet == _intersect.__wrapped__(b, a)
     assert meet.dim == a.dim + b.dim - subspace_sum(a, b).dim
-    for out in (meet, _sum.__wrapped__(a, b), conj_subspace(a)):
-        assert Subspace(n, out.rows) == out
-        assert Subspace(n, _canonical(list(out.rows))) == out
+    # a map with a rational row, so that image and kernel clear denominators
+    f = matrix(
+        [[gauss(x, y) for x, y in r] for r in rows_b]
+        + [[Fraction(1, k + 2) for k in range(n)]]
+    )
+    outs = (
+        a, b, meet, _sum.__wrapped__(a, b), conj_subspace(a), image(f, a),
+        kernel(f), annihilator(a), _in_basis(a, meet.rows), zero_subspace(n),
+        full_space(n),
+    )
+    for out in outs:
+        assert_canonical(out)
+        assert row_space(list(out.rows), out.ambient_dim) == out
 
 
 def test_package_caches_are_bounded():

@@ -1,0 +1,49 @@
+"""Module boundaries, checked on the syntax tree of each package module.
+
+Only ``linalg`` knows how canonical rows are made: the other modules build
+a ``Subspace`` through ``linalg.row_space`` or ``linalg.span``, or pass
+rows that are canonical already.  And no module builds an instance around
+its class's ``__init__`` with ``object.__new__``.
+"""
+
+import ast
+from pathlib import Path
+
+import mixedhodge
+
+SOURCES = sorted(Path(mixedhodge.__file__).parent.glob("*.py"))
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name the module defines, imports or refers to."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _calls_object_new(tree: ast.AST) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_linalg_knows_the_canonical_form():
+    assert any(path.stem == "linalg" for path in SOURCES)
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        knows = "_canonical" in _names(tree)
+        assert knows == (path.stem == "linalg"), path.name
+        assert not _calls_object_new(tree), path.name

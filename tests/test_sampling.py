@@ -4,11 +4,18 @@ import hashlib
 import json
 import random
 
+from conftest import assert_canonical
 from mixedhodge.exactfield import gauss
 from mixedhodge.filtration import common_window
 from mixedhodge.invariants import alpha
 from mixedhodge.linalg import intersect, span
-from mixedhodge.mhs import direct_sum_mhs, dual_mhs, tate_twist, tensor_mhs
+from mixedhodge.mhs import (
+    deligne_splitting,
+    direct_sum_mhs,
+    dual_mhs,
+    tate_twist,
+    tensor_mhs,
+)
 from mixedhodge.multifilt import hodge_numbers, simultaneous_splitting
 from mixedhodge.sampling import (
     adapted_structure_from_diamond,
@@ -18,6 +25,7 @@ from mixedhodge.sampling import (
     random_extension,
     random_hodge_diamond,
     random_mhs,
+    structure_from_diamond,
 )
 
 # sha256 over the sorted-key JSON of random_mhs(random.Random(k), max_dim=8)
@@ -77,6 +85,27 @@ def test_seeded_constructions_are_pinned():
         ]
         digest.update(json.dumps(out, sort_keys=True).encode())
     assert digest.hexdigest() == PINNED_CONSTRUCTIONS
+
+
+def test_sampled_levels_are_canonical():
+    # both samplers and assemble_extension hand their rows to Subspace,
+    # which trusts them; so does conjugation for fbar
+    rng = random.Random("canonical levels")
+    drawn = []
+    for _ in range(30):
+        h = random_hodge_diamond(rng, 6)
+        for sampler in (structure_from_diamond, adapted_structure_from_diamond):
+            m = sampler(rng, h)
+            if m is not None:
+                drawn.append(m)
+    drawn += [random_extension(rng)[3] for _ in range(10)]
+    assert len(drawn) >= 40
+    for m in drawn:
+        for f in (m.W, m.F, m.fbar):
+            for _, level in f.levels:
+                assert_canonical(level)
+        for piece in deligne_splitting(m).values():
+            assert_canonical(piece)
 
 
 def test_random_basis_spans_full_space():
