@@ -7,7 +7,7 @@ strata report as JSON.  The real axis should come out as the single
 defect-0 stratum, the constancy audit should flag exactly that locus, and
 no point should sit strictly above all of its neighbors.
 
-    python3 scripts/lambda_plane_strata.py --out-dir out
+    PYTHONPATH=src python3 scripts/lambda_plane_strata.py --out-dir out
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ family whose Hodge numbers move, which ``alpha_map`` checks as its
 precondition), 2 when the input cannot be parsed at all or breaks a size
 limit, or when ``--out`` cannot be written.  Either failure writes a
 ``{"error": ...}`` object to stderr.
+
+``main`` builds the parser of the named subcommand only, and the full
+parser only for help and usage errors.
 """
 
 from __future__ import annotations
@@ -216,7 +219,9 @@ def cmd_selftest(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0 if passed == len(checks) else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the subcommand ``only`` alone
+    when ``only`` names one."""
     parser = argparse.ArgumentParser(
         prog="mixedhodge",
         description="exact invariants of filtered structures and their families",
@@ -224,6 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, run, help_text: str, *, needs_in=True):
+        if only is not None and name != only:
+            return None
         sp = sub.add_parser(name, help=help_text)
         if needs_in:
             sp.add_argument(
@@ -247,14 +254,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "splitting defect of a trifiltered space or mixed Hodge structure")
     curve = add("curve-alpha", cmd_curve_alpha,
                 "period matrix defect of a punctured genus 0 or 1 configuration")
-    curve.add_argument("--tol", type=float, default=None,
-                       help="override the tolerance in the config")
+    if curve is not None:
+        curve.add_argument("--tol", type=float, default=None,
+                           help="override the tolerance in the config")
     stratify = add("stratify", cmd_stratify, "defect strata of a sampled family")
-    stratify.add_argument("--format", choices=("json", "csv"), default="json")
+    if stratify is not None:
+        stratify.add_argument("--format", choices=("json", "csv"), default="json")
     selftest = add("selftest", cmd_selftest,
                    "run the worked examples and print a pass/fail table",
                    needs_in=False)
-    selftest.add_argument("--seed", type=int, default=0)
+    if selftest is not None:
+        selftest.add_argument("--seed", type=int, default=0)
+    if only is not None and not sub.choices:
+        # a help flag or an unknown command: the usage lists every command
+        return _build_parser()
     return parser
 
 
@@ -270,7 +283,8 @@ def _write(path: str | None, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    words = sys.argv[1:] if argv is None else argv
+    args = _build_parser(words[0] if words else None).parse_args(argv)
     try:
         text, code = args.run(args)
         _write(args.outfile, text)

@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 
 from .exactfield import gauss
-from .filtration import FilteredSpace, filtered_space, from_increasing
+from .filtration import FilteredSpace, from_increasing
 from .linalg import (
     IntRow,
     Matrix,
@@ -154,7 +154,9 @@ def _flag_from_generators(
 
     A level stays constant down to the next smaller generator index, so each
     value is keyed by the start of the region on which it holds.  Returns
-    None when the generators fail to span the full space.
+    None when the generators fail to span the full space.  Callers give n
+    generators in all and at least one per index, so the levels are nested
+    by construction and, once the generators span, strictly decreasing.
     """
     ps = sorted(gens, reverse=True)
     levels: dict[int, Subspace] = {ps[0] + 1: zero_subspace(n)}
@@ -166,7 +168,7 @@ def _flag_from_generators(
             levels[ps[k + 1] + 1] = row_space(list(acc), n)
     if len(_forward(list(acc), n)[0]) != n:
         return None
-    return filtered_space(n, levels)
+    return FilteredSpace(n, tuple(sorted(levels.items())))
 
 
 def generically_realizable(h: dict[tuple[int, int], int]) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import copy
 import hashlib
 import json
@@ -478,6 +479,47 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+SUBCOMMANDS = ("invariants", "check-mhs", "deligne-split", "alpha",
+               "curve-alpha", "stratify", "selftest")
+
+
+def test_usage_surface_is_pinned(capsys, monkeypatch):
+    # help listings and usage errors, byte for byte; argparse wraps help
+    # to the terminal width, so fix it
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [[], ["--help"], ["bogus"]]
+    argvs += [[cmd, "--help"] for cmd in SUBCOMMANDS]
+    argvs += [["alpha"], ["selftest", "--seed", "x"]]
+    results = []
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        results.append([argv, exc.value.code, captured.out, captured.err])
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert [r[1] for r in results] == [2, 0, 2] + [0] * 7 + [2, 2]
+    assert digest == (
+        "8a4368d601f183d934c4399dcfd5feccad9da122a6f01a0e13cad40db447df7e"
+    )
+
+
+def test_main_builds_only_the_invoked_subparser(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["selftest", "--seed", "3"]) == 0
+    assert built == ["selftest"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert tuple(built) == SUBCOMMANDS
 
 
 def test_console_script_entry_point(tmp_path):
