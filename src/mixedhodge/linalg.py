@@ -52,6 +52,14 @@ tracer does) hides ``cache_clear``; module-level caches under their own
 names are found and emptied like any other.  ``full_space`` keeps its
 last 16 results, so filtration lookups below the first jump share one
 object.
+
+Two more caches serve the trigraded table, keyed by level subspaces and
+not by jump indices, so that a shifted or Tate-twisted filtration and the
+fibers of one family, which share W, hit them: ``_flag_coordinates``
+(the dual basis adapted to W, keyed by W's chain of level subspaces, 16
+entries) and ``multifilt._trigraded_items`` (the levels of one flag on
+every W-graded piece, keyed by (n, W's chain, the flag's chain), 128
+entries).
 """
 
 from __future__ import annotations
@@ -215,6 +223,50 @@ def _forward(rows: list, stop: int) -> tuple[list, list[int], list]:
         if not rows:
             break
     return done, pivots, rows
+
+
+def _adapted_basis(chain) -> list:
+    """Rows adapted to an increasing chain of subspaces: each member's
+    canonical rows whose pivots are new.  Pivot sets grow along the chain,
+    so the rows kept once a member is reached are a basis of it."""
+    taken: set[int] = set()
+    out = []
+    for sub in chain:
+        for row in sub.rows:
+            p = _pivot(row)
+            if p not in taken:
+                taken.add(p)
+                out.append(row)
+    return out
+
+
+@lru_cache(maxsize=16)
+def _flag_coordinates(chain: tuple[Subspace, ...]) -> tuple[IntRow, ...]:
+    """Rows a_0, ..., a_{n-1} of a dual basis adapted to a decreasing chain
+    of subspaces ending at zero: with y_j = a_j . x, each member V of the
+    chain is {y_j = 0 for j < n - dim V}."""
+    return tuple(_adapted_basis([annihilator(v) for v in chain]))
+
+
+def _echelon(rows: list) -> list:
+    """Each row reduced against the rows before it until its leading
+    column is new to them; a row's own leading entry becomes a positive
+    integer.  The rows must be independent.  Every prefix of the result
+    spans what the same prefix of ``rows`` spans, and the leading columns
+    are distinct, so a prefix meets {y_j = 0 for j < c} in the span of its
+    rows that lead at c or later."""
+    by_lead: dict[int, list] = {}
+    out = []
+    for r in rows:
+        col = _pivot(r)
+        while col in by_lead:
+            prow = by_lead[col]
+            r = _primitive(_eliminate(prow, r, col, prow[col][0], r[col]))
+            col = _pivot(r)
+        r = _real_pivot(r, col)
+        by_lead[col] = r
+        out.append(r)
+    return out
 
 
 def _canonical(rows: list) -> tuple[IntRow, ...]:

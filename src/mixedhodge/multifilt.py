@@ -11,13 +11,19 @@ Dimension data:
 * ``bigraded_dims``  s^{p,q} = dim of the (p,q) piece of the common graded
                    of (F, G), the second mixed difference of the f-table;
 * ``trigraded_dims`` the same for (F, G) induced on each W-graded piece
-                   W^r/W^{r+1}, from the same intersection loop run on the
-                   levels F^p ∩ W^r + W^{r+1} and G^q ∩ W^r + W^{r+1};
+                   W^r/W^{r+1}.  In coordinates y adapted to W, each W^r
+                   is {y_j = 0 for j < n - dim W^r}; one echelon of an
+                   F-adapted basis then holds F^p ∩ W^r for every p and r
+                   (its rows leading at n - dim W^r or later), so each
+                   piece gets its levels by cutting rows to its columns;
 * ``hodge_numbers``  the trigraded entries on the anti-diagonal r = -p-q.
 
 The trigraded table is computed once per triple and kept on it, so
 ``hodge_numbers``, ``is_opposed`` and the invariants of one triple share
-it, and it goes away with the triple.
+it, and it goes away with the triple.  The levels one flag induces on the
+pieces of W are kept by value in ``_trigraded_items`` (see ``linalg``), so
+a Tate twist of the triple and the fibers of a family that share W and a
+flag reuse them.
 
 ``simultaneous_splitting`` realizes s^{p,q} by an explicit bigraded
 decomposition, which exists for any two filtrations.  Morphisms between
@@ -28,8 +34,9 @@ of its Q(i) basis, a cokernel in the non-pivot columns of the image.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from mixedhodge.filtration import (
@@ -42,7 +49,12 @@ from mixedhodge.filtration import (
 from mixedhodge.linalg import (
     Matrix,
     Subspace,
+    _adapted_basis,
+    _dot,
+    _echelon,
+    _flag_coordinates,
     _in_basis,
+    _pivot,
     full_space,
     image,
     intersect,
@@ -76,27 +88,76 @@ class TrifilteredSpace:
     @cached_property
     def _trigraded(self) -> dict[tuple[int, int, int], int]:
         # computed once per triple; equality and hashing stay on the fields.
-        # On the piece W^r/W^{r+1} the levels of F and G are the images of
-        # M_F = F^p ∩ W^r and M_G = G^q ∩ W^r, and their intersection has
-        # dimension dim((M_F + W^{r+1}) ∩ (M_G + W^{r+1})) - dim W^{r+1}.
+        # The images of F and G on each piece W^r/W^{r+1}, r one below a
+        # jump of W, come from ``_trigraded_items``; their levels are
+        # looked up by position in the flag, as ``at`` finds them.
+        n = self.ambient_dim
         ps, qs = common_window(self.F), common_window(self.G)
+        w_chain = _chain(self.W)
+        f_pos = [bisect_right(self.F.jumps(), p) for p in ps]
+        g_pos = [bisect_right(self.G.jumps(), q) for q in qs]
         out: dict[tuple[int, int, int], int] = {}
-        for r in common_window(self.W):
-            outer = self.W.at(r)
-            inner = self.W.at(r + 1)
-            if outer.dim == inner.dim:
-                continue
-            f_up = {p: subspace_sum(intersect(self.F.at(p), outer), inner) for p in ps}
-            g_up = {q: subspace_sum(intersect(self.G.at(q), outer), inner) for q in qs}
-            table = {
-                pq: d - inner.dim
-                for pq, d in intersection_dims(
-                    f_up.__getitem__, g_up.__getitem__, ps, qs
-                ).items()
-            }
+        for (key, _), f_gr, g_gr in zip(
+            self.W.levels,
+            _trigraded_items(n, w_chain, _chain(self.F)),
+            _trigraded_items(n, w_chain, _chain(self.G)),
+        ):
+            table = intersection_dims(
+                dict(zip(ps, (f_gr[i] for i in f_pos))).__getitem__,
+                dict(zip(qs, (g_gr[i] for i in g_pos))).__getitem__,
+                ps,
+                qs,
+            )
             for (p, q), d in second_difference(table).items():
-                out[(r, p, q)] = d
+                out[(key - 1, p, q)] = d
         return dict(sorted(out.items()))
+
+
+def _chain(f: FilteredSpace) -> tuple[Subspace, ...]:
+    """The level subspaces of a filtration, without their indices."""
+    return tuple(v for _, v in f.levels)
+
+
+@lru_cache(maxsize=128)
+def _trigraded_items(
+    n: int, w_chain: tuple[Subspace, ...], x_chain: tuple[Subspace, ...]
+) -> tuple[tuple[Subspace, ...], ...]:
+    """The flag Q(i)^n ⊃ x_chain induced on each graded piece of the flag
+    Q(i)^n ⊃ w_chain: per piece, the images of the full space and of each
+    member of x_chain, in the piece's own coordinates.
+
+    In coordinates y adapted to W (``_flag_coordinates``) the member W_k
+    of w_chain is {y_j = 0 for j < n - dim W_k}.  An X-adapted basis,
+    deepest level first, is put in echelon form (``_echelon``); its first
+    dim X rows span a level X, and those that lead in the columns
+    [n - dim W_{k-1}, n - dim W_k) give X ∩ W_{k-1} modulo W_k, cut to
+    those columns.  Keyed by the level subspaces, so a shifted or twisted
+    filtration shares the entry.
+    """
+    coords = _flag_coordinates(w_chain)
+    rows = _echelon(
+        [
+            [_dot(a, x) for a in coords]
+            for x in _adapted_basis([*reversed(x_chain), full_space(n)])
+        ]
+    )
+    leads = [_pivot(r) for r in rows]
+    out = []
+    lo = 0
+    for w in w_chain:
+        hi = n - w.dim
+        cut = [(k, r[lo:hi]) for k, r in enumerate(rows) if lo <= leads[k] < hi]
+        # the levels shrink along the flag, so their images only lose rows
+        level = full_space(hi - lo)
+        levels = [level]
+        for x in x_chain:
+            keep = [r for k, r in cut if k < x.dim]
+            if len(keep) < level.dim:
+                level = row_space(keep, hi - lo)
+            levels.append(level)
+        out.append(tuple(levels))
+        lo = hi
+    return tuple(out)
 
 
 def intersection_dims(

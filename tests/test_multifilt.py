@@ -1,17 +1,34 @@
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import filtered_spaces, one_dim_triple, triples, weight_graded_pieces
 from mixedhodge.exactfield import I, gauss
-from mixedhodge.families import two_flag_fiber
+from mixedhodge.families import (
+    alpha_map,
+    hypothesis_H_audit,
+    lambda_conjugate_grid,
+    semicontinuity_report,
+    two_flag_fiber,
+)
 from mixedhodge.filtration import filtered_space, shift, trivial
-from mixedhodge.linalg import matrix, span, subspace_sum, zero_subspace
+from mixedhodge.invariants import alpha_via_f_expansion, tate_twist_triple
+from mixedhodge.linalg import (
+    _flag_coordinates,
+    matrix,
+    span,
+    subspace_sum,
+    zero_subspace,
+)
 from mixedhodge.multifilt import (
     FilteredMorphism,
     TrifilteredSpace,
+    _trigraded_items,
     bigraded_dims,
     f_table,
     hodge_numbers,
@@ -21,6 +38,7 @@ from mixedhodge.multifilt import (
     simultaneous_splitting,
     trigraded_dims,
 )
+from mixedhodge.sampling import random_mhs
 
 
 def test_hodge_numbers_of_weight_two_zero_triple():
@@ -66,6 +84,64 @@ def test_trigraded_dims_match_subquotients(t):
         for (p, q), d in pair_bigraded(f_gr, g_gr).items()
     }
     assert trigraded_dims(t) == want
+
+
+def _subquotient_trigraded(t) -> dict[tuple[int, int, int], int]:
+    return {
+        (r, p, q): d
+        for r, f_gr, g_gr in weight_graded_pieces(t)
+        for (p, q), d in pair_bigraded(f_gr, g_gr).items()
+    }
+
+
+def test_trigraded_dims_match_subquotients_at_full_size():
+    # structures up to dimension 8, where W has up to four jumps, with G
+    # and W moved off the structure and F, G replaced by W
+    rng = random.Random(12)
+    draws = [random_mhs(rng, max_dim=8).triple() for _ in range(30)]
+    assert max(len(t.W.levels) for t in draws) >= 3
+    cases = [
+        TrifilteredSpace(0, W=trivial(0), F=trivial(0), G=trivial(0)),
+        one_dim_triple(0, 0, 0),
+        one_dim_triple(-2, 1, 1),
+        one_dim_triple(3, -1, 2),
+    ]
+    for t in draws:
+        n = t.ambient_dim
+        cases += [
+            t,
+            TrifilteredSpace(n, W=t.W, F=t.F, G=shift(t.G, 1)),
+            TrifilteredSpace(n, W=t.W, F=t.F, G=shift(t.G, -1)),
+            TrifilteredSpace(n, W=shift(t.W, 2), F=t.F, G=t.G),
+            TrifilteredSpace(n, W=trivial(n), F=t.F, G=t.G),
+            TrifilteredSpace(n, W=t.W, F=t.W, G=t.W),
+        ]
+    for t in cases:
+        assert trigraded_dims(t) == _subquotient_trigraded(t), t.to_json()
+
+
+def test_trigraded_pieces_are_shared_across_shifts_and_fibers():
+    # the pieces are keyed by level subspaces: a Tate twist, which only
+    # moves indices, reuses every one of them
+    rng = random.Random(5)
+    twisted = 0
+    for _ in range(12):
+        t = random_mhs(rng, max_dim=8).triple()
+        trigraded_dims(t)
+        misses = _trigraded_items.cache_info().misses
+        hits = _trigraded_items.cache_info().hits
+        alpha_via_f_expansion(t)
+        trigraded_dims(tate_twist_triple(t, 3))
+        assert _trigraded_items.cache_info().misses == misses
+        twisted += _trigraded_items.cache_info().hits - hits > 2
+    assert twisted  # some draw's alpha_via_f_expansion built a twisted triple
+    # the fibers of one grid share W
+    _flag_coordinates.cache_clear()
+    fam = lambda_conjugate_grid(2, Fraction(1, 3))
+    report = alpha_map(fam)
+    hypothesis_H_audit(fam, report)
+    semicontinuity_report(fam, report)
+    assert _flag_coordinates.cache_info().misses == 1
 
 
 @settings(max_examples=100)
