@@ -38,15 +38,17 @@ integer rows: with pivot columns p_0 < p_1 < ..., the coefficient of
 basis row j in a member x is just x[p_j] (``_in_basis``).
 
 ``intersect``, ``intersect_dim`` and ``subspace_sum`` remember their
-results.  The dimension tables, both alpha routes and the Deligne
-splitting of one structure meet and join the same levels many times
-over (a Tate twist keeps the level subspaces under shifted indices), so
-past the zero, full and equal shortcuts each operation hands its operand
-pair to a private ``lru_cache`` keyed by value: ``_intersect``,
-``_intersect_dim`` and ``_sum``, 128 entries each.  The whole invariant
-suite of one random structure of dimension up to 8 needed at most 42
-distinct pairs per operation (96 draws), and different structures share
-few, so a larger bound would only hold memory.  The memo sits on the
+results.  The dimension tables and both alpha routes of one triple meet
+the same levels many times over (a Tate twist keeps the level subspaces
+under shifted indices), and ``simultaneous_splitting`` and the morphism
+checks meet and join them, so past the zero, full and equal shortcuts
+each operation hands its operand pair to a private ``lru_cache`` keyed
+by value: ``_intersect``, ``_intersect_dim`` and ``_sum``, 128 entries
+each.  The whole invariant suite of one random structure of dimension up
+to 8, its Deligne splitting included, needed at most 21 distinct pairs
+for ``intersect_dim`` and none for the other two (96 draws), and
+different structures share few, so a larger bound would only hold
+memory.  The memo sits on the
 private names because a wrapper that rebinds the public ones (as a
 tracer does) hides ``cache_clear``; module-level caches under their own
 names are found and emptied like any other.  ``full_space`` keeps its
@@ -59,7 +61,8 @@ fibers of one family, which share W, hit them: ``_flag_coordinates``
 (the dual basis adapted to W, keyed by W's chain of level subspaces, 16
 entries) and ``multifilt._trigraded_items`` (the levels of one flag on
 every W-graded piece, keyed by (n, W's chain, the flag's chain), 128
-entries).
+entries).  ``mhs``'s Deligne splitting reads ``_flag_coordinates`` as
+well, after ``validate`` has built the table that fills its entry.
 """
 
 from __future__ import annotations
@@ -151,8 +154,11 @@ def _apply(f: Matrix, rows) -> tuple[list[list[tuple[int, int]]], int]:
 
 def _dot(r, x) -> tuple[int, int]:
     """The sum of the Gaussian-integer products r[k] x[k]."""
-    products = [_mul(e, y) for e, y in zip(r, x)]
-    return sum(a for a, _ in products), sum(b for _, b in products)
+    re = im = 0
+    for (a, b), (c, d) in zip(r, x):
+        re += a * c - b * d
+        im += a * d + b * c
+    return re, im
 
 
 def _primitive(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -248,14 +254,18 @@ def _flag_coordinates(chain: tuple[Subspace, ...]) -> tuple[IntRow, ...]:
     return tuple(_adapted_basis([annihilator(v) for v in chain]))
 
 
-def _echelon(rows: list) -> list:
+def _echelon(rows: list, by_lead: dict | None = None) -> list:
     """Each row reduced against the rows before it until its leading
     column is new to them; a row's own leading entry becomes a positive
     integer.  The rows must be independent.  Every prefix of the result
     spans what the same prefix of ``rows`` spans, and the leading columns
     are distinct, so a prefix meets {y_j = 0 for j < c} in the span of its
-    rows that lead at c or later."""
-    by_lead: dict[int, list] = {}
+    rows that lead at c or later.
+
+    ``by_lead`` maps leading columns to rows already in that form, which
+    stand before ``rows`` (independent of them too) but are not returned.
+    """
+    by_lead = dict(by_lead or {})
     out = []
     for r in rows:
         col = _pivot(r)

@@ -4,17 +4,31 @@ A structure is a pair (W, F): W a decreasing weight filtration whose
 levels must be stable under coordinatewise conjugation, F an arbitrary
 decreasing filtration.  The conjugate filtration Fbar is always computed
 from F, never taken from the user, and the triple (W, F, Fbar) has to be
-opposed; ``validate`` enforces all of it with named offenders.
+opposed.  The constructor rejects a weight level that is not real, and
+``validate`` checks the rest, each with named offenders.
 
 The canonical bigrading (``deligne_splitting``) is
 
-    I^{p,q} = (F^p  W_{p+q})  (Fbar^q  W_{p+q}
-               + sum_{i>=1} Fbar^{q-i}  W_{p+q-i-1})
+    I^{p,q} = (F^p ∩ W_{p+q}) ∩ (Fbar^q ∩ W_{p+q}
+               + sum_{i>=1} Fbar^{q-i} ∩ W_{p+q-i-1})
 
 in increasing weight notation W_m = W.at(-m); the sum stops once the
 weight term hits zero.  Conjugation maps I^{p,q} into I^{q,p} only up to
 lower weight; the structure is R-split when it maps it onto I^{q,p} on
 the nose, which happens exactly when the splitting defect alpha vanishes.
+
+Every term is read off one elimination.  In coordinates y adapted to W
+(``linalg._flag_coordinates``) each W_m is {y_j = 0 for j < n - dim W_m}.
+An F-adapted basis, each row carrying its original coordinates x as
+[y | x], is put in echelon form on y once; then F^a ∩ W_m is spanned by
+those of the first dim F^a rows that lead at n - dim W_m or later.  The
+levels of W are real (the constructor checks it), so their adapted
+coordinates are real, y commutes with conjugation and Fbar's echelon is
+the row-wise conjugate of F's: no second elimination.  Each piece is then
+one Zassenhaus pass: the corrector rows, conjugated with their x half
+zeroed, already have distinct leading columns; each row of F^p ∩ W_{p+q}
+is reduced against them, and a row whose y half vanishes carries a vector
+of I^{p,q} in its x half.
 
 A structure keeps Fbar, its triple (W, F, Fbar) and its Deligne pieces
 once computed, so ``validate``, ``deligne_splitting``, ``is_r_split`` and
@@ -40,15 +54,20 @@ from mixedhodge.linalg import (
     Matrix,
     Subspace,
     _Z,
+    _adapted_basis,
     _apply,
+    _dot,
+    _echelon,
+    _flag_coordinates,
+    _pivot,
     conj_subspace,
-    intersect,
+    full_space,
     row_space,
-    subspace_sum,
     zero_subspace,
 )
 from mixedhodge.multifilt import (
     TrifilteredSpace,
+    _chain,
     hodge_numbers,
     trigraded_dims,
 )
@@ -65,6 +84,11 @@ class MixedHodgeStructure:
             raise ValueError("weight filtration has wrong ambient dimension")
         if self.F.ambient_dim != self.ambient_dim:
             raise ValueError("Hodge filtration has wrong ambient dimension")
+        # a real W gives real W-adapted coordinates, on which the Deligne
+        # splitting takes Fbar's echelon as the conjugate of F's
+        for k, v in self.W.levels:
+            if conj_subspace(v) != v:
+                raise ValueError(f"weight level {k} is not conjugation stable")
 
     # cached per structure; equality and hashing stay on the fields
     @cached_property
@@ -80,21 +104,35 @@ class MixedHodgeStructure:
 
     @cached_property
     def _deligne(self) -> dict[tuple[int, int], Subspace]:
-        fbar = self.fbar
+        n = self.ambient_dim
+        rows = _hodge_echelon(self.W, self.F)
+        leads = [_pivot(r) for r in rows]
+        # Fbar's echelon is the row-wise conjugate of F's; as corrector
+        # rows of the Zassenhaus pass their x half is zero
+        zero = (_Z,) * n
+        bars = [(*((a, -b) for a, b in r[:n]), *zero) for r in rows]
+
+        def meet(a: int, m: int) -> list[int]:
+            """The rows spanning F^a ∩ W_m (and, conjugated, Fbar^a ∩ W_m):
+            the first dim F^a, those leading at n - dim W_m or later."""
+            cut = n - self.weight_at(m).dim
+            return [k for k in range(self.F.at(a).dim) if leads[k] >= cut]
+
         pieces: dict[tuple[int, int], Subspace] = {}
         for (p, q), _ in sorted(hodge_numbers(self.triple()).items()):
-            first = intersect(self.F.at(p), self.weight_at(p + q))
-            corrector = intersect(fbar.at(q), self.weight_at(p + q))
+            corrector = set(meet(q, p + q))
             i = 1
-            while True:
-                # weight term W_{p+q-i-1} shrinks with i and hits zero, since
-                # the decreasing form of W ends at the zero subspace
-                wterm = self.weight_at(p + q - i - 1)
-                if wterm.is_zero:
-                    break
-                corrector = subspace_sum(corrector, intersect(fbar.at(q - i), wterm))
+            # weight term W_{p+q-i-1} shrinks with i and hits zero, since
+            # the decreasing form of W ends at the zero subspace
+            while not self.weight_at(p + q - i - 1).is_zero:
+                corrector.update(meet(q - i, p + q - i - 1))
                 i += 1
-            pieces[(p, q)] = intersect(first, corrector)
+            met = _echelon(
+                [rows[k] for k in meet(p, p + q)],
+                {leads[k]: bars[k] for k in corrector},
+            )
+            # a row whose y half vanished carries a vector of the piece
+            pieces[(p, q)] = row_space([r[n:] for r in met if _pivot(r) >= n], n)
         return pieces
 
     def weight_at(self, m: int) -> Subspace:
@@ -109,6 +147,22 @@ class MixedHodgeStructure:
         }
 
 
+def _hodge_echelon(w: FilteredSpace, f: FilteredSpace) -> list:
+    """Rows [y | x] of an F-adapted basis, deepest level first, in echelon
+    form on the y half: x in the original coordinates, y in coordinates
+    adapted to W (``linalg._flag_coordinates``).  The first dim F^a rows
+    span F^a, and those among them leading at n - dim W_m or later span
+    F^a ∩ W_m."""
+    n = w.ambient_dim
+    coords = _flag_coordinates(_chain(w))
+    return _echelon(
+        [
+            [*(_dot(a, x) for a in coords), *x]
+            for x in _adapted_basis([*reversed(_chain(f)), full_space(n)])
+        ]
+    )
+
+
 def conj_filtration(f: FilteredSpace) -> FilteredSpace:
     return FilteredSpace(
         f.ambient_dim,
@@ -120,9 +174,6 @@ def validate(w: FilteredSpace, f: FilteredSpace) -> MixedHodgeStructure:
     """Check the axioms and build the structure, naming any offender."""
     if w.ambient_dim != f.ambient_dim:
         raise ValueError("weight and Hodge filtrations have different dimensions")
-    for k, v in w.levels:
-        if conj_subspace(v) != v:
-            raise ValueError(f"weight level {k} is not conjugation stable")
     m = MixedHodgeStructure(w.ambient_dim, w, f)
     delta = trigraded_dims(m.triple())
     for (r, p, q), d in sorted(delta.items()):

@@ -204,3 +204,26 @@ def weight_graded_pieces(t):
                 induced_on_subquotient(t.F, outer, inner),
                 induced_on_subquotient(t.G, outer, inner),
             )
+
+
+def deligne_pieces(m):
+    """I^{p,q} = (F^p ∩ W_{p+q}) ∩ (Fbar^q ∩ W_{p+q}
+    + sum_{i>=1} Fbar^{q-i} ∩ W_{p+q-i-1}) over the Hodge support, by one
+    intersection and sum per term: the textbook route that serves as the
+    oracle for ``mhs.deligne_splitting``."""
+    from mixedhodge.linalg import intersect, subspace_sum
+    from mixedhodge.multifilt import hodge_numbers
+
+    fbar = m.fbar
+    pieces = {}
+    for (p, q), _ in sorted(hodge_numbers(m.triple()).items()):
+        first = intersect(m.F.at(p), m.weight_at(p + q))
+        corrector = intersect(fbar.at(q), m.weight_at(p + q))
+        i = 1
+        while not m.weight_at(p + q - i - 1).is_zero:
+            corrector = subspace_sum(
+                corrector, intersect(fbar.at(q - i), m.weight_at(p + q - i - 1))
+            )
+            i += 1
+        pieces[(p, q)] = intersect(first, corrector)
+    return pieces

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from conftest import weight_two_zero_mhs
+from conftest import deligne_pieces, weight_two_zero_mhs
 from mixedhodge.exactfield import I, gauss
 from mixedhodge.filtration import filtered_space, graded_dims, shift, trivial
 from mixedhodge.invariants import alpha
 from mixedhodge.linalg import (
+    _flag_coordinates,
+    _intersect,
+    _sum,
     conj_subspace,
     full_space,
     matrix,
@@ -16,7 +21,9 @@ from mixedhodge.linalg import (
 )
 from mixedhodge.mhs import (
     MixedHodgeStructure,
+    _hodge_echelon,
     assemble_extension,
+    conj_filtration,
     deligne_splitting,
     direct_sum_mhs,
     dual_mhs,
@@ -28,7 +35,8 @@ from mixedhodge.mhs import (
     tensor_mhs,
     validate,
 )
-from mixedhodge.multifilt import hodge_numbers
+from mixedhodge.multifilt import _chain, hodge_numbers
+from mixedhodge.sampling import random_extension, random_mhs
 
 LINE_PARAMS = (gauss(0), gauss(1), I, gauss(1, 1))
 
@@ -53,6 +61,12 @@ def test_validate_rejects_non_real_weight_level():
     f = shift(trivial(2), 1)
     with pytest.raises(ValueError, match="weight level -1"):
         validate(w, f)
+    # a structure built without validate cannot hold a non-real W either
+    with pytest.raises(ValueError, match="^weight level -1 is not conjugation stable$"):
+        MixedHodgeStructure(2, w, f)
+    # a dimension mismatch is reported before the weight levels are read
+    with pytest.raises(ValueError, match="different dimensions"):
+        validate(w, shift(trivial(3), 1))
 
 
 def test_validate_rejects_non_opposed():
@@ -90,6 +104,47 @@ def test_deligne_splitting_decomposes_weight_and_hodge():
                 if pp >= p:
                     acc = subspace_sum(acc, v)
             assert acc == m.F.at(p)
+
+
+def test_deligne_pieces_match_the_formula_at_full_size():
+    # whole pieces, against the intersect/subspace_sum route of conftest
+    rng = random.Random("deligne pieces")
+    structures = []
+    for k in range(30):
+        m = random_mhs(random.Random(k), max_dim=8)
+        structures += [m, tate_twist(m, 1), tate_twist(m, -1), dual_mhs(m)]
+        if m.ambient_dim <= 4:
+            structures.append(direct_sum_mhs(m, dual_mhs(m)))
+    structures += [random_extension(rng)[3] for _ in range(20)]
+    structures += [
+        tensor_mhs(random_mhs(rng, 3), random_mhs(rng, 3)) for _ in range(6)
+    ]
+    assert max(m.ambient_dim for m in structures) == 8
+    assert any(not is_r_split(m) for m in structures)
+    for m in structures:
+        assert deligne_splitting(m) == deligne_pieces(m)
+
+
+def test_fbar_echelon_is_the_conjugate_of_f_echelon():
+    # the fact the Deligne splitting rests on: a conjugation-stable W has
+    # real adapted coordinates, so Fbar's rows are F's rows conjugated
+    for k in range(40):
+        m = random_mhs(random.Random(k), max_dim=8)
+        coords = _flag_coordinates(_chain(m.W))
+        assert all(b == 0 for row in coords for _, b in row)
+        rows = _hodge_echelon(m.W, m.F)
+        conj = [[(a, -b) for a, b in r] for r in rows]
+        assert _hodge_echelon(m.W, conj_filtration(m.F)) == conj
+
+
+def test_deligne_splitting_runs_no_intersections_or_sums():
+    rng = random.Random("fresh draw")
+    m = random_mhs(rng, 8)
+    while m.ambient_dim != 8:
+        m = random_mhs(rng, 8)
+    before = _intersect.cache_info().misses, _sum.cache_info().misses
+    deligne_splitting(m)
+    assert (_intersect.cache_info().misses, _sum.cache_info().misses) == before
 
 
 def test_conjugation_symmetry_mod_lower_weight():
