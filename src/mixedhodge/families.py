@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mixedhodge.exactfield import GaussianRational, finite_from_json, fraction_json, gauss
-from mixedhodge.filtration import common_window, filtered_space
+from mixedhodge.filtration import FilteredSpace, common_window
 from mixedhodge.invariants import alpha
 from mixedhodge.linalg import span, zero_subspace
 from mixedhodge.multifilt import (
@@ -154,7 +154,7 @@ def _point_data(
         raise ValueError(
             f"fiber at parameter point {fam.parameters[i].label!r} is not opposed"
         )
-    table = tuple(intersection_dims(t.F.at, t.G.at, ps, qs).items())
+    table = tuple(intersection_dims(t.F, t.G, ps, qs).items())
     return alpha(t), table
 
 
@@ -394,16 +394,20 @@ def strata_csv(fam: SampledFamily, report: StrataReport) -> str:
     return buf.getvalue()
 
 
+# the weight flag of every ``two_flag_fiber``: the first axis from -1 on,
+# zero from 1 on; full ⊃ line ⊃ 0 leaves no nesting to check
+_TWO_FLAG_W = FilteredSpace(2, ((-1, span([[1, 0]], 2)), (1, zero_subspace(2))))
+
+
 def two_flag_fiber(lam: GaussianRational, kap: GaussianRational) -> TrifilteredSpace:
     """Rank 2 with weight pieces in degrees 2 and 0; F and G are the lines
     through (lam, 1) and (kap, 1), both sitting in level 1.  The defect is
     0 when lam = kap and 1 otherwise, which makes this the fiber of choice
-    for the worked grids."""
-    low = span([[1, 0]], 2)
-    w = filtered_space(2, {-1: low, 1: zero_subspace(2)})
-    f = filtered_space(2, {1: span([(lam, gauss(1))], 2), 2: zero_subspace(2)})
-    g = filtered_space(2, {1: span([(kap, gauss(1))], 2), 2: zero_subspace(2)})
-    return TrifilteredSpace(2, W=w, F=f, G=g)
+    for the worked grids.  Every fiber holds the same W, built once at
+    import, so a grid builds only its F and G lines."""
+    f = FilteredSpace(2, ((1, span([(lam, gauss(1))], 2)), (2, zero_subspace(2))))
+    g = FilteredSpace(2, ((1, span([(kap, gauss(1))], 2)), (2, zero_subspace(2))))
+    return TrifilteredSpace(2, W=_TWO_FLAG_W, F=f, G=g)
 
 
 def _square_grid(radius: int, step, names: tuple[str, str], fiber) -> SampledFamily:

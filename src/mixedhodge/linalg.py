@@ -63,6 +63,16 @@ entries) and ``multifilt._trigraded_items`` (the levels of one flag on
 every W-graded piece, keyed by (n, W's chain, the flag's chain), 128
 entries).  ``mhs``'s Deligne splitting reads ``_flag_coordinates`` as
 well, after ``validate`` has built the table that fills its entry.
+
+Every (F, G) dimension table is read off ``multifilt._level_dims``:
+dim(x ∩ y) for each pair of values of two filtrations, keyed by the two
+chains of values (full space first, then the levels; 128 entries).  It
+calls ``intersect_dim``, so the pair memo stays underneath.  One triple
+needs one entry for (F, G), one each for (W, F) and (W, G) when its K0
+class is asked for, and one per W-piece; a twist shares them all.  The
+fibers of a lambda grid share W, and each of their two W-pieces has
+dimension 1, where F and G are full or zero, so every fiber's pieces find
+the same two entries, and a pass of n fibers misses at most n + 2 times.
 """
 
 from __future__ import annotations

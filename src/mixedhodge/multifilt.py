@@ -18,12 +18,21 @@ Dimension data:
                    piece gets its levels by cutting rows to its columns;
 * ``hodge_numbers``  the trigraded entries on the anti-diagonal r = -p-q.
 
+Every table is read off one level table.  A filtration takes only
+len(jumps) + 1 distinct values, the full space and then its levels, and
+F^p is the value at position ``bisect_right(jumps, p)``.  ``_level_dims``
+holds dim(x ∩ y) for every value x of F and y of G, by position; the
+f-table reads its entries from it at any window, and s is its second
+difference over positions k, l, placed at (jump_k - 1, jump_l - 1), where
+both filtrations change.  Each W-piece of the trigraded table does the
+same with the levels F and G induce on it.
+
 The trigraded table is computed once per triple and kept on it, so
 ``hodge_numbers``, ``is_opposed`` and the invariants of one triple share
 it, and it goes away with the triple.  The levels one flag induces on the
-pieces of W are kept by value in ``_trigraded_items`` (see ``linalg``), so
-a Tate twist of the triple and the fibers of a family that share W and a
-flag reuse them.
+pieces of W are kept by value in ``_trigraded_items``, and the level
+tables in ``_level_dims`` (see ``linalg``), so a Tate twist of the triple
+and the fibers of a family that share W and a flag reuse them.
 
 ``simultaneous_splitting`` realizes s^{p,q} by an explicit bigraded
 decomposition, which exists for any two filtrations.  Morphisms between
@@ -37,7 +46,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 from mixedhodge.filtration import (
     FilteredSpace,
@@ -89,28 +97,21 @@ class TrifilteredSpace:
     def _trigraded(self) -> dict[tuple[int, int, int], int]:
         # computed once per triple; equality and hashing stay on the fields.
         # The images of F and G on each piece W^r/W^{r+1}, r one below a
-        # jump of W, come from ``_trigraded_items``; their levels are
-        # looked up by position in the flag, as ``at`` finds them.
+        # jump of W, come from ``_trigraded_items``, one per position of
+        # the flag, and give the piece's level table.
         n = self.ambient_dim
-        ps, qs = common_window(self.F), common_window(self.G)
         w_chain = _chain(self.W)
-        f_pos = [bisect_right(self.F.jumps(), p) for p in ps]
-        g_pos = [bisect_right(self.G.jumps(), q) for q in qs]
+        f_jumps, g_jumps = self.F.jumps(), self.G.jumps()
         out: dict[tuple[int, int, int], int] = {}
         for (key, _), f_gr, g_gr in zip(
             self.W.levels,
             _trigraded_items(n, w_chain, _chain(self.F)),
             _trigraded_items(n, w_chain, _chain(self.G)),
         ):
-            table = intersection_dims(
-                dict(zip(ps, (f_gr[i] for i in f_pos))).__getitem__,
-                dict(zip(qs, (g_gr[i] for i in g_pos))).__getitem__,
-                ps,
-                qs,
-            )
-            for (p, q), d in second_difference(table).items():
+            table = _level_dims(f_gr, g_gr)
+            for (p, q), d in _bigraded_by_position(table, f_jumps, g_jumps).items():
                 out[(key - 1, p, q)] = d
-        return dict(sorted(out.items()))
+        return out
 
 
 def _chain(f: FilteredSpace) -> tuple[Subspace, ...]:
@@ -160,25 +161,59 @@ def _trigraded_items(
     return tuple(out)
 
 
-def intersection_dims(
-    f_at: Callable[[int], Subspace],
-    g_at: Callable[[int], Subspace],
-    ps: range,
-    qs: range,
+def _positions(f: FilteredSpace) -> tuple[Subspace, ...]:
+    """The distinct values of a filtration: the full space, then its
+    levels.  ``f.at(p)`` is entry ``bisect_right(f.jumps(), p)``."""
+    return (full_space(f.ambient_dim), *_chain(f))
+
+
+@lru_cache(maxsize=128)
+def _level_dims(
+    xs: tuple[Subspace, ...], ys: tuple[Subspace, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """dim(x ∩ y) for x in xs and y in ys, x-major.  Keyed by the two
+    chains of subspaces, so indices play no part: a shifted filtration
+    and the pieces of equal level tuples share the entry."""
+    return tuple(tuple(intersect_dim(x, y) for y in ys) for x in xs)
+
+
+def _bigraded_by_position(
+    table: tuple[tuple[int, ...], ...],
+    f_jumps: tuple[int, ...],
+    g_jumps: tuple[int, ...],
 ) -> dict[tuple[int, int], int]:
-    """dim(F^p ∩ G^q) for p in ``ps`` and q in ``qs``, p-major; the levels
-    are looked up through ``f_at`` and ``g_at``."""
+    """Second mixed difference of a level table over positions k, l, at
+    (f_jumps[k] - 1, g_jumps[l] - 1), where the levels change; nonzero
+    entries only, p-major."""
+    out: dict[tuple[int, int], int] = {}
+    for k, p in enumerate(f_jumps):
+        here, below = table[k], table[k + 1]
+        for l, q in enumerate(g_jumps):
+            d = here[l] - below[l] - here[l + 1] + below[l + 1]
+            if d:
+                out[(p - 1, q - 1)] = d
+    return out
+
+
+def intersection_dims(
+    f: FilteredSpace, g: FilteredSpace, ps: range, qs: range
+) -> dict[tuple[int, int], int]:
+    """dim(F^p ∩ G^q) for p in ``ps`` and q in ``qs``, p-major, read off
+    the level table by position; any window will do."""
+    table = _level_dims(_positions(f), _positions(g))
+    f_jumps, g_jumps = f.jumps(), g.jumps()
+    cols = [bisect_right(g_jumps, q) for q in qs]
     out: dict[tuple[int, int], int] = {}
     for p in ps:
-        fp = f_at(p)
-        for q in qs:
-            out[(p, q)] = intersect_dim(fp, g_at(q))
+        row = table[bisect_right(f_jumps, p)]
+        for q, l in zip(qs, cols):
+            out[(p, q)] = row[l]
     return out
 
 
 def f_table(t: TrifilteredSpace) -> dict[tuple[int, int], int]:
     """f^{p,q} = dim(F^p ∩ G^q) over the margined jump window."""
-    return intersection_dims(t.F.at, t.G.at, common_window(t.F), common_window(t.G))
+    return intersection_dims(t.F, t.G, common_window(t.F), common_window(t.G))
 
 
 def pair_bigraded(f: FilteredSpace, g: FilteredSpace) -> dict[tuple[int, int], int]:
@@ -186,13 +221,13 @@ def pair_bigraded(f: FilteredSpace, g: FilteredSpace) -> dict[tuple[int, int], i
 
     The (p, q) piece is (F^p ∩ G^q) / (F^{p+1} ∩ G^q + F^p ∩ G^{q+1});
     the two summands meet in F^{p+1} ∩ G^{q+1}, so its dimension is the
-    second mixed difference of the intersection dimensions.
+    second mixed difference of the intersection dimensions, nonzero only
+    where both filtrations jump between p and p + 1 and q and q + 1.
     """
     if f.ambient_dim != g.ambient_dim:
         raise ValueError("filtrations of different spaces")
-    return second_difference(
-        intersection_dims(f.at, g.at, common_window(f), common_window(g))
-    )
+    table = _level_dims(_positions(f), _positions(g))
+    return _bigraded_by_position(table, f.jumps(), g.jumps())
 
 
 def bigraded_dims(t: TrifilteredSpace) -> dict[tuple[int, int], int]:
@@ -322,23 +357,6 @@ class FilteredMorphism:
             F=induced_on_quotient(self.target.F, im),
             G=induced_on_quotient(self.target.G, im),
         )
-
-
-def second_difference(
-    table: dict[tuple[int, int], int]
-) -> dict[tuple[int, int], int]:
-    """Second mixed difference of an f-table, nonzero entries only."""
-    out: dict[tuple[int, int], int] = {}
-    for (p, q), v in table.items():
-        d = (
-            v
-            - table.get((p + 1, q), 0)
-            - table.get((p, q + 1), 0)
-            + table.get((p + 1, q + 1), 0)
-        )
-        if d:
-            out[(p, q)] = d
-    return out
 
 
 def triple_from_json(data: object) -> TrifilteredSpace:

@@ -227,3 +227,48 @@ def deligne_pieces(m):
             i += 1
         pieces[(p, q)] = intersect(first, corrector)
     return pieces
+
+
+def window_intersection_dims(f, g, ps, qs) -> dict:
+    """dim(F^p ∩ G^q) by one ``intersect_dim`` per (p, q) of the window,
+    p-major: the index-by-index route that serves as the oracle for the
+    package's tables, which read every entry off one table of level
+    positions."""
+    from mixedhodge.linalg import intersect_dim
+
+    return {(p, q): intersect_dim(f.at(p), g.at(q)) for p in ps for q in qs}
+
+
+def second_difference(table: dict) -> dict:
+    """Second mixed difference of a window table, nonzero entries only, in
+    the table's key order."""
+    out = {}
+    for (p, q), v in table.items():
+        d = (
+            v
+            - table.get((p + 1, q), 0)
+            - table.get((p, q + 1), 0)
+            + table.get((p + 1, q + 1), 0)
+        )
+        if d:
+            out[(p, q)] = d
+    return out
+
+
+def window_bigraded(f, g) -> dict:
+    """The common bigraded of (f, g) by the window route, over the
+    margined jump windows."""
+    from mixedhodge.filtration import common_window
+
+    return second_difference(
+        window_intersection_dims(f, g, common_window(f), common_window(g))
+    )
+
+
+def window_trigraded(t) -> dict:
+    """delta(r, p, q) by the window route on the subquotient pieces."""
+    return {
+        (r, p, q): d
+        for r, f_gr, g_gr in weight_graded_pieces(t)
+        for (p, q), d in window_bigraded(f_gr, g_gr).items()
+    }

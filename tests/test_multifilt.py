@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import filtered_spaces, one_dim_triple, triples, weight_graded_pieces
+from conftest import (
+    filtered_spaces,
+    one_dim_triple,
+    triples,
+    weight_graded_pieces,
+    window_bigraded,
+    window_intersection_dims,
+    window_trigraded,
+)
 from mixedhodge.exactfield import I, gauss
 from mixedhodge.families import (
     alpha_map,
@@ -16,7 +24,7 @@ from mixedhodge.families import (
     semicontinuity_report,
     two_flag_fiber,
 )
-from mixedhodge.filtration import filtered_space, shift, trivial
+from mixedhodge.filtration import common_window, filtered_space, shift, trivial
 from mixedhodge.invariants import alpha_via_f_expansion, tate_twist_triple
 from mixedhodge.linalg import (
     _flag_coordinates,
@@ -28,11 +36,13 @@ from mixedhodge.linalg import (
 from mixedhodge.multifilt import (
     FilteredMorphism,
     TrifilteredSpace,
+    _level_dims,
     _trigraded_items,
     bigraded_dims,
     f_table,
     hodge_numbers,
     induced_on_subquotient,
+    intersection_dims,
     is_opposed,
     pair_bigraded,
     simultaneous_splitting,
@@ -142,6 +152,87 @@ def test_trigraded_pieces_are_shared_across_shifts_and_fibers():
     hypothesis_H_audit(fam, report)
     semicontinuity_report(fam, report)
     assert _flag_coordinates.cache_info().misses == 1
+
+
+def _gapped_triples() -> list[TrifilteredSpace]:
+    """Hand-built triples of dimension 3 whose filtrations jump at gapped
+    indices, or only once."""
+    n = 3
+    a = span([(1, 2, 0), (0, 1, I)], n)
+    b = span([(1, 2, 0)], n)
+    c = span([(0, 1, 1), (1, 0, 3)], n)
+    d = span([(1, 1, 4)], n)
+    gapped_f = filtered_space(n, {-2: a, 0: b, 3: zero_subspace(n)})
+    gapped_g = filtered_space(n, {-1: c, 2: d, 5: zero_subspace(n)})
+    single = shift(trivial(n), 2)  # full up to 2, zero from 3 on
+    gapped_w = filtered_space(n, {-4: c, 1: zero_subspace(n)})
+    return [
+        TrifilteredSpace(n, W=gapped_w, F=gapped_f, G=gapped_g),
+        TrifilteredSpace(n, W=single, F=gapped_f, G=single),
+        TrifilteredSpace(n, W=gapped_w, F=single, G=gapped_g),
+        TrifilteredSpace(n, W=single, F=single, G=single),
+    ]
+
+
+def _assert_tables_match_the_window_route(t: TrifilteredSpace) -> None:
+    """Values and key order of every table read off the level positions
+    equal the index-by-index route."""
+    ps, qs = common_window(t.F), common_window(t.G)
+    assert list(f_table(t).items()) == list(
+        window_intersection_dims(t.F, t.G, ps, qs).items()
+    ), t.to_json()
+    for f, g in ((t.F, t.G), (t.W, t.F), (t.W, t.G)):
+        assert list(pair_bigraded(f, g).items()) == list(
+            window_bigraded(f, g).items()
+        ), t.to_json()
+    assert list(trigraded_dims(t).items()) == list(
+        window_trigraded(t).items()
+    ), t.to_json()
+    # a window wider than both filtrations' own, as a family's is
+    wide_p = range(ps.start - 3, ps.stop + 4)
+    wide_q = range(qs.start - 2, qs.stop + 5)
+    assert list(intersection_dims(t.F, t.G, wide_p, wide_q).items()) == list(
+        window_intersection_dims(t.F, t.G, wide_p, wide_q).items()
+    ), t.to_json()
+
+
+def test_level_tables_match_the_window_route():
+    # gapped and single jumps, the zero space and a line, then draws
+    # plain and shifted
+    for t in _gapped_triples() + [
+        TrifilteredSpace(0, W=trivial(0), F=trivial(0), G=trivial(0)),
+        one_dim_triple(0, 0, 0),
+        one_dim_triple(-2, 1, 1),
+        one_dim_triple(3, -1, 2),
+    ]:
+        _assert_tables_match_the_window_route(t)
+    rng = random.Random(21)
+    for _ in range(30):
+        t = random_mhs(rng, max_dim=8).triple()
+        n = t.ambient_dim
+        _assert_tables_match_the_window_route(t)
+        _assert_tables_match_the_window_route(
+            TrifilteredSpace(n, W=shift(t.W, 2), F=shift(t.F, -1), G=shift(t.G, 3))
+        )
+
+
+def test_lambda_grid_fibers_share_w_and_level_tables():
+    # one stratify pass: every fiber holds the one W, and past the two
+    # W-pieces' tables each fiber adds one (F, G) table at most
+    fam = lambda_conjugate_grid(4, Fraction(1, 7))
+    assert len({id(t.W) for t in fam.fibers}) == 1
+    report = alpha_map(fam)
+    hypothesis_H_audit(fam, report)
+    semicontinuity_report(fam, report)
+    assert _level_dims.cache_info().misses <= len(fam.fibers) + 2
+
+
+def test_level_tables_reject_mismatched_spaces():
+    for f, g in ((trivial(2), trivial(3)), (trivial(0), trivial(2))):
+        with pytest.raises(ValueError):
+            intersection_dims(f, g, range(-1, 2), range(-1, 2))
+        with pytest.raises(ValueError):
+            pair_bigraded(f, g)
 
 
 @settings(max_examples=100)

@@ -1,0 +1,50 @@
+"""The files ``scripts/lambda_plane_strata.py`` writes are pinned by digest.
+
+The script runs as its docstring says, in a fresh interpreter with the
+package's ``src`` directory on ``PYTHONPATH``, once with its default grid
+and once with ``--radius 3 --den 7``.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "lambda_plane_strata.py"
+
+PINNED = {
+    (): {
+        "lambda_family.json": "c59da781945f7db83934e5c2c28ccaed3ea65186a30e4ed3328f24da9d4d2222",
+        "lambda_strata.csv": "78068d555b7e927ece0cc0425339e9fc09e14b1d34ad89b167a74436947767f9",
+        "lambda_strata.json": "c742fffad227ec129c93a30bf469b2b14a1f94fa9a5429223d1c1dde328ec7da",
+    },
+    ("--radius", "3", "--den", "7"): {
+        "lambda_family.json": "5133031fcb529e011bd687e42999906c1afa0c6401737a6e032fd46e111ac9af",
+        "lambda_strata.csv": "f0f711a5e2e930ccd79fc530800c45ee4f95680b967c7b4e40384d8950b384a4",
+        "lambda_strata.json": "d9d911cc4706011040f1f5f5078331dddf34c1e99fc62efafeb27bae941696be",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED), ids=["default", "radius3-den7"])
+def test_lambda_plane_strata_files_are_pinned(tmp_path, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), *args, "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED[args]
+    }
+    assert got == PINNED[args]
