@@ -2,15 +2,14 @@
 
 This module is the one floating-point corner of the package.  Everything is
 double precision: the inputs are moduli of marked projective lines or complex
-tori, and the outputs are counts of period-matrix rows passing a reality or
-modulus test at an explicit tolerance.  Nothing here touches the exact
-subspace arithmetic of the other modules.
+tori, and the outputs are counts of rows, one per pair of consecutive
+punctures, passing a reality or modulus test at an explicit tolerance.
+Nothing here touches the exact subspace arithmetic of the other modules.
 
 Genus 0: a configuration is m punctures and n glued point pairs on the
-projective line.  Row i of the period matrix compares punctures p_i, p_{i+1}
-against each glued pair through a cross-ratio; the row is balanced when every
-cross-ratio lies on the unit circle, and the defect alpha counts unbalanced
-rows.
+projective line.  Row i compares punctures p_i, p_{i+1} against each glued
+pair through a cross-ratio; the row is balanced when every cross-ratio lies
+on the unit circle, and the defect alpha counts unbalanced rows.
 
 Genus 1: same shape, with the cross-ratio replaced by a difference of logs of
 Jacobi theta values at lattice-shifted points.  The balance test as stated is
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mixedhodge.exactfield import finite_from_json
 
@@ -61,15 +60,6 @@ class CurveConfig:
     theta_truncation: int = 40
 
 
-@dataclass(frozen=True)
-class PeriodMatrix:
-    b_block: tuple
-    c_block: tuple
-    # rows whose cross-ratio sits on the branch cut of the log; the modulus
-    # test is branch-free, so these are caveats rather than errors
-    branch_flags: tuple = field(default=())
-
-
 def cross_ratio(a, b, c, d) -> complex:
     """((a-c)/(a-d)) / ((b-c)/(b-d)), with limit rules at infinity.
 
@@ -94,19 +84,6 @@ def cross_ratio(a, b, c, d) -> complex:
     return num / den
 
 
-def apply_mobius(coeffs: tuple, z):
-    """(az+b)/(cz+d) on the projective line, infinity included."""
-    a, b, c, d = coeffs
-    if a * d - b * c == 0:
-        raise ValueError("singular transformation")
-    if is_inf(z):
-        return a / c if c != 0 else INF
-    den = c * z + d
-    if den == 0:
-        return INF
-    return (a * z + b) / den
-
-
 def _check_genus0(cfg: CurveConfig) -> None:
     if cfg.genus != 0:
         raise ValueError("configuration is not genus 0")
@@ -126,32 +103,6 @@ def _row_ratios(cfg: CurveConfig) -> list:
             [cross_ratio(q, p, pi, pnext) for (p, q) in cfg.pairs]
         )
     return out
-
-
-def genus0_period_matrix(cfg: CurveConfig) -> PeriodMatrix:
-    """Bidiagonal residue block plus the log-of-cross-ratio block."""
-    _check_genus0(cfg)
-    m = len(cfg.punctures)
-    if m < 2:
-        raise ValueError("the period matrix needs at least two punctures")
-    two_pi_i = complex(0.0, _TWO_PI)
-    b_block = tuple(
-        tuple(
-            two_pi_i if i == j else (-two_pi_i if j == i - 1 else 0j)
-            for j in range(m - 1)
-        )
-        for i in range(m - 1)
-    )
-    flags = []
-    c_rows = []
-    for i, ratios in enumerate(_row_ratios(cfg)):
-        row = []
-        for j, r in enumerate(ratios):
-            if abs(r.imag) <= cfg.tol and r.real < 0:
-                flags.append((i, j))
-            row.append(cmath.log(r))
-        c_rows.append(tuple(row))
-    return PeriodMatrix(b_block, tuple(c_rows), tuple(flags))
 
 
 def _check_finite(values: list, what: str, i: int) -> None:
@@ -298,10 +249,6 @@ def genus1_report(cfg: CurveConfig) -> dict:
     }
 
 
-def genus1_alpha(cfg: CurveConfig) -> int:
-    return genus1_report(cfg)["alpha"]
-
-
 def curve_report(cfg: CurveConfig) -> dict:
     if cfg.genus == 0:
         return genus0_report(cfg)
@@ -321,12 +268,6 @@ def _point_from_json(obj, name: str = "point"):
     if isinstance(obj, list) and len(obj) == 2:
         return complex(*(finite_from_json(v, f"{name} coordinate") for v in obj))
     raise ValueError(f"malformed point {obj!r}")
-
-
-def _point_to_json(x):
-    if is_inf(x):
-        return "inf"
-    return [x.real, x.imag]
 
 
 def _entries(data: dict, key: str) -> list:
@@ -370,16 +311,3 @@ def config_from_json(data: dict) -> CurveConfig:
         tol=tol,
         theta_truncation=trunc,
     )
-
-
-def config_to_json(cfg: CurveConfig) -> dict:
-    out = {
-        "genus": cfg.genus,
-        "punctures": [_point_to_json(p) for p in cfg.punctures],
-        "pairs": [[_point_to_json(p), _point_to_json(q)] for p, q in cfg.pairs],
-        "tol": cfg.tol,
-        "theta_truncation": cfg.theta_truncation,
-    }
-    if cfg.tau is not None:
-        out["tau"] = [cfg.tau.real, cfg.tau.imag]
-    return out

@@ -3,16 +3,16 @@
 ``Fraction`` parts (so equality is component-wise) and no arithmetic: all
 of that runs on Gaussian-integer rows in ``linalg``.
 
-Interchange formats: text "a/b+c/di" and JSON ``[a, b, c, d]`` (numerator
-and denominator of the real part, then of the imaginary part; at most
-``MAX_ENTRY_BITS`` bits each).  JSON numbers that stand for doubles (curve
+The one interchange format is the JSON quadruple ``[a, b, c, d]``
+(numerator and denominator of the real part, then of the imaginary part; at
+most ``MAX_ENTRY_BITS`` bits each): ``to_json`` writes it and
+``gauss_from_json`` reads it.  JSON numbers that stand for doubles (curve
 points, tolerances, family coordinates) are read by ``finite_from_json``.
 """
 
 from __future__ import annotations
 
 import math
-import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,19 +43,6 @@ class GaussianRational:
             self.im.denominator,
         ]
 
-    def __str__(self) -> str:
-        if not self:
-            return "0"
-        parts = []
-        if self.re:
-            parts.append(_frac_str(self.re))
-        if self.im:
-            sign = "-" if self.im < 0 else ("+" if parts else "")
-            mag = abs(self.im)
-            body = "" if mag == 1 else _frac_str(mag)
-            parts.append(f"{sign}{body}i")
-        return "".join(parts)
-
 
 ZERO = GaussianRational(Fraction(0), Fraction(0))
 I = GaussianRational(Fraction(0), Fraction(1))
@@ -70,12 +57,6 @@ def gauss(
             raise ValueError("cannot add an imaginary part to a GaussianRational")
         return re
     return GaussianRational(_as_fraction(re), _as_fraction(im))
-
-
-def _frac_str(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def fraction_json(x: Fraction) -> int | list[int]:
@@ -119,37 +100,3 @@ def finite_from_json(x: object, what: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{what} is outside the double range")
     return value
-
-
-_TERM = _re.compile(r"([+-]?[^+-]+)")
-
-
-def gauss_from_text(text: str) -> GaussianRational:
-    """Parse "a/b+c/di" (either part optional, bare "i" allowed)."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty Gaussian rational literal")
-    re_part = Fraction(0)
-    im_part = Fraction(0)
-    seen_re = seen_im = False
-    try:
-        for term in _TERM.findall(s):
-            if term.endswith("i"):
-                if seen_im:
-                    raise ValueError(f"two imaginary parts in {text!r}")
-                seen_im = True
-                body = term[:-1]
-                if body in ("", "+"):
-                    im_part = Fraction(1)
-                elif body == "-":
-                    im_part = Fraction(-1)
-                else:
-                    im_part = Fraction(body)
-            else:
-                if seen_re:
-                    raise ValueError(f"two real parts in {text!r}")
-                seen_re = True
-                re_part = Fraction(term)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {text!r}") from exc
-    return GaussianRational(re_part, im_part)

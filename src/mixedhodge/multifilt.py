@@ -253,14 +253,14 @@ def hodge_numbers(t: TrifilteredSpace) -> dict[tuple[int, int], int]:
     """h^{p,q}: trigraded entries with r = -p-q."""
     return {
         (p, q): d
-        for (r, p, q), d in trigraded_dims(t).items()
+        for (r, p, q), d in t._trigraded.items()
         if r == -p - q
     }
 
 
 def is_opposed(t: TrifilteredSpace) -> bool:
     """True when the trigraded dims live only on r + p + q = 0."""
-    return all(r + p + q == 0 for (r, p, q) in trigraded_dims(t))
+    return all(r + p + q == 0 for (r, p, q) in t._trigraded)
 
 
 def simultaneous_splitting(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 import mixedhodge
+from mixedhodge.curves import INF, CurveConfig, genus0_alpha, genus0_report, is_inf
 from mixedhodge.exactfield import GaussianRational
 
 settings.register_profile(
@@ -272,3 +273,68 @@ def window_trigraded(t) -> dict:
         for r, f_gr, g_gr in weight_graded_pieces(t)
         for (p, q), d in window_bigraded(f_gr, g_gr).items()
     }
+
+
+def apply_mobius(coeffs: tuple, z):
+    """(az+b)/(cz+d) on the projective line, infinity included."""
+    a, b, c, d = coeffs
+    if a * d - b * c == 0:
+        raise ValueError("singular transformation")
+    if is_inf(z):
+        return a / c if c != 0 else INF
+    den = c * z + d
+    if den == 0:
+        return INF
+    return (a * z + b) / den
+
+
+def random_genus0_config(rng) -> CurveConfig:
+    """2 to 4 punctures and 1 to 3 glued pairs, pairwise distinct points on
+    the grid (Z/4)[i] with coordinates in [-10, 10]."""
+    m = rng.randint(2, 4)
+    n = rng.randint(1, 3)
+    pts = set()
+    while len(pts) < m + 2 * n:
+        pts.add(complex(rng.randint(-40, 40) / 4, rng.randint(-40, 40) / 4))
+    ordered = sorted(pts, key=lambda z: (z.real, z.imag))
+    rng.shuffle(ordered)
+    return CurveConfig(
+        0,
+        tuple(ordered[:m]),
+        tuple((ordered[m + 2 * k], ordered[m + 2 * k + 1]) for k in range(n)),
+    )
+
+
+def assert_mobius_invariant(rng, count: int) -> None:
+    """The genus-0 defect of ``count`` configurations from
+    ``random_genus0_config`` is unchanged by a nonsingular Moebius map with
+    integer coefficients in [-3, 3], drawn after each configuration.  A
+    configuration with a modulus within 1e-6 of 1, or whose moved points
+    collide, is skipped and drawn again."""
+    done = 0
+    while done < count:
+        cfg = random_genus0_config(rng)
+        coeffs = (0, 0, 0, 0)
+        while coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2] == 0:
+            coeffs = tuple(rng.randint(-3, 3) for _ in range(4))
+        try:
+            base = genus0_report(cfg)
+            if any(
+                abs(mod - 1.0) < 1e-6
+                for row in base["rows"]
+                for mod in row["moduli"]
+            ):
+                continue  # keep clear of the decision boundary
+            moved = CurveConfig(
+                0,
+                tuple(apply_mobius(coeffs, p) for p in cfg.punctures),
+                tuple(
+                    (apply_mobius(coeffs, p), apply_mobius(coeffs, q))
+                    for p, q in cfg.pairs
+                ),
+            )
+            assert genus0_alpha(moved) == base["alpha"]
+            assert 0 <= base["alpha"] <= len(cfg.punctures) - 1
+        except ValueError:
+            continue  # a transformed point collided; draw again
+        done += 1

@@ -14,15 +14,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import one_dim_triple
-from mixedhodge.curves import (
-    INF,
-    CurveConfig,
-    apply_mobius,
-    genus0_alpha,
-    genus0_report,
-    theta,
-)
+from conftest import assert_mobius_invariant, one_dim_triple
+from mixedhodge.curves import INF, CurveConfig, genus0_alpha, theta
 from mixedhodge.exactfield import I, gauss
 from mixedhodge.families import (
     alpha_map,
@@ -207,47 +200,7 @@ def test_c07_four_point_curve_boundary():
 
 def test_c08_genus0_mobius_invariance():
     with criterion(8, "Mobius invariance on 50 random configurations"):
-        rng = random.Random(1080)
-        done = 0
-        while done < 50:
-            m = rng.randint(2, 4)
-            n = rng.randint(1, 3)
-            pts: set[complex] = set()
-            while len(pts) < m + 2 * n:
-                pts.add(complex(rng.randint(-40, 40) / 4, rng.randint(-40, 40) / 4))
-            ordered = sorted(pts, key=lambda z: (z.real, z.imag))
-            rng.shuffle(ordered)
-            cfg = CurveConfig(
-                0,
-                tuple(ordered[:m]),
-                tuple(
-                    (ordered[m + 2 * k], ordered[m + 2 * k + 1]) for k in range(n)
-                ),
-            )
-            coeffs = (0, 0, 0, 0)
-            while coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2] == 0:
-                coeffs = tuple(rng.randint(-3, 3) for _ in range(4))
-            try:
-                base = genus0_report(cfg)
-                if any(
-                    abs(mod - 1.0) < 1e-6
-                    for row in base["rows"]
-                    for mod in row["moduli"]
-                ):
-                    continue  # keep clear of the decision boundary
-                moved = CurveConfig(
-                    0,
-                    tuple(apply_mobius(coeffs, p) for p in cfg.punctures),
-                    tuple(
-                        (apply_mobius(coeffs, p), apply_mobius(coeffs, q))
-                        for p, q in cfg.pairs
-                    ),
-                )
-                assert genus0_alpha(moved) == base["alpha"]
-                assert 0 <= base["alpha"] <= m - 1
-            except ValueError:
-                continue  # a transformed point collided; draw again
-            done += 1
+        assert_mobius_invariant(random.Random(1080), 50)
 
 
 def test_c09_theta_identities():

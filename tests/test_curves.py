@@ -1,7 +1,7 @@
-"""Cross-ratio, period matrix, theta, and curve defect tests.
+"""Cross-ratio, theta, and curve defect tests.
 
-The numeric expectations here are either hand-evaluated (cross-ratios, the
-log 2 and i*pi period entries) or classical identities used as oracles
+The numeric expectations here are either hand-evaluated (cross-ratios and
+the row moduli 2 and 1 they give) or classical identities used as oracles
 (theta parity and quasi-periodicity, Moebius invariance).
 """
 
@@ -11,18 +11,15 @@ import random
 
 import pytest
 
+from conftest import assert_mobius_invariant
 from mixedhodge.curves import (
     INF,
     CurveConfig,
-    apply_mobius,
     config_from_json,
-    config_to_json,
     cross_ratio,
     curve_report,
     genus0_alpha,
-    genus0_period_matrix,
     genus0_report,
-    genus1_alpha,
     genus1_report,
     theta,
 )
@@ -55,19 +52,13 @@ def test_cross_ratio_rejects_coincident_points():
 
 
 def test_period_matrix_fixed_entries():
-    pm = genus0_period_matrix(CurveConfig(0, (0, 1), ((INF, 2),)))
-    assert abs(pm.c_block[0][0] - math.log(2)) < 1e-15
-    assert pm.branch_flags == ()
+    # the cross-ratios 2 and -1 behind the period entries log 2 and i*pi,
+    # as the row moduli of the report
+    rep = genus0_report(CurveConfig(0, (0, 1), ((INF, 2),)))
+    assert rep == {"alpha": 1, "rows": [{"i": 0, "moduli": [2.0]}]}
 
-    pm = genus0_period_matrix(CurveConfig(0, (0, 1), ((INF, 0.5),)))
-    assert abs(pm.c_block[0][0] - 1j * math.pi) < 1e-15
-    assert pm.branch_flags == ((0, 0),)
-
-
-def test_period_matrix_residue_block():
-    pm = genus0_period_matrix(CurveConfig(0, (0, 1, 3), ((INF, 2),)))
-    w = 2j * math.pi
-    assert pm.b_block == ((w, 0j), (-w, w))
+    rep = genus0_report(CurveConfig(0, (0, 1), ((INF, 0.5),)))
+    assert rep == {"alpha": 0, "rows": [{"i": 0, "moduli": [1.0]}]}
 
 
 def test_four_point_alpha_boundary():
@@ -91,49 +82,8 @@ def test_genus0_rejects_repeated_points():
         genus0_alpha(CurveConfig(0, (INF, 1), ((INF, 2),)))
 
 
-def _random_config(rng):
-    m = rng.randint(2, 4)
-    n = rng.randint(1, 3)
-    pts = set()
-    while len(pts) < m + 2 * n:
-        pts.add(complex(rng.randint(-40, 40) / 4, rng.randint(-40, 40) / 4))
-    pts = sorted(pts, key=lambda z: (z.real, z.imag))
-    rng.shuffle(pts)
-    punctures = tuple(pts[:m])
-    rest = pts[m:]
-    pairs = tuple((rest[2 * k], rest[2 * k + 1]) for k in range(n))
-    return CurveConfig(0, punctures, pairs)
-
-
 def test_alpha_mobius_invariance():
-    rng = random.Random(42)
-    done = 0
-    while done < 30:
-        cfg = _random_config(rng)
-        coeffs = (0, 0, 0, 0)
-        while coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2] == 0:
-            coeffs = tuple(rng.randint(-3, 3) for _ in range(4))
-        try:
-            base = genus0_report(cfg)
-            if any(
-                abs(mod - 1.0) < 1e-6
-                for row in base["rows"]
-                for mod in row["moduli"]
-            ):
-                continue  # keep clear of the decision boundary
-            moved = CurveConfig(
-                0,
-                tuple(apply_mobius(coeffs, p) for p in cfg.punctures),
-                tuple(
-                    (apply_mobius(coeffs, p), apply_mobius(coeffs, q))
-                    for p, q in cfg.pairs
-                ),
-            )
-            assert genus0_alpha(moved) == base["alpha"]
-            assert 0 <= base["alpha"] <= len(cfg.punctures) - 1
-        except ValueError:
-            continue  # transformed points collided; draw again
-        done += 1
+    assert_mobius_invariant(random.Random(42), 30)
 
 
 @pytest.mark.parametrize("tau", [1j, 2j, 0.5 + 1j])
@@ -165,13 +115,12 @@ def test_genus1_real_configuration_is_balanced():
 
 def test_genus1_generic_configuration_unbalanced():
     cfg = CurveConfig(1, (0.1 + 0.2j, 0.4), ((0.6 + 0.1j, 0.8),), tau=1.5j)
-    rep = genus1_report(cfg)
-    assert rep["alpha"] == 1
-    assert genus1_alpha(cfg) == 1
+    assert genus1_report(cfg)["alpha"] == 1
 
 
 def test_genus1_single_puncture_trivial():
-    assert genus1_alpha(CurveConfig(1, (0.2,), ((0.5, 0.7),), tau=1j)) == 0
+    cfg = CurveConfig(1, (0.2,), ((0.5, 0.7),), tau=1j)
+    assert genus1_report(cfg)["alpha"] == 0
 
 
 def test_genus1_rejects_lattice_coincidence():
@@ -189,14 +138,32 @@ def test_genus1_rejects_insufficient_truncation():
 
 
 def test_config_json_round_trip():
-    cfg = CurveConfig(
-        0, (0 + 0j, 1 + 0j, INF), ((0.5 + 0.25j, 2 + 0j),), tol=1e-8
+    # literal documents, as the CLI reads them, to the configurations
+    # they stand for
+    doc = {
+        "genus": 0,
+        "punctures": [[0, 0], [1, 0], "inf"],
+        "pairs": [[[0.5, 0.25], [2, 0]]],
+        "tol": 1e-8,
+    }
+    assert config_from_json(doc) == CurveConfig(
+        0, (0j, 1 + 0j, INF), ((0.5 + 0.25j, 2 + 0j),), tol=1e-8
     )
-    again = config_from_json(config_to_json(cfg))
-    assert again == cfg
 
-    g1 = CurveConfig(1, (0.1 + 0j,), ((0.5 + 0j, 0.7 + 0j),), tau=2j)
-    assert config_from_json(config_to_json(g1)) == g1
+    doc = {
+        "genus": 1,
+        "punctures": [[0.1, -0.2]],
+        "pairs": [[[0.5, 0], [0.7, 0.3]]],
+        "tau": [0.5, 2],
+        "theta_truncation": 60,
+    }
+    assert config_from_json(doc) == CurveConfig(
+        1,
+        (0.1 - 0.2j,),
+        ((0.5 + 0j, 0.7 + 0.3j),),
+        tau=0.5 + 2j,
+        theta_truncation=60,
+    )
 
 
 def test_config_json_rejects_malformed():

@@ -13,7 +13,6 @@ from mixedhodge.exactfield import (
     GaussianRational,
     gauss,
     gauss_from_json,
-    gauss_from_text,
 )
 
 
@@ -33,30 +32,6 @@ def test_is_real_and_bool():
     assert I.im != 0
     assert not ZERO
     assert gauss(1) and I
-
-
-def test_text_round_trip_fixed_values():
-    assert gauss_from_text("3/2+1/3i") == gauss(Fraction(3, 2), Fraction(1, 3))
-    assert gauss_from_text("-1/2i") == gauss(0, Fraction(-1, 2))
-    assert gauss_from_text("i") == I
-    assert gauss_from_text("-i") == gauss(0, -1)
-    assert gauss_from_text("5") == gauss(5)
-    assert gauss_from_text("0") == ZERO
-    assert str(gauss(Fraction(3, 2), Fraction(1, 3))) == "3/2+1/3i"
-    assert str(gauss(0, Fraction(-1, 2))) == "-1/2i"
-    assert str(ZERO) == "0"
-    assert str(gauss(0, -1)) == "-i"
-
-
-@given(gaussians())
-def test_text_round_trip(x):
-    assert gauss_from_text(str(x)) == x
-
-
-def test_text_rejects_garbage():
-    for bad in ("", "1+2", "i+i", "1/0", "2x"):
-        with pytest.raises(ValueError):
-            gauss_from_text(bad)
 
 
 def test_json_round_trip_fixed_values():

@@ -25,7 +25,7 @@ from mixedhodge.families import (
     two_flag_fiber,
 )
 from mixedhodge.filtration import common_window, filtered_space, shift, trivial
-from mixedhodge.invariants import alpha_via_f_expansion, tate_twist_triple
+from mixedhodge.invariants import alpha, alpha_via_f_expansion, tate_twist_triple
 from mixedhodge.linalg import (
     _flag_coordinates,
     matrix,
@@ -57,6 +57,19 @@ def test_hodge_numbers_of_weight_two_zero_triple():
         assert hodge_numbers(t) == {(1, 1): 1, (0, 0): 1}
         assert trigraded_dims(t) == {(-2, 1, 1): 1, (0, 0, 0): 1}
         assert is_opposed(t)
+
+
+def test_trigraded_dims_returns_a_copy():
+    # hodge_numbers and is_opposed read the table kept on the triple, so a
+    # caller's edits to a table it was handed must not reach them
+    t = two_flag_fiber(I, 1)
+    table = trigraded_dims(t)
+    table[(0, 0, 0)] = 5
+    table[(0, 1, 1)] = 1  # off the anti-diagonal
+    assert trigraded_dims(t) == {(-2, 1, 1): 1, (0, 0, 0): 1}
+    assert hodge_numbers(t) == {(1, 1): 1, (0, 0): 1}
+    assert is_opposed(t)
+    assert alpha(t) == 1
 
 
 def test_bigraded_depends_on_line_agreement():
