@@ -260,6 +260,10 @@ def curve_report(cfg: CurveConfig) -> dict:
 # Each theta value sums 2 N + 1 terms for theta_truncation N, so the cost
 # of a genus-1 document grows linearly with it; the default is 40.
 MAX_THETA_TRUNCATION = 1000
+# A report costs time growing with rows times pairs, and the genus-1 point
+# checks with the square of the number of points, so a document may list
+# at most this many points: its punctures plus two per pair.
+MAX_CURVE_POINTS = 64
 
 
 def _point_from_json(obj, name: str = "point"):
@@ -284,9 +288,16 @@ def config_from_json(data: dict) -> CurveConfig:
     # True == 1 and 0.0 == 0, but neither is a genus
     if type(genus) is not int or genus not in (0, 1):
         raise ValueError("genus must be 0 or 1")
-    punctures = tuple(_point_from_json(p) for p in _entries(data, "punctures"))
+    raw_punctures, raw_pairs = _entries(data, "punctures"), _entries(data, "pairs")
+    points = len(raw_punctures) + 2 * len(raw_pairs)
+    if points > MAX_CURVE_POINTS:
+        raise ValueError(
+            f"curve point count {points} (punctures plus two per pair) "
+            f"exceeds the limit of {MAX_CURVE_POINTS}"
+        )
+    punctures = tuple(_point_from_json(p) for p in raw_punctures)
     pairs = []
-    for pair in _entries(data, "pairs"):
+    for pair in raw_pairs:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"malformed pair {pair!r}")
         pairs.append((_point_from_json(pair[0]), _point_from_json(pair[1])))

@@ -14,7 +14,7 @@ Conventions used throughout the package:
   dataclasses are.
 
 Q(i) values (``GaussianRational``) appear only at the boundary: in
-``Matrix`` (``matrix``, ``from_rows``), the type of user-given linear
+``Matrix`` (``from_rows``), the type of user-given linear
 maps; in ``rref``; in what ``span`` takes and ``reduce_mod`` takes and
 returns; in ``Subspace.basis``, the Q(i) reduced row echelon basis
 built on demand for JSON output; and in ``vector_to_json`` and
@@ -37,23 +37,22 @@ Coordinates in a subspace are taken in its Q(i) basis, not in its
 integer rows: with pivot columns p_0 < p_1 < ..., the coefficient of
 basis row j in a member x is just x[p_j] (``_in_basis``).
 
-``intersect``, ``intersect_dim`` and ``subspace_sum`` remember their
-results.  The dimension tables and both alpha routes of one triple meet
-the same levels many times over (a Tate twist keeps the level subspaces
-under shifted indices), and ``simultaneous_splitting`` and the morphism
-checks meet and join them, so past the zero, full and equal shortcuts
-each operation hands its operand pair to a private ``lru_cache`` keyed
-by value: ``_intersect``, ``_intersect_dim`` and ``_sum``, 128 entries
-each.  The whole invariant suite of one random structure of dimension up
-to 8, its Deligne splitting included, needed at most 21 distinct pairs
-for ``intersect_dim`` and none for the other two (96 draws), and
-different structures share few, so a larger bound would only hold
-memory.  The memo sits on the
-private names because a wrapper that rebinds the public ones (as a
-tracer does) hides ``cache_clear``; module-level caches under their own
-names are found and emptied like any other.  ``full_space`` keeps its
-last 16 results, so filtration lookups below the first jump share one
-object.
+``intersect_dim`` remembers its results.  The dimension tables and both
+alpha routes of one triple meet the same levels many times over (a Tate
+twist keeps the level subspaces under shifted indices), so past the zero,
+full and equal shortcuts it hands its operand pair to a private
+``lru_cache`` keyed by value, ``_intersect_dim``, of 128 entries.  The
+whole invariant suite of one random structure of dimension up to 8 needed
+at most 21 distinct pairs (96 draws), and different structures share few,
+so a larger bound would only hold memory.  The memo sits on the private
+name because a wrapper that rebinds the public one (as a tracer does)
+hides ``cache_clear``; module-level caches under their own names are
+found and emptied like any other.  ``intersect`` and ``subspace_sum``
+compute each call afresh: no benchmark workload calls them, and their
+callers (``simultaneous_splitting``, the morphism checks and
+``induced_on_sub``) serve the oracle route and the category operations.
+``full_space`` keeps its last 16 results, so filtration lookups below
+the first jump share one object.
 
 Two more caches serve the trigraded table, keyed by level subspaces and
 not by jump indices, so that a shifted or Tate-twisted filtration and the
@@ -113,18 +112,6 @@ class Matrix:
 
     def row_list(self) -> list[Vector]:
         return [self.row(i) for i in range(self.rows)]
-
-
-def matrix(rows: list[list]) -> Matrix:
-    """Build a Matrix from nested lists, coercing entries via ``gauss``."""
-    if not rows:
-        return Matrix(0, 0, ())
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged rows")
-    return Matrix(
-        len(rows), ncols, tuple(gauss(e) for r in rows for e in r)
-    )
 
 
 def from_rows(rows: list[Vector], cols: int) -> Matrix:
@@ -450,11 +437,6 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
         return b
     if b.is_zero or a.is_full:
         return a
-    return _sum(a, b)
-
-
-@lru_cache(maxsize=128)
-def _sum(a: Subspace, b: Subspace) -> Subspace:
     return row_space([*a.rows, *b.rows], a.ambient_dim)
 
 
@@ -474,11 +456,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         return b
     if a == b:
         return a
-    return _intersect(a, b)
-
-
-@lru_cache(maxsize=128)
-def _intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     zero = (_Z,) * n
     _, _, rest = _forward([r + r for r in a.rows] + [r + zero for r in b.rows], n)

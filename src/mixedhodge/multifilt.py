@@ -280,16 +280,17 @@ def simultaneous_splitting(
     n = f.ambient_dim
     if n == 0:
         return {}
-    cells = sorted(
-        ((p, q) for p in common_window(f) for q in common_window(g)),
-        reverse=True,
-    )
+    ps, qs = common_window(f), common_window(g)
+    # F^p ∩ G^q over the cells and one step past them, each met once
+    meet = {
+        (p, q): intersect(f.at(p), g.at(q))
+        for p in range(ps.start, ps.stop + 1)
+        for q in range(qs.start, qs.stop + 1)
+    }
     pieces: dict[tuple[int, int], Subspace] = {}
-    for p, q in cells:
-        num = intersect(f.at(p), g.at(q))
-        den = subspace_sum(
-            intersect(f.at(p + 1), g.at(q)), intersect(f.at(p), g.at(q + 1))
-        )
+    for p, q in sorted(((p, q) for p in ps for q in qs), reverse=True):
+        num = meet[p, q]
+        den = subspace_sum(meet[p + 1, q], meet[p, q + 1])
         if num.dim == den.dim:
             continue
         chosen = []

@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 import mixedhodge
 from mixedhodge.curves import INF, CurveConfig, genus0_alpha, genus0_report, is_inf
-from mixedhodge.exactfield import GaussianRational
+from mixedhodge.exactfield import GaussianRational, gauss
+from mixedhodge.linalg import Matrix
 
 settings.register_profile(
     "default",
@@ -21,11 +22,18 @@ settings.register_profile(
 settings.load_profile("default")
 
 
+def package_modules() -> list:
+    """The modules of the ``mixedhodge`` package."""
+    return [
+        importlib.import_module(f"mixedhodge.{info.name}")
+        for info in pkgutil.iter_modules(mixedhodge.__path__)
+    ]
+
+
 def package_caches() -> list:
     """Every module-level ``lru_cache`` of the ``mixedhodge`` modules."""
     found = {}
-    for info in pkgutil.iter_modules(mixedhodge.__path__):
-        mod = importlib.import_module(f"mixedhodge.{info.name}")
+    for mod in package_modules():
         for obj in vars(mod).values():
             if callable(getattr(obj, "cache_clear", None)) and hasattr(obj, "cache_info"):
                 found[id(obj)] = obj
@@ -38,6 +46,12 @@ def _empty_caches():
     computations it names whatever tests ran before it."""
     for cache in package_caches():
         cache.cache_clear()
+
+
+def matrix(rows: list[list]) -> Matrix:
+    """A ``Matrix`` from a nonempty list of equally long rows, each entry
+    through ``gauss``."""
+    return Matrix(len(rows), len(rows[0]), tuple(gauss(e) for r in rows for e in r))
 
 
 def assert_canonical(sub) -> None:
@@ -103,7 +117,6 @@ def subspaces(draw, ambient_dim: int):
 def weight_two_zero_mhs(lmb):
     """The genuine structure behind ``families.two_flag_fiber``: G is forced
     to be the conjugate of F, so only the one parameter remains."""
-    from mixedhodge.exactfield import gauss
     from mixedhodge.filtration import filtered_space
     from mixedhodge.linalg import span, zero_subspace
     from mixedhodge.mhs import validate
@@ -129,14 +142,16 @@ def one_dim_triple(w_jump: int, f_jump: int, g_jump: int):
     )
 
 
-def random_flag_basis(draw, n: int) -> list:
-    """n independent vectors: random draws completed by standard vectors."""
-    from mixedhodge.exactfield import gauss
+def random_flag_basis(draw, n: int, real: bool = False) -> list:
+    """n independent vectors: random draws (real ones if ``real``)
+    completed by standard vectors."""
     from mixedhodge.linalg import span
 
     basis = []
     for _ in range(n):
         r = draw(vectors(n))
+        if real:
+            r = tuple(gauss(e.re) for e in r)
         if span(basis + [r], n).dim > len(basis):
             basis.append(r)
     for i in range(n):
@@ -149,13 +164,16 @@ def random_flag_basis(draw, n: int) -> list:
 
 
 @st.composite
-def filtered_spaces(draw, ambient_dim: int, lo: int = -3, hi: int = 3):
-    """Random decreasing filtration built from a random flag."""
+def filtered_spaces(
+    draw, ambient_dim: int, lo: int = -3, hi: int = 3, real: bool = False
+):
+    """Random decreasing filtration built from a random flag, of real
+    vectors if ``real``."""
     from mixedhodge.filtration import filtered_space
     from mixedhodge.linalg import span
 
     n = ambient_dim
-    basis = random_flag_basis(draw, n)
+    basis = random_flag_basis(draw, n, real)
     # dims of the proper levels, strictly decreasing and ending at 0
     max_inner = min(n - 1, hi - lo)
     inner = sorted(

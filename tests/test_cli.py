@@ -10,7 +10,9 @@ import sys
 
 import pytest
 
+from conftest import matrix
 from mixedhodge.cli import main
+from mixedhodge.curves import MAX_CURVE_POINTS
 from mixedhodge.exactfield import I, MAX_ENTRY_BITS, gauss
 from mixedhodge.families import (
     MAX_FAMILY_POINTS,
@@ -19,7 +21,7 @@ from mixedhodge.families import (
     two_flag_fiber,
 )
 from mixedhodge.filtration import filtered_space
-from mixedhodge.linalg import matrix, span, zero_subspace
+from mixedhodge.linalg import span, zero_subspace
 from mixedhodge.mhs import assemble_extension, tate
 from mixedhodge.sampling import random_mhs
 
@@ -388,13 +390,17 @@ def test_oversized_structures_exit_2(tmp_path, capsys):
         "F": flag([[1, 1, 0, 1], [0, 1, 0, 1]], 400),
         "G": flag([[0, 1, 0, 1], [1, 1, 0, 1]], 400),
     }
-    # or the size of its entries, or its number of sample points
+    # or the size of its entries, or its number of sample points or of
+    # curve points
     huge = two_flag_fiber(gauss(1), I).to_json()
     huge["F"]["levels"][0]["vectors"][0][0] = [2**MAX_ENTRY_BITS, 1, 0, 1]
     populous = family_to_json(lambda_kappa_grid(radius=1))
     populous["parameters"] = [
         {"label": f"p{i}", "coords": [["t", 0.0]]} for i in range(MAX_FAMILY_POINTS + 1)
     ]
+    # one pair counts two points
+    crowded_curve = {"genus": 0, "punctures": [[k, 0] for k in range(MAX_CURVE_POINTS - 1)],
+                     "pairs": [[[0, 1], [0, 2]]]}
     for command, doc, needle in (
         ("check-mhs", wide, "ambient_dim 1000 exceeds"),
         ("invariants", far, "level index -400 exceeds"),
@@ -404,6 +410,8 @@ def test_oversized_structures_exit_2(tmp_path, capsys):
          f"the limit of {MAX_ENTRY_BITS} bits"),
         ("stratify", populous, f"family lists {MAX_FAMILY_POINTS + 1} parameter "
          f"points, more than the limit of {MAX_FAMILY_POINTS}"),
+        ("curve-alpha", crowded_curve, f"curve point count {MAX_CURVE_POINTS + 1} "
+         f"(punctures plus two per pair) exceeds the limit of {MAX_CURVE_POINTS}"),
     ):
         path = write(tmp_path, "big.json", doc)
         code, out, err = run(capsys, [command, "--in", path])

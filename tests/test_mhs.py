@@ -3,18 +3,24 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import deligne_pieces, weight_two_zero_mhs
+from conftest import (
+    deligne_pieces,
+    filtered_spaces,
+    matrix,
+    package_modules,
+    weight_two_zero_mhs,
+)
 from mixedhodge.exactfield import I, gauss
 from mixedhodge.filtration import filtered_space, graded_dims, shift, trivial
 from mixedhodge.invariants import alpha
 from mixedhodge.linalg import (
     _flag_coordinates,
-    _intersect,
-    _sum,
     conj_subspace,
     full_space,
-    matrix,
+    intersect,
     span,
     subspace_sum,
     zero_subspace,
@@ -27,7 +33,6 @@ from mixedhodge.mhs import (
     deligne_splitting,
     direct_sum_mhs,
     dual_mhs,
-    from_json,
     is_r_split,
     parse_json,
     tate,
@@ -35,7 +40,7 @@ from mixedhodge.mhs import (
     tensor_mhs,
     validate,
 )
-from mixedhodge.multifilt import _chain, hodge_numbers
+from mixedhodge.multifilt import _chain, hodge_numbers, trigraded_dims
 from mixedhodge.sampling import random_extension, random_mhs
 
 LINE_PARAMS = (gauss(0), gauss(1), I, gauss(1, 1))
@@ -137,14 +142,34 @@ def test_fbar_echelon_is_the_conjugate_of_f_echelon():
         assert _hodge_echelon(m.W, conj_filtration(m.F)) == conj
 
 
-def test_deligne_splitting_runs_no_intersections_or_sums():
+def test_deligne_splitting_runs_no_intersections_or_sums(monkeypatch):
     rng = random.Random("fresh draw")
     m = random_mhs(rng, 8)
     while m.ambient_dim != 8:
         m = random_mhs(rng, 8)
-    before = _intersect.cache_info().misses, _sum.cache_info().misses
-    deligne_splitting(m)
-    assert (_intersect.cache_info().misses, _sum.cache_info().misses) == before
+
+    def refuse(*args):
+        raise AssertionError("the Deligne splitting met or joined two subspaces")
+
+    # every name, in every module, bound to one of the two operations
+    for mod in package_modules():
+        for name, obj in list(vars(mod).items()):
+            if obj is intersect or obj is subspace_sum:
+                monkeypatch.setattr(mod, name, refuse)
+    assert "_deligne" not in vars(m)  # not computed yet
+    assert sum(v.dim for v in deligne_splitting(m).values()) == 8
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(filtered_spaces(n, real=True), filtered_spaces(n))
+))
+def test_trigraded_dims_are_symmetric_for_any_hodge_filtration(pair):
+    # validate checks no Hodge symmetry: with W real and G = Fbar,
+    # conjugation maps F^p ∩ Fbar^q on gr_W^r onto Fbar^p ∩ F^q
+    w, f = pair
+    delta = trigraded_dims(MixedHodgeStructure(w.ambient_dim, w, f).triple())
+    assert all(delta.get((r, q, p), 0) == d for (r, p, q), d in delta.items())
 
 
 def test_conjugation_symmetry_mod_lower_weight():
@@ -245,12 +270,12 @@ def test_assemble_extension_shape_check():
 def test_json_round_trip():
     m = weight_two_zero_mhs(I)
     blob = m.to_json()
-    m2 = from_json(blob)
+    m2 = validate(*parse_json(blob))
     assert m2 == m
     assert m2.fbar == m.fbar
 
 
-def test_from_json_validates():
+def test_parsed_document_validates():
     w = filtered_space(
         2, {-1: span([(gauss(0, 1), gauss(1))], 2), 1: zero_subspace(2)}
     )
@@ -259,12 +284,12 @@ def test_from_json_validates():
         "W": w.to_json(),
         "F": shift(trivial(2), 1).to_json(),
     }
-    with pytest.raises(ValueError, match="conjugation"):
-        from_json(blob)
     # the shape parse alone accepts it: validation is a separate step
     assert parse_json(blob) == (w, shift(trivial(2), 1))
+    with pytest.raises(ValueError, match="conjugation"):
+        validate(*parse_json(blob))
     with pytest.raises(ValueError, match="missing key"):
-        from_json({"ambient_dim": 1})
+        parse_json({"ambient_dim": 1})
 
 
 def test_weight_lookup_convention():

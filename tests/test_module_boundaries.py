@@ -8,7 +8,22 @@ or ``cache`` sits on a module-level function, where a scan of module
 attributes (the tests' and the benchmark's cache clearing) finds it.
 
 Every definition in the package is reached from something other than the
-tests, or is on ``ALLOWED_UNREACHED`` with its reason.
+tests, or is on ``ALLOWED_UNREACHED`` with its reason.  A reference counts
+only for the definition it resolves to, so that a name collision keeps
+nothing alive:
+
+* a bare name, for the top-level definition of that name in the module
+  that reads it, unless an enclosing function binds the name itself;
+* a name imported from ``mixedhodge.<mod>``, for ``<mod>``'s definition;
+* an attribute read off a package module, for that module's definition:
+  off the benchmark's ``pkg.<mod>``, or off a name bound to a module by
+  ``import mixedhodge.<mod> as``, by ``from mixedhodge import <mod>`` or
+  by (tuple) assignment of a ``pkg.<mod>``;
+* any other attribute read, for the public methods of that name, unless
+  the name is also a dataclass field: ``self.matrix`` reads a field.
+
+Names that only ``bench/tracer.py``'s lists reach are pinned in
+``TRACER_ONLY``.
 """
 
 import ast
@@ -106,33 +121,138 @@ ALLOWED_UNREACHED = {
 }
 
 
-def _references(node: ast.AST) -> tuple[Counter, Counter]:
-    """(names, attributes) under node: each ``Name`` and imported name,
-    and each attribute name, with its count.  Docstrings are constants,
-    so they refer to nothing."""
-    names, attrs = Counter(), Counter()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names[sub.id] += 1
-        elif isinstance(sub, ast.alias):
-            names[sub.name] += 1
-        elif isinstance(sub, ast.Attribute):
-            attrs[sub.attr] += 1
-    return names, attrs
+MODULES = {path.stem for path in SOURCES}
+PACKAGE = mixedhodge.__name__
+# the names under which the benchmark holds its freshly imported package:
+# ``pkg.<module>`` and ``self.pkg.<module>`` are that module
+PACKAGE_HANDLES = {"pkg"}
 
 
-def _definitions(path: Path):
-    """(qualified name, node, is_method) for each top-level function and
-    class of a package module, and each public method of its classes."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+def _imported_module(node: ast.ImportFrom) -> str | None:
+    """The package module a ``from ... import`` reads from: ``mixedhodge.<mod>``
+    or, inside the package, ``.<mod>``; ``PACKAGE`` for the package itself."""
+    if node.level:
+        return node.module or PACKAGE
+    if node.module == PACKAGE:
+        return PACKAGE
+    if node.module and node.module.startswith(PACKAGE + "."):
+        return node.module[len(PACKAGE) + 1:]
+    return None
+
+
+def _module_of(node: ast.expr, env: dict[str, str]) -> str | None:
+    """The package module an expression stands for."""
+    if isinstance(node, ast.Name):
+        return env.get(node.id)
+    if isinstance(node, ast.Attribute) and node.attr in MODULES:
+        base = node.value
+        handle = base.id if isinstance(base, ast.Name) else (
+            base.attr if isinstance(base, ast.Attribute) else None)
+        if handle in PACKAGE_HANDLES:
+            return node.attr
+    return None
+
+
+def _module_names(tree: ast.AST) -> dict[str, str]:
+    """The names a file binds to package modules: by
+    ``import mixedhodge.<mod> as <name>``, by ``from mixedhodge import
+    <mod>``, and by (tuple) assignment of a ``pkg.<mod>``."""
+    env: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name.startswith(PACKAGE + "."):
+                    env[alias.asname] = alias.name[len(PACKAGE) + 1:]
+        elif isinstance(node, ast.ImportFrom) and _imported_module(node) == PACKAGE:
+            for alias in node.names:
+                if alias.name in MODULES:
+                    env[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Assign):
+            pairs = [(t, node.value) for t in node.targets]
+            for target, value in pairs:
+                if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                    pairs += zip(target.elts, value.elts)
+                elif isinstance(target, ast.Name) and _module_of(value, env):
+                    env[target.id] = _module_of(value, env)
+    return env
+
+
+def _fields() -> set[str]:
+    """The field names of the package's dataclasses."""
+    out = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in _names(d) for d in node.decorator_list
+            ):
+                out |= {
+                    item.target.id for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                }
+    return out
+
+
+def _local_names(fn: ast.AST) -> set[str]:
+    """The names a function or lambda binds: its parameters, the names
+    it stores or imports (nested scopes included), less its globals."""
+    args = fn.args
+    out = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                           args.vararg, args.kwarg) if a}
+    for sub in ast.walk(fn):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+            out.add(sub.id)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            out.update(a.asname or a.name.partition(".")[0] for a in sub.names)
+        elif isinstance(sub, ast.Global):
+            out.difference_update(sub.names)
+    return out
+
+
+def _references(node: ast.AST, env: dict[str, str], module: str | None,
+                fields: set[str]) -> Counter:
+    """References under node, each counted for what it resolves to:
+    ``<mod>.<name>`` for a name imported from a package module, an
+    attribute read off a module, or a bare name read in a package module
+    (``module``) that no enclosing function binds; ``.<attr>`` for any
+    other attribute read, which may reach a method, unless it is a
+    dataclass field.  Docstrings are constants, so they refer to
+    nothing."""
+    out = Counter()
+
+    def visit(sub: ast.AST, local: frozenset) -> None:
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | _local_names(sub)
+        if isinstance(sub, ast.ImportFrom):
+            source = _imported_module(sub)
+            if source is not None and source != PACKAGE:
+                out.update(f"{source}.{alias.name}" for alias in sub.names)
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            if module is not None and sub.id not in local:
+                out[f"{module}.{sub.id}"] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            mod = _module_of(sub.value, env)
+            if mod is not None:
+                out[f"{mod}.{sub.attr}"] += 1
+            elif sub.attr not in fields:
+                out[f".{sub.attr}"] += 1
+        for child in ast.iter_child_nodes(sub):
+            visit(child, local)
+
+    visit(node, frozenset())
+    return out
+
+
+def _definitions(tree: ast.Module, module: str):
+    """(qualified name, reference key, node) for each top-level function
+    and class of a package module, and each public method of its classes."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        yield f"{path.stem}.{node.name}", node, False
+        yield f"{module}.{node.name}", f"{module}.{node.name}", node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{path.stem}.{node.name}.{item.name}", item, True
+                    yield f"{module}.{node.name}.{item.name}", f".{item.name}", item
 
 
 def _traced() -> set[str]:
@@ -148,29 +268,39 @@ def _traced() -> set[str]:
 
 def _unreached() -> set[str]:
     """Definitions in the package that nothing in ``CALLERS`` or elsewhere in
-    the package (outside their own body) refers to, and no tracer list
-    names.  A method is reached only through an
-    attribute, so ``linalg.kernel`` does not keep a ``.kernel`` method alive."""
-    names, attrs = Counter(), Counter()
+    the package (outside their own body) refers to, tracer lists aside."""
+    fields = _fields()
+    refs = Counter()
+    files = []
     for path in [*SOURCES, *CALLERS]:
-        n, a = _references(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        names += n
-        attrs += a
-    traced = _traced()
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        env = _module_names(tree)
+        module = path.stem if path in SOURCES else None
+        refs += _references(tree, env, module, fields)
+        files.append((tree, env, module))
     out = set()
-    for path in SOURCES:
-        for qualname, node, is_method in _definitions(path):
-            own_names, own_attrs = _references(node)
-            uses = attrs[node.name] - own_attrs[node.name]
-            if not is_method:
-                uses += names[node.name] - own_names[node.name]
-            if uses == 0 and qualname not in traced:
+    for tree, env, module in files:
+        if module is None:
+            continue
+        for qualname, key, node in _definitions(tree, module):
+            own = _references(node, env, module, fields)
+            if refs[key] - own[key] <= 0:
                 out.add(qualname)
     return out
 
 
+# reached only through bench/tracer.py's lists, which name functions no
+# workload calls any more; the benchmark change that trims those lists
+# deletes all three
+TRACER_ONLY = {"linalg.rref", "linalg.reduce_mod", "multifilt.induced_on_subquotient"}
+
+
 def test_every_definition_is_reached_or_allowed():
-    unreached = _unreached()
+    unreached = _unreached() - _traced()
     assert sorted(unreached - ALLOWED_UNREACHED.keys()) == []
     # an entry whose name gained a caller, or went away, is stale
     assert sorted(ALLOWED_UNREACHED.keys() - unreached) == []
+
+
+def test_tracer_only_names_are_pinned():
+    assert _unreached() & _traced() == TRACER_ONLY

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     filtered_spaces,
+    matrix,
     one_dim_triple,
     triples,
     weight_graded_pieces,
@@ -28,7 +29,6 @@ from mixedhodge.filtration import common_window, filtered_space, shift, trivial
 from mixedhodge.invariants import alpha, alpha_via_f_expansion, tate_twist_triple
 from mixedhodge.linalg import (
     _flag_coordinates,
-    matrix,
     span,
     subspace_sum,
     zero_subspace,
