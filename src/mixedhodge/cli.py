@@ -15,8 +15,11 @@ precondition), 2 when the input cannot be parsed at all or breaks a size
 limit, or when ``--out`` cannot be written.  Either failure writes a
 ``{"error": ...}`` object to stderr.
 
-``main`` builds the parser of the named subcommand only, and the full
-parser only for help and usage errors.
+``main`` builds one argparse parser per call: that of the named
+subcommand alone, with the prog name the full parser would give it.  The
+full parser, built from the same table of arguments, is built only for
+help, an unknown or missing command, and words that the subcommand leaves
+over, so that those errors print the usage they always did.
 """
 
 from __future__ import annotations
@@ -219,56 +222,70 @@ def cmd_selftest(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0 if passed == len(checks) else 1
 
 
+_IN = ("--in", {"dest": "infile", "required": True, "metavar": "PATH",
+               "help": "input JSON file, or - for stdin"})
+_OUT = ("--out", {"dest": "outfile", "default": None, "metavar": "PATH",
+                  "help": "output file, stdout by default"})
+
+# name -> (run, arguments in the order the help lists them, help line)
+_COMMANDS = {
+    "invariants": (cmd_invariants, (_IN, _OUT),
+                   "chern data, defect and splitting types of a trifiltered space"),
+    "check-mhs": (cmd_check_mhs, (_IN, _OUT),
+                  "validate a weight/Hodge filtration pair and summarize it"),
+    "deligne-split": (cmd_deligne_split, (_IN, _OUT),
+                      "canonical bigraded pieces of a mixed Hodge structure"),
+    "alpha": (cmd_alpha, (_IN, _OUT),
+              "splitting defect of a trifiltered space or mixed Hodge structure"),
+    "curve-alpha": (
+        cmd_curve_alpha,
+        (_IN, _OUT, ("--tol", {"type": float, "default": None,
+                                "help": "override the tolerance in the config"})),
+        "period matrix defect of a punctured genus 0 or 1 configuration"),
+    "stratify": (
+        cmd_stratify,
+        (_IN, _OUT, ("--format", {"choices": ("json", "csv"), "default": "json"})),
+        "defect strata of a sampled family"),
+    "selftest": (cmd_selftest, (_OUT, ("--seed", {"type": int, "default": 0})),
+                 "run the worked examples and print a pass/fail table"),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    run, arguments, _ = _COMMANDS[name]
+    for flag, kwargs in arguments:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(run=run)
+
+
 def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of the subcommand ``only`` alone
-    when ``only`` names one."""
+    """The parser of every subcommand, or of the subcommand ``only`` alone."""
     parser = argparse.ArgumentParser(
         prog="mixedhodge",
         description="exact invariants of filtered structures and their families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, run, help_text: str, *, needs_in=True):
-        if only is not None and name != only:
-            return None
-        sp = sub.add_parser(name, help=help_text)
-        if needs_in:
-            sp.add_argument(
-                "--in", dest="infile", required=True, metavar="PATH",
-                help="input JSON file, or - for stdin",
-            )
-        sp.add_argument(
-            "--out", dest="outfile", default=None, metavar="PATH",
-            help="output file, stdout by default",
-        )
-        sp.set_defaults(run=run)
-        return sp
-
-    add("invariants", cmd_invariants,
-        "chern data, defect and splitting types of a trifiltered space")
-    add("check-mhs", cmd_check_mhs,
-        "validate a weight/Hodge filtration pair and summarize it")
-    add("deligne-split", cmd_deligne_split,
-        "canonical bigraded pieces of a mixed Hodge structure")
-    add("alpha", cmd_alpha,
-        "splitting defect of a trifiltered space or mixed Hodge structure")
-    curve = add("curve-alpha", cmd_curve_alpha,
-                "period matrix defect of a punctured genus 0 or 1 configuration")
-    if curve is not None:
-        curve.add_argument("--tol", type=float, default=None,
-                           help="override the tolerance in the config")
-    stratify = add("stratify", cmd_stratify, "defect strata of a sampled family")
-    if stratify is not None:
-        stratify.add_argument("--format", choices=("json", "csv"), default="json")
-    selftest = add("selftest", cmd_selftest,
-                   "run the worked examples and print a pass/fail table",
-                   needs_in=False)
-    if selftest is not None:
-        selftest.add_argument("--seed", type=int, default=0)
-    if only is not None and not sub.choices:
-        # a help flag or an unknown command: the usage lists every command
-        return _build_parser()
+    for name, (*_, help_text) in _COMMANDS.items():
+        if only in (None, name):
+            _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """What ``_build_parser`` makes of argv.  After a subcommand's name, its
+    top-level parser hands every word to that subcommand's parser, so a
+    parser of the subcommand alone does the same; only words left over,
+    which the top-level parser reports under its own usage, need it."""
+    words = sys.argv[1:] if argv is None else argv
+    if not words or words[0] not in _COMMANDS:
+        # a help flag, an unknown command or none: the usage lists them all
+        return _build_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(prog=f"mixedhodge {words[0]}")
+    _add_arguments(parser, words[0])
+    args, extra = parser.parse_known_args(words[1:])
+    if extra:
+        return _build_parser(words[0]).parse_args(argv)
+    return args
 
 
 def _write(path: str | None, text: str) -> None:
@@ -283,8 +300,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    words = sys.argv[1:] if argv is None else argv
-    args = _build_parser(words[0] if words else None).parse_args(argv)
+    args = _parse_args(argv)
     try:
         text, code = args.run(args)
         _write(args.outfile, text)

@@ -6,8 +6,12 @@ of that runs on Gaussian-integer rows in ``linalg``.
 The one interchange format is the JSON quadruple ``[a, b, c, d]``
 (numerator and denominator of the real part, then of the imaginary part; at
 most ``MAX_ENTRY_BITS`` bits each): ``to_json`` writes it and
-``gauss_from_json`` reads it.  JSON numbers that stand for doubles (curve
-points, tolerances, family coordinates) are read by ``finite_from_json``.
+``quadruple_from_json`` reads it, into a tuple of four ints in lowest
+terms with positive denominators.  That tuple is the reduced quadruple
+``span`` takes beside Q(i) values, so a document's vectors become
+Gaussian-integer rows with no ``Fraction`` or ``GaussianRational`` made on
+the way.  JSON numbers that stand for doubles (curve points, tolerances,
+family coordinates) are read by ``finite_from_json``.
 """
 
 from __future__ import annotations
@@ -69,23 +73,34 @@ def fraction_json(x: Fraction) -> int | list[int]:
 MAX_ENTRY_BITS = 128
 
 
-def gauss_from_json(data: object) -> GaussianRational:
-    """Parse the JSON quadruple [re_num, re_den, im_num, im_den]."""
-    if (
-        not isinstance(data, (list, tuple))
-        or len(data) != 4
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in data)
+def quadruple_from_json(data: object) -> tuple[int, int, int, int]:
+    """Read the JSON quadruple [re_num, re_den, im_num, im_den] as its
+    reduced form: each fraction in lowest terms, with a positive
+    denominator, so its parts are those of ``Fraction(re_num, re_den)``
+    and ``Fraction(im_num, im_den)``.  The checks run in this order: four
+    JSON integers (not booleans), each of at most ``MAX_ENTRY_BITS`` bits,
+    then nonzero denominators."""
+    if not (
+        type(data) is list
+        and len(data) == 4
+        and type(data[0]) is type(data[1]) is type(data[2]) is type(data[3]) is int
     ):
         raise ValueError(f"expected four integers [a, b, c, d], got {data!r}")
-    bits = max(map(abs, data)).bit_length()
+    a, b, c, d = data
+    bits = max(a.bit_length(), b.bit_length(), c.bit_length(), d.bit_length())
     if bits > MAX_ENTRY_BITS:
         raise ValueError(
             f"entry integer of {bits} bits exceeds the limit of {MAX_ENTRY_BITS} bits"
         )
-    a, b, c, d = data
-    if b == 0 or d == 0:
+    if not b or not d:
         raise ValueError("zero denominator in Gaussian rational")
-    return GaussianRational(Fraction(a, b), Fraction(c, d))
+    if b != 1:
+        g = math.gcd(a, b) if b > 0 else -math.gcd(a, b)
+        a, b = a // g, b // g
+    if d != 1:
+        g = math.gcd(c, d) if d > 0 else -math.gcd(c, d)
+        c, d = c // g, d // g
+    return a, b, c, d
 
 
 def finite_from_json(x: object, what: str) -> float:

@@ -13,7 +13,11 @@ at p is the input's value at -p.
 
 The constructions (direct sum, tensor product, dual, induced filtrations)
 build their levels from the canonical Gaussian-integer rows of the input
-levels; only ``from_json`` and ``to_json`` see Q(i) vectors.  A filtration
+levels.  Only ``to_json`` sees Q(i) vectors; ``from_json`` reads each
+level's vectors as reduced quadruples (``linalg.vector_from_json``), all
+of them before any is spanned, and ``span`` turns them into integer rows,
+so every shape and entry error of a level precedes its denominator-cap
+error.  A filtration
 induced on a subspace or a quotient lives in the coordinates of the
 subspace's Q(i) basis, as ``linalg`` sets out.
 """

@@ -17,9 +17,12 @@ Q(i) values (``GaussianRational``) appear only at the boundary: in
 ``Matrix`` (``from_rows``), the type of user-given linear
 maps; in ``rref``; in what ``span`` takes and ``reduce_mod`` takes and
 returns; in ``Subspace.basis``, the Q(i) reduced row echelon basis
-built on demand for JSON output; and in ``vector_to_json`` and
-``vector_from_json``.  ``GaussianRational`` has no arithmetic of its own:
-``_int_row`` clears a vector's denominators into a Gaussian-integer row
+built on demand for JSON output; and in ``vector_to_json``.  Input
+documents make none: ``vector_from_json`` reads a vector as reduced
+quadruples of ints (``exactfield.quadruple_from_json``), which ``span``
+takes beside Q(i) values.  ``GaussianRational`` has no arithmetic of its
+own: ``_cleared`` turns every entry, of either kind, into its reduced
+quadruple and clears a vector's denominators into a Gaussian-integer row
 on the way in, and ``_to_qi`` and ``reduce_mod`` divide by one integer on
 the way out.  Everything else runs on the integer rows, ``kernel``,
 ``image`` and ``annihilator`` included (a ``Matrix`` is scaled to Gaussian
@@ -81,9 +84,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from mixedhodge.exactfield import MAX_ENTRY_BITS, ZERO, GaussianRational, gauss
+from mixedhodge.exactfield import (
+    MAX_ENTRY_BITS,
+    ZERO,
+    GaussianRational,
+    gauss,
+    quadruple_from_json,
+)
 
 Vector = tuple[GaussianRational, ...]
+Quad = tuple[int, int, int, int]
 IntRow = tuple[tuple[int, int], ...]
 
 _Z = (0, 0)
@@ -121,19 +131,22 @@ def from_rows(rows: list[Vector], cols: int) -> Matrix:
 # -- the Gaussian-integer kernel -------------------------------------------
 
 
-def _denominator(v: Vector) -> int:
-    return lcm(*(e.re.denominator for e in v), *(e.im.denominator for e in v))
+def _quadruple(e) -> Quad:
+    """A Q(i) entry (``GaussianRational``, int or ``Fraction``) as its
+    reduced quadruple; a quadruple, as ``vector_from_json`` reads it, is
+    one already."""
+    if type(e) is tuple:
+        return e
+    g = gauss(e)
+    return g.re.numerator, g.re.denominator, g.im.numerator, g.im.denominator
 
 
-def _int_row(v: Vector, den: int | None = None) -> list[tuple[int, int]]:
-    """v times den (default: the lcm of its denominators), as int pairs."""
-    if den is None:
-        den = _denominator(v)
-    return [
-        (e.re.numerator * (den // e.re.denominator),
-         e.im.numerator * (den // e.im.denominator))
-        for e in v
-    ]
+def _cleared(v) -> tuple[list[tuple[int, int]], int]:
+    """(row, den): den is the lcm of the reduced denominators of the
+    entries of v, and row is v times den, as Gaussian-integer pairs."""
+    quads = [_quadruple(e) for e in v]
+    den = lcm(*[q[1] for q in quads], *[q[3] for q in quads])
+    return [(a * (den // b), c * (den // d)) for a, b, c, d in quads], den
 
 
 def _mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -144,8 +157,8 @@ def _mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 def _apply(f: Matrix, rows) -> tuple[list[list[tuple[int, int]]], int]:
     """(images, D): D is the lcm of the denominators of f's entries, and
     images holds the Gaussian-integer row D f x for each row x."""
-    den = _denominator(f.entries)
-    scaled = [_int_row(f.row(i), den) for i in range(f.rows)]
+    flat, den = _cleared(f.entries)
+    scaled = [flat[i * f.cols : (i + 1) * f.cols] for i in range(f.rows)]
     return [[_dot(r, x) for r in scaled] for x in rows], den
 
 
@@ -316,7 +329,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     """
     if m.rows == 0 or m.cols == 0:
         return m, 0
-    rows = _canonical([_int_row(m.row(i)) for i in range(m.rows)])
+    rows = _canonical([_cleared(m.row(i))[0] for i in range(m.rows)])
     entries = _to_qi(rows)
     entries.extend([ZERO] * ((m.rows - len(rows)) * m.cols))
     return Matrix(m.rows, m.cols, tuple(entries)), len(rows)
@@ -399,19 +412,20 @@ def row_space(rows: list, n: int) -> Subspace:
 
 
 def span(vectors: list[Vector] | list[list], ambient_dim: int) -> Subspace:
-    """The span of Q(i) vectors: their cleared rows, canonicalized."""
+    """The span of Q(i) vectors: their cleared rows, canonicalized.  An
+    entry is a ``GaussianRational``, an int, a ``Fraction`` or a reduced
+    quadruple (see ``exactfield.quadruple_from_json``)."""
     rows = []
     for v in vectors:
-        w = tuple(gauss(e) for e in v)
-        if len(w) != ambient_dim:
+        row, den = _cleared(v)
+        if len(row) != ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        den = _denominator(w)
         if den.bit_length() > MAX_ENTRY_BITS:
             raise ValueError(
                 f"vector common denominator of {den.bit_length()} bits exceeds "
                 f"the limit of {MAX_ENTRY_BITS} bits"
             )
-        rows.append(_int_row(w, den))
+        rows.append(row)
     return row_space(rows, ambient_dim)
 
 
@@ -424,9 +438,9 @@ def reduce_mod(a: Subspace, v: Vector) -> Vector:
     """
     if len(v) != a.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
-    w = [gauss(e) for e in v]
-    u, s = _residual(a.rows, _int_row(w))
-    den = _denominator(w) * s
+    row, den = _cleared(v)
+    u, s = _residual(a.rows, row)
+    den *= s
     return tuple(GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in u)
 
 
@@ -483,7 +497,7 @@ def _intersect_dim(a: Subspace, b: Subspace) -> int:
 
 def kernel(f: Matrix) -> Subspace:
     """Kernel of the column-vector action of f, as a subspace of Q(i)^cols."""
-    return annihilator(row_space([_int_row(r) for r in f.row_list()], f.cols))
+    return annihilator(row_space([_cleared(r)[0] for r in f.row_list()], f.cols))
 
 
 def image(f: Matrix, a: Subspace) -> Subspace:
@@ -529,11 +543,11 @@ def vector_to_json(v: Vector) -> list[list[int]]:
     return [e.to_json() for e in v]
 
 
-def vector_from_json(data: object, ambient_dim: int) -> Vector:
-    from mixedhodge.exactfield import gauss_from_json
-
+def vector_from_json(data: object, ambient_dim: int) -> tuple[Quad, ...]:
+    """A JSON vector of ``ambient_dim`` quadruples, each reduced, for
+    ``span``."""
     if not isinstance(data, list) or len(data) != ambient_dim:
         raise ValueError(
             f"expected a vector of length {ambient_dim}, got {data!r}"
         )
-    return tuple(gauss_from_json(e) for e in data)
+    return tuple(map(quadruple_from_json, data))

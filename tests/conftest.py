@@ -3,7 +3,7 @@ from __future__ import annotations
 import importlib
 import pkgutil
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -112,6 +112,55 @@ def subspaces(draw, ambient_dim: int):
     k = draw(st.integers(min_value=0, max_value=ambient_dim))
     vecs = [draw(vectors(ambient_dim)) for _ in range(k)]
     return span(vecs, ambient_dim)
+
+
+def fraction_level_span(raw_vectors: list, n: int):
+    """The span of one level's JSON vectors by the two-step reader that
+    ``filtration.from_json`` once used, the oracle for the quadruple
+    reader: every vector of the level becomes a tuple of ``Fraction``
+    pairs, entry by entry (the vector's length first, then each entry's
+    shape, bit size and denominators), and only then is each vector
+    cleared by the lcm of its denominators, capped at ``MAX_ENTRY_BITS``
+    bits."""
+    from mixedhodge.exactfield import MAX_ENTRY_BITS
+    from mixedhodge.linalg import row_space
+
+    vecs = []
+    for data in raw_vectors:
+        if not isinstance(data, list) or len(data) != n:
+            raise ValueError(f"expected a vector of length {n}, got {data!r}")
+        vec = []
+        for e in data:
+            if (
+                not isinstance(e, (list, tuple))
+                or len(e) != 4
+                or not all(isinstance(v, int) and not isinstance(v, bool) for v in e)
+            ):
+                raise ValueError(f"expected four integers [a, b, c, d], got {e!r}")
+            bits = max(map(abs, e)).bit_length()
+            if bits > MAX_ENTRY_BITS:
+                raise ValueError(
+                    f"entry integer of {bits} bits exceeds the limit of "
+                    f"{MAX_ENTRY_BITS} bits"
+                )
+            a, b, c, d = e
+            if b == 0 or d == 0:
+                raise ValueError("zero denominator in Gaussian rational")
+            vec.append((Fraction(a, b), Fraction(c, d)))
+        vecs.append(vec)
+    rows = []
+    for vec in vecs:
+        den = lcm(*(x.denominator for x, _ in vec), *(y.denominator for _, y in vec))
+        if den.bit_length() > MAX_ENTRY_BITS:
+            raise ValueError(
+                f"vector common denominator of {den.bit_length()} bits exceeds "
+                f"the limit of {MAX_ENTRY_BITS} bits"
+            )
+        rows.append(
+            [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+             for x, y in vec]
+        )
+    return row_space(rows, n)
 
 
 def weight_two_zero_mhs(lmb):

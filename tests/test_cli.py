@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from conftest import matrix
-from mixedhodge.cli import main
+from mixedhodge.cli import _build_parser, _parse_args, main
 from mixedhodge.curves import MAX_CURVE_POINTS
 from mixedhodge.exactfield import I, MAX_ENTRY_BITS, gauss
 from mixedhodge.families import (
@@ -514,20 +514,69 @@ def test_usage_surface_is_pinned(capsys, monkeypatch):
 
 
 def test_main_builds_only_the_invoked_subparser(capsys, monkeypatch):
+    # one ArgumentParser for a well-formed call; help builds them all
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert main(["selftest", "--seed", "3"]) == 0
-    assert built == ["selftest"]
+    assert built == ["mixedhodge selftest"]
     built.clear()
     with pytest.raises(SystemExit):
         main(["--help"])
-    assert tuple(built) == SUBCOMMANDS
+    assert built == ["mixedhodge", *(f"mixedhodge {cmd}" for cmd in SUBCOMMANDS)]
+
+
+# what can follow a subcommand's name: option spellings, repeats, "--",
+# help after options, and each kind of usage error
+ARGV_SHAPES = [
+    ["invariants", "--in=doc.json"],
+    ["invariants", "--i", "doc.json"],
+    ["alpha", "--in", "doc.json", "--out", "a", "--out", "b"],
+    ["alpha", "--in", "doc.json", "--"],
+    ["alpha", "--", "--in", "doc.json"],
+    ["check-mhs", "--in", "doc.json", "-h"],
+    ["deligne-split", "--in", "doc.json", "--bogus"],
+    ["deligne-split", "--in", "doc.json", "extra"],
+    ["deligne-split", "extra", "--in", "doc.json"],
+    ["check-mhs", "--in"],
+    ["check-mhs", "--out", "x"],
+    ["curve-alpha", "--in", "doc.json", "--tol", "x"],
+    ["curve-alpha", "--in", "doc.json", "--tol=-1e-3"],
+    ["curve-alpha", "--in", "doc.json", "--t", "0.5"],
+    ["stratify", "--in", "doc.json", "--format", "xml"],
+    ["stratify", "--in", "doc.json", "--format", "csv", "--format", "json"],
+    ["stratify", "--in", "doc.json", "--f", "csv"],
+    ["selftest", "--seed", "x"],
+    ["selftest", "--seed", "-3"],
+    ["selftest", "--seed"],
+    ["selftest", "--in", "doc.json"],
+    ["selftest", "--", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_SHAPES, ids=" ".join)
+def test_subcommand_parser_matches_the_full_parser(capsys, monkeypatch, argv):
+    # main parses a call with its subcommand's parser alone; the full
+    # parser must not be able to tell
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(parse):
+        try:
+            ns = vars(parse(argv))
+            code = None
+        except SystemExit as exc:
+            ns, code = None, exc.code
+        captured = capsys.readouterr()
+        if ns is not None:
+            ns.pop("command", None)  # the full parser's subparsers dest
+        return code, captured.out, captured.err, ns
+
+    assert outcome(_parse_args) == outcome(_build_parser(argv[0]).parse_args)
 
 
 def test_console_script_entry_point(tmp_path):

@@ -12,7 +12,7 @@ from mixedhodge.exactfield import (
     ZERO,
     GaussianRational,
     gauss,
-    gauss_from_json,
+    quadruple_from_json,
 )
 
 
@@ -37,20 +37,22 @@ def test_is_real_and_bool():
 def test_json_round_trip_fixed_values():
     x = gauss(Fraction(3, 2), Fraction(-1, 3))
     assert x.to_json() == [3, 2, -1, 3]
-    assert gauss_from_json([3, 2, -1, 3]) == x
-    assert gauss_from_json([0, 1, 0, 1]) == ZERO
+    assert quadruple_from_json([3, 2, -1, 3]) == (3, 2, -1, 3)
+    # lowest terms, positive denominators, zero as 0/1
+    assert quadruple_from_json([-6, -4, 2, -6]) == (3, 2, -1, 3)
+    assert quadruple_from_json([0, -7, 0, 5]) == (0, 1, 0, 1)
     top = 2**MAX_ENTRY_BITS - 1  # the largest integer of MAX_ENTRY_BITS bits
-    assert gauss_from_json([-top, top, top, 1]) == gauss(-1, top)
+    assert quadruple_from_json([-top, top, top, 1]) == (-1, 1, top, 1)
 
 
 @given(gaussians())
 def test_json_round_trip(x):
-    assert gauss_from_json(x.to_json()) == x
+    assert quadruple_from_json(x.to_json()) == tuple(x.to_json())
 
 
 def test_json_rejects_garbage():
     big = 2**MAX_ENTRY_BITS
     for bad in ([1, 2, 3], [1, 0, 0, 1], [1, 2, 3, "4"], "1+2i", [True, 1, 0, 1],
-                [big, 1, 0, 1], [1, big, 0, 1], [0, 1, -big, 1]):
+                [big, 1, 0, 1], [1, big, 0, 1], [0, 1, -big, 1], [1.0, 1, 0, 1]):
         with pytest.raises(ValueError):
-            gauss_from_json(bad)
+            quadruple_from_json(bad)

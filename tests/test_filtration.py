@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_canonical, filtered_spaces, subspaces
+from conftest import assert_canonical, filtered_spaces, fraction_level_span, subspaces
 from mixedhodge.exactfield import gauss
 from mixedhodge.filtration import (
     FilteredSpace,
@@ -230,6 +230,73 @@ def test_json_round_trip_fixed_value():
 @given(filtered_spaces(3))
 def test_json_round_trip(f):
     assert from_json(f.to_json()) == f
+
+
+# quadruple parts near the entry cap (2**128 - 1 has 128 bits, 2**128 has
+# 129), and denominators whose lcm lands at the cap (2**64 * 3**40) or just
+# over it (2**64 * 3**41)
+_BIG_NUMS = (2**128 - 1, -(2**128 - 1), 2**128)
+_BIG_DENS = (2**64, -(2**64), 3**40, 3**41, -(3**41))
+# what a spoiled entry becomes, or puts in place of one of its integers
+_BAD_ENTRIES = ([1, 2, 3], [1, 2, 3, 4, 5], 5, None, "1+i", [1, 0, 0, 1], [0, 1, 1, 0])
+_BAD_PARTS = (True, False, 1.0, "1", None)
+
+
+@st.composite
+def _json_levels(draw):
+    """(n, the vectors of one level): small fractions, not in lowest terms
+    and with either sign of denominator; in some levels parts near the
+    caps; in some, one malformed entry or vector."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    big = draw(st.booleans())
+
+    def part(bigs, odds):
+        if big and draw(st.integers(min_value=1, max_value=odds)) == 1:
+            return draw(st.sampled_from(bigs))
+        return draw(st.integers(min_value=-9, max_value=9))
+
+    def entry():
+        a, c = part(_BIG_NUMS, 16), part(_BIG_NUMS, 16)
+        b, d = part(_BIG_DENS, 2) or 1, part(_BIG_DENS, 2) or 1
+        k = draw(st.sampled_from([1, 1, 2, -6]))
+        return [a * k, b * k, c * k, d * k]
+
+    level = [[entry() for _ in range(n)]
+             for _ in range(draw(st.integers(min_value=0, max_value=n + 1)))]
+    spoil = draw(st.integers(min_value=0, max_value=7)) if level else 0
+    if spoil:
+        v = draw(st.integers(min_value=0, max_value=len(level) - 1))
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        if spoil == 1:
+            level[v][j] = draw(st.sampled_from(_BAD_ENTRIES))
+        elif spoil == 2:
+            level[v][j][draw(st.integers(min_value=0, max_value=3))] = draw(
+                st.sampled_from(_BAD_PARTS))
+        elif spoil == 3:
+            level[v] = draw(st.sampled_from([level[v][1:], level[v] + [[1, 1, 0, 1]], 5]))
+    return n, level
+
+
+@settings(max_examples=200)
+@example((2, [[[1, 2**64, 0, 1], [1, 3**41, 0, 1]], [[1, 1, 0, 1], [1, 0, 0, 1]]]))
+@example((2, [[[1, 2**64, 0, 1], [1, 3**41, 0, 1]], [[1, 1, 0, 1]]]))
+@example((1, [[[2**128, 2**128, 0, 1]], [[True, 1, 0, 1]]]))
+@example((1, [[[6, -4, 0, -3]], [[-3, 2, 0, 1]]]))
+@given(_json_levels())
+def test_from_json_reads_a_level_as_the_fraction_reader(case):
+    # the same subspace, or the same error: each level's length, shape and
+    # entry errors come before any vector's denominator-cap error
+    n, vectors = case
+    doc = {"ambient_dim": n, "levels": [{"index": 0, "vectors": vectors},
+                                        {"index": 1, "vectors": []}]}
+    try:
+        want = fraction_level_span(vectors, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            from_json(doc)
+        assert str(got.value) == str(exc)
+    else:
+        assert from_json(doc).at(0) == want
 
 
 def test_json_rejects_garbage():
