@@ -301,9 +301,12 @@ def config_from_json(data: dict) -> CurveConfig:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"malformed pair {pair!r}")
         pairs.append((_point_from_json(pair[0]), _point_from_json(pair[1])))
-    tau = None
-    if "tau" in data and data["tau"] is not None:
-        tau = _point_from_json(data["tau"], "tau")
+    tau = data.get("tau")
+    # tau is a finite [re, im] pair: "inf" names a point, not a period
+    if tau == "inf":
+        raise ValueError("tau must be a finite [re, im] pair, got 'inf'")
+    if tau is not None:
+        tau = _point_from_json(tau, "tau")
     tol = finite_from_json(data.get("tol", 1e-9), "tol")
     if not tol > 0:
         raise ValueError("tol must be a positive number")

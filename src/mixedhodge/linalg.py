@@ -36,6 +36,12 @@ call must pass rows that are canonical already (conjugation, the
 padding of a direct sum, a single canonical row), and the tests check the
 canonical form at every such site.
 
+One routine puts Gaussian-integer rows in echelon form: ``_echelon``,
+which drops rows that reduce to zero and grows a table of rows by leading
+column.  ``_canonical`` is ``_echelon`` plus back substitution, and the
+intersections and the rank checks of the other modules count or read its
+rows; ``_residual`` only reduces one row against canonical rows.
+
 Coordinates in a subspace are taken in its Q(i) basis, not in its
 integer rows: with pivot columns p_0 < p_1 < ..., the coefficient of
 basis row j in a member x is just x[p_j] (``_in_basis``).
@@ -183,8 +189,9 @@ def _primitive(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(a // g, b // g) for a, b in row]
 
 
-def _pivot(row) -> int:
-    return next(j for j, e in enumerate(row) if e != _Z)
+def _pivot(row) -> int | None:
+    """The column of row's first nonzero entry; None for a zero row."""
+    return next((j for j, e in enumerate(row) if e != _Z), None)
 
 
 def _eliminate(
@@ -210,37 +217,6 @@ def _real_pivot(row, col: int) -> list[tuple[int, int]]:
     return _primitive([(a * pa + b * pb, b * pa - a * pb) for a, b in row])
 
 
-def _forward(rows: list, stop: int) -> tuple[list, list[int], list]:
-    """Forward elimination over columns [0, stop).
-
-    Returns the pivot rows (positive integer pivots, primitive), their
-    pivot columns, and the nonzero rows left over, which vanish on every
-    column before ``stop``.
-    """
-    pivots: list[int] = []
-    done: list = []
-    for col in range(stop):
-        sel = next((k for k, r in enumerate(rows) if r[col] != _Z), None)
-        if sel is None:
-            continue
-        prow = _real_pivot(rows.pop(sel), col)
-        d = prow[col][0]
-        rest = []
-        for r in rows:
-            c = r[col]
-            if c != _Z:
-                r = _primitive(_eliminate(prow, r, col, d, c))
-                if not any(a or b for a, b in r):
-                    continue
-            rest.append(r)
-        rows = rest
-        done.append(prow)
-        pivots.append(col)
-        if not rows:
-            break
-    return done, pivots, rows
-
-
 def _adapted_basis(chain) -> list:
     """Rows adapted to an increasing chain of subspaces: each member's
     canonical rows whose pivots are new.  Pivot sets grow along the chain,
@@ -264,18 +240,21 @@ def _flag_coordinates(chain: tuple[Subspace, ...]) -> tuple[IntRow, ...]:
     return tuple(_adapted_basis([annihilator(v) for v in chain]))
 
 
-def _echelon(rows: list, by_lead: dict | None = None) -> list:
+def _echelon(rows, by_lead: dict | None = None) -> list:
     """Each row reduced against the rows before it until its leading
-    column is new to them; a row's own leading entry becomes a positive
-    integer.  The rows must be independent.  Every prefix of the result
-    spans what the same prefix of ``rows`` spans, and the leading columns
-    are distinct, so a prefix meets {y_j = 0 for j < c} in the span of its
-    rows that lead at c or later.
+    column is new to them, or dropped when it reduces to zero; a kept
+    row's own leading entry becomes a positive integer.  The kept rows
+    span what ``rows`` spans, and their leading columns are distinct.
+    For independent rows every prefix of the result spans what the same
+    prefix of ``rows`` spans, so a prefix meets {y_j = 0 for j < c} in
+    the span of its rows that lead at c or later.
 
     ``by_lead`` maps leading columns to rows already in that form, which
-    stand before ``rows`` (independent of them too) but are not returned.
+    stand before ``rows`` but are not returned; each kept row is added to
+    it in place.
     """
-    by_lead = dict(by_lead or {})
+    if by_lead is None:
+        by_lead = {}
     out = []
     for r in rows:
         col = _pivot(r)
@@ -283,17 +262,20 @@ def _echelon(rows: list, by_lead: dict | None = None) -> list:
             prow = by_lead[col]
             r = _primitive(_eliminate(prow, r, col, prow[col][0], r[col]))
             col = _pivot(r)
+        if col is None:
+            continue
         r = _real_pivot(r, col)
         by_lead[col] = r
         out.append(r)
     return out
 
 
-def _canonical(rows: list) -> tuple[IntRow, ...]:
+def _canonical(rows) -> tuple[IntRow, ...]:
     """Canonical integer rows (see the module docstring) of a row space."""
-    if not rows:
-        return ()
-    done, pivots, _ = _forward(rows, len(rows[0]))
+    by_lead: dict = {}
+    _echelon(rows, by_lead)
+    pivots = sorted(by_lead)
+    done = [by_lead[col] for col in pivots]
     # back substitution from the bottom; each row's own pivot only scales
     # by a positive integer, because the rows below vanish in its column
     for k in range(len(done) - 1, 0, -1):
@@ -406,8 +388,7 @@ def full_space(n: int) -> Subspace:
 
 
 def row_space(rows: list, n: int) -> Subspace:
-    """The span of Gaussian-integer rows of width n (``_canonical`` pops
-    rows off the list it is given)."""
+    """The span of Gaussian-integer rows of width n."""
     return Subspace(n, _canonical(rows))
 
 
@@ -458,9 +439,11 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection by the Zassenhaus algorithm.
 
     Every row of the row space of [A A; B 0] is (x + y, x) with x in a and
-    y in b, so a row with zero left half has x = -y in both.  Forward
-    elimination over the left half leaves exactly dim a + dim b - rank[A; B]
-    such rows, independent, and their right halves span the intersection.
+    y in b, so a row with zero left half has x = -y in both.  The rows
+    [r | r] of a's canonical rows are in echelon form already; the rows
+    [r | 0] of b's, put in echelon form after them (``_echelon``), keep
+    exactly dim a + dim b - rank[A; B] rows leading in the right half, and
+    their right halves span the intersection.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("subspaces of different ambient spaces")
@@ -472,12 +455,13 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         return a
     n = a.ambient_dim
     zero = (_Z,) * n
-    _, _, rest = _forward([r + r for r in a.rows] + [r + zero for r in b.rows], n)
-    return row_space([r[n:] for r in rest], n)
+    met = _echelon([r + zero for r in b.rows], {_pivot(r): r + r for r in a.rows})
+    return row_space([r[n:] for r in met if _pivot(r) >= n], n)
 
 
 def intersect_dim(a: Subspace, b: Subspace) -> int:
-    """dim(a ∩ b) = dim a + dim b - rank[A; B], by forward elimination."""
+    """dim(a ∩ b) = dim a + dim b - rank[A; B]: b's rows, put in echelon
+    form after a's canonical rows, keep rank[A; B] - dim a of them."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("subspaces of different ambient spaces")
     if a.is_zero or b.is_full:
@@ -491,8 +475,7 @@ def intersect_dim(a: Subspace, b: Subspace) -> int:
 
 @lru_cache(maxsize=128)
 def _intersect_dim(a: Subspace, b: Subspace) -> int:
-    rank = len(_forward([*a.rows, *b.rows], a.ambient_dim)[0])
-    return a.dim + b.dim - rank
+    return b.dim - len(_echelon(b.rows, {_pivot(r): r for r in a.rows}))
 
 
 def kernel(f: Matrix) -> Subspace:

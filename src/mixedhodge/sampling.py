@@ -30,11 +30,8 @@ from .linalg import (
     IntRow,
     Matrix,
     Subspace,
-    _forward,
+    _echelon,
     _mul,
-    _pivot,
-    _real_pivot,
-    _residual,
     annihilator,
     from_rows,
     full_space,
@@ -64,20 +61,17 @@ def random_basis(rng: random.Random, n: int, real: bool = False) -> list[IntRow]
     """A random ordered basis of the full space, as Gaussian-integer rows
     with entries in a small box.
 
-    A candidate is kept when its residual against the echelon rows of the
-    vectors kept so far is nonzero, that is, exactly when it raises the
-    rank; only then do the echelon rows grow.
+    A candidate is kept when it does not reduce to zero against the echelon
+    rows of the vectors kept so far, that is, exactly when it raises the
+    rank; ``_echelon`` then adds its echelon row to ``by_lead``.
     """
     vectors: list[IntRow] = []
-    echelon: list = []  # sorted by pivot column, as _residual needs
+    by_lead: dict = {}
     stuck = 0
     while len(vectors) < n:
         v = _random_row(rng, n, real=real)
-        w, _ = _residual(echelon, v)
-        if any(a or b for a, b in w):
+        if _echelon([v], by_lead):
             vectors.append(v)
-            echelon.append(_real_pivot(w, _pivot(w)))
-            echelon.sort(key=_pivot)
             stuck = 0
         else:
             stuck += 1
@@ -163,10 +157,10 @@ def _flag_from_generators(
     acc: list = []
     for k, p in enumerate(ps):
         acc.extend(gens[p])
-        # row_space and _forward pop rows off the list they are given
         if k + 1 < len(ps):
-            levels[ps[k + 1] + 1] = row_space(list(acc), n)
-    if len(_forward(list(acc), n)[0]) != n:
+            levels[ps[k + 1] + 1] = row_space(acc, n)
+    # the generators span exactly when none of them reduces to zero
+    if len(_echelon(acc)) != n:
         return None
     return FilteredSpace(n, tuple(sorted(levels.items())))
 

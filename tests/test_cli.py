@@ -162,6 +162,7 @@ BIG = int("9" * 400)  # a JSON integer far past the double range
     ("tol", BIG, "tol is outside the double range"),
     ("punctures", [[BIG, 0], [0.5, 0.25]], "point coordinate is outside"),
     ("tau", [0, BIG], "tau coordinate is outside the double range"),
+    ("tau", "inf", "tau must be a finite [re, im] pair"),
     ("theta_truncation", 2_000_000, "theta_truncation 2000000 exceeds the limit"),
     ("tol", True, "malformed tol True"),
     ("genus", True, "genus must be 0 or 1"),

@@ -28,7 +28,7 @@ from mixedhodge.curves import MAX_CURVE_POINTS
 from mixedhodge.families import family_to_json, lambda_conjugate_grid, lambda_kappa_grid
 from mixedhodge.sampling import random_mhs
 
-SCALARS = (None, True, False, "x", 10**400, -(10**400), -1, 1e308, -0.5)
+SCALARS = (None, True, False, "x", "inf", 10**400, -(10**400), -1, 1e308, -0.5)
 CONTAINERS = ([], {}, ["x"])
 
 

@@ -266,7 +266,9 @@ def test_canonical_rows_pass_the_full_check(data):
     # them: row_space, span, sum and intersection, conjugation, image,
     # kernel, annihilator, coordinates in a basis, the zero and full spaces
     n, rows_a, rows_b = data
-    a = row_space(list(rows_a), n)
+    given = list(rows_a)
+    a = row_space(given, n)
+    assert given == rows_a  # row_space leaves the list it reads as it was
     b = row_space(list(rows_b), n)
     assert span([[gauss(x, y) for x, y in r] for r in rows_a], n) == a
     join = subspace_sum(a, b)

@@ -18,6 +18,7 @@ from mixedhodge.linalg import (
     full_space,
     image,
     intersect,
+    intersect_dim,
     kernel,
     row_space,
     span,
@@ -76,9 +77,12 @@ def test_span_basis_is_sympy_rref(data):
 def test_intersection_dimension_and_members_against_sympy(data):
     sympy = pytest.importorskip("sympy")
     n, rows_a, rows_b = data
-    meet = intersect(span(rows_a, n), span(rows_b, n))
+    a, b = span(rows_a, n), span(rows_b, n)
+    meet = intersect(a, b)
     dim_a, dim_b = _rank(sympy, rows_a, n), _rank(sympy, rows_b, n)
-    assert meet.dim == dim_a + dim_b - _rank(sympy, rows_a + rows_b, n)
+    want = dim_a + dim_b - _rank(sympy, rows_a + rows_b, n)
+    assert meet.dim == want
+    assert intersect_dim(a, b) == want
     for v in meet.basis.row_list():
         assert _rank(sympy, rows_a + [v], n) == dim_a
         assert _rank(sympy, rows_b + [v], n) == dim_b
