@@ -24,7 +24,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from mixedhodge.exactfield import finite_from_json
+from mixedhodge.exactfield import (
+    array_from_json,
+    finite_from_json,
+    int_from_json,
+    object_from_json,
+)
 
 
 class _Infinity:
@@ -269,26 +274,20 @@ MAX_CURVE_POINTS = 64
 def _point_from_json(obj, name: str = "point"):
     if obj == "inf":
         return INF
-    if isinstance(obj, list) and len(obj) == 2:
-        return complex(*(finite_from_json(v, f"{name} coordinate") for v in obj))
-    raise ValueError(f"malformed point {obj!r}")
-
-
-def _entries(data: dict, key: str) -> list:
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise ValueError(f"{key} must be an array")
-    return value
+    pair = array_from_json(obj, "malformed point %r", obj, length=2)
+    return complex(*(finite_from_json(v, f"{name} coordinate") for v in pair))
 
 
 def config_from_json(data: dict) -> CurveConfig:
-    if not isinstance(data, dict):
-        raise ValueError("curve config must be an object")
-    genus = data.get("genus")
+    object_from_json(data, "curve config")
     # True == 1 and 0.0 == 0, but neither is a genus
-    if type(genus) is not int or genus not in (0, 1):
+    genus = int_from_json(data.get("genus"), "genus must be 0 or 1", low=0)
+    if genus > 1:
         raise ValueError("genus must be 0 or 1")
-    raw_punctures, raw_pairs = _entries(data, "punctures"), _entries(data, "pairs")
+    raw_punctures = array_from_json(
+        data.get("punctures", []), "punctures must be an array"
+    )
+    raw_pairs = array_from_json(data.get("pairs", []), "pairs must be an array")
     points = len(raw_punctures) + 2 * len(raw_pairs)
     if points > MAX_CURVE_POINTS:
         raise ValueError(
@@ -298,9 +297,8 @@ def config_from_json(data: dict) -> CurveConfig:
     punctures = tuple(_point_from_json(p) for p in raw_punctures)
     pairs = []
     for pair in raw_pairs:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError(f"malformed pair {pair!r}")
-        pairs.append((_point_from_json(pair[0]), _point_from_json(pair[1])))
+        a, b = array_from_json(pair, "malformed pair %r", pair, length=2)
+        pairs.append((_point_from_json(a), _point_from_json(b)))
     tau = data.get("tau")
     # tau is a finite [re, im] pair: "inf" names a point, not a period
     if tau == "inf":
@@ -310,9 +308,8 @@ def config_from_json(data: dict) -> CurveConfig:
     tol = finite_from_json(data.get("tol", 1e-9), "tol")
     if not tol > 0:
         raise ValueError("tol must be a positive number")
-    trunc = data.get("theta_truncation", 40)
-    if not (isinstance(trunc, int) and not isinstance(trunc, bool) and trunc >= 1):
-        raise ValueError("theta_truncation must be a positive integer")
+    message = "theta_truncation must be a positive integer"
+    trunc = int_from_json(data.get("theta_truncation", 40), message, low=1)
     if trunc > MAX_THETA_TRUNCATION:
         raise ValueError(
             f"theta_truncation {trunc} exceeds the limit of {MAX_THETA_TRUNCATION}"

@@ -12,6 +12,14 @@ terms with positive denominators.  That tuple is the reduced quadruple
 Gaussian-integer rows with no ``Fraction`` or ``GaussianRational`` made on
 the way.  JSON numbers that stand for doubles (curve points, tolerances,
 family coordinates) are read by ``finite_from_json``.
+
+Every JSON shape that a document parser accepts is decided here: the
+parsers read integers (never booleans), arrays and objects with
+``int_from_json``, ``array_from_json`` and ``object_from_json``, which
+raise the caller's message, %-formatted with the caller's arguments only
+on failure: a message built on every call slows a document-heavy run.
+``quadruple_from_json`` and ``linalg.vector_from_json`` run once per
+entry and once per vector, so they keep their one fused type test.
 """
 
 from __future__ import annotations
@@ -115,3 +123,31 @@ def finite_from_json(x: object, what: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{what} is outside the double range")
     return value
+
+
+def int_from_json(x: object, message: str, *args, low: int | None = None) -> int:
+    """A JSON integer (not a boolean), at least ``low`` if given."""
+    if type(x) is not int or (low is not None and x < low):
+        raise ValueError(message % args)
+    return x
+
+
+def array_from_json(x: object, message: str, *args, length: int | None = None) -> list:
+    """A JSON array, of exactly ``length`` items if given."""
+    if type(x) is not list or (length is not None and len(x) != length):
+        raise ValueError(message % args)
+    return x
+
+
+def object_from_json(
+    x: object, what: str, keys: tuple = (), message: str = "", *args
+) -> None:
+    """Check that ``x`` is a JSON object holding ``keys``.  The errors name
+    ``what`` and the first missing key, unless a fixed ``message`` is
+    given."""
+    if type(x) is not dict:
+        raise ValueError(message % args if message else f"{what} must be an object")
+    for key in keys:
+        if key not in x:
+            error = f"{what} missing key {key!r}"
+            raise ValueError(message % args if message else error)

@@ -29,7 +29,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mixedhodge.exactfield import GaussianRational, finite_from_json, fraction_json, gauss
+from mixedhodge.exactfield import (
+    GaussianRational,
+    array_from_json,
+    finite_from_json,
+    fraction_json,
+    gauss,
+    int_from_json,
+    object_from_json,
+)
 from mixedhodge.filtration import FilteredSpace, common_window
 from mixedhodge.invariants import alpha
 from mixedhodge.linalg import span, zero_subspace
@@ -295,15 +303,10 @@ MAX_FAMILY_POINTS = 1024
 
 
 def family_from_json(data: object) -> SampledFamily:
-    if not isinstance(data, dict):
-        raise ValueError("family JSON must be an object")
-    for key in ("parameters", "fibers"):
-        if key not in data:
-            raise ValueError(f"family JSON missing key {key!r}")
-    raw_params = data["parameters"]
-    raw_fibers = data["fibers"]
-    if not isinstance(raw_params, list) or not isinstance(raw_fibers, list):
-        raise ValueError("parameters and fibers must be arrays")
+    object_from_json(data, "family JSON", ("parameters", "fibers"))
+    message = "parameters and fibers must be arrays"
+    raw_params = array_from_json(data["parameters"], message)
+    raw_fibers = array_from_json(data["fibers"], message)
     for key, raw in (("parameter points", raw_params), ("fibers", raw_fibers)):
         if len(raw) > MAX_FAMILY_POINTS:
             raise ValueError(
@@ -311,33 +314,21 @@ def family_from_json(data: object) -> SampledFamily:
                 f"{MAX_FAMILY_POINTS}"
             )
     params = []
+    bad_point = "malformed parameter point %r"
+    bad_coords = "malformed coordinates at %r"
     for obj in raw_params:
-        if not isinstance(obj, dict) or "label" not in obj or "coords" not in obj:
-            raise ValueError(f"malformed parameter point {obj!r}")
-        coords = obj["coords"]
-        if not isinstance(coords, list) or any(
-            not isinstance(c, (list, tuple)) or len(c) != 2 for c in coords
-        ):
-            raise ValueError(f"malformed coordinates at {obj.get('label')!r}")
-        params.append(
-            ParameterPoint(
-                obj["label"],
-                tuple((name, _coord_from_json(v)) for name, v in coords),
-            )
-        )
+        object_from_json(obj, "parameter point", ("label", "coords"), bad_point, obj)
+        label = obj["label"]
+        named = array_from_json(obj["coords"], bad_coords, label)
+        named = [array_from_json(c, bad_coords, label, length=2) for c in named]
+        coords = tuple((name, _coord_from_json(v)) for name, v in named)
+        params.append(ParameterPoint(label, coords))
     fibers = [triple_from_json(obj) for obj in raw_fibers]
-    edges = data.get("edges", [])
-    if not isinstance(edges, list):
-        raise ValueError("edges must be an array")
     pairs = []
-    for e in edges:
-        if (
-            not isinstance(e, (list, tuple))
-            or len(e) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
-        ):
-            raise ValueError(f"malformed edge {e!r}")
-        pairs.append((e[0], e[1]))
+    bad_edge = "malformed edge %r"
+    for e in array_from_json(data.get("edges", []), "edges must be an array"):
+        i, j = array_from_json(e, bad_edge, e, length=2)
+        pairs.append((int_from_json(i, bad_edge, e), int_from_json(j, bad_edge, e)))
     return sampled_family(params, fibers, pairs)
 
 

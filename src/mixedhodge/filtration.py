@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from mixedhodge.exactfield import array_from_json, int_from_json, object_from_json
 from mixedhodge.linalg import (
     Subspace,
     _Z,
@@ -274,37 +275,25 @@ MAX_VECTORS_PER_DIM = 4
 
 
 def from_json(data: object) -> FilteredSpace:
-    if not isinstance(data, dict):
-        raise ValueError("filtration JSON must be an object")
-    try:
-        n = data["ambient_dim"]
-        raw_levels = data["levels"]
-    except KeyError as exc:
-        raise ValueError(f"filtration JSON missing key {exc.args[0]!r}") from exc
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError("ambient_dim must be a nonnegative integer")
+    n = _ambient_dim_from_json(data, "filtration JSON", ("levels",))
     if n > MAX_AMBIENT_DIM:
         raise ValueError(
             f"ambient_dim {n} exceeds the limit of {MAX_AMBIENT_DIM}"
         )
-    if not isinstance(raw_levels, list):
-        raise ValueError("levels must be a list")
     levels: dict[int, Subspace] = {}
-    for item in raw_levels:
-        if not isinstance(item, dict) or "index" not in item or "vectors" not in item:
-            raise ValueError("each level needs an index and a vector list")
-        idx = item["index"]
-        if not isinstance(idx, int) or isinstance(idx, bool):
-            raise ValueError("level index must be an integer")
+    bad_level = "each level needs an index and a vector list"
+    for item in array_from_json(data["levels"], "levels must be a list"):
+        object_from_json(item, "level", ("index", "vectors"), bad_level)
+        idx = int_from_json(item["index"], "level index must be an integer")
         if abs(idx) > MAX_LEVEL_INDEX:
             raise ValueError(
                 f"level index {idx} exceeds the limit |index| <= {MAX_LEVEL_INDEX}"
             )
         if idx in levels:
             raise ValueError(f"duplicate level index {idx}")
-        raw_vectors = item["vectors"]
-        if not isinstance(raw_vectors, list):
-            raise ValueError(f"vectors of level {idx} must be an array")
+        raw_vectors = array_from_json(
+            item["vectors"], "vectors of level %d must be an array", idx
+        )
         if len(raw_vectors) > MAX_VECTORS_PER_DIM * n:
             raise ValueError(
                 f"level {idx} lists {len(raw_vectors)} vectors, more than "
@@ -315,20 +304,20 @@ def from_json(data: object) -> FilteredSpace:
     return filtered_space(n, levels)
 
 
+def _ambient_dim_from_json(data: object, what: str, keys: tuple) -> int:
+    """The ``ambient_dim`` of a JSON object that holds it and ``keys``."""
+    object_from_json(data, what, ("ambient_dim", *keys))
+    message = "ambient_dim must be a nonnegative integer"
+    return int_from_json(data["ambient_dim"], message, low=0)
+
+
 def _filtrations_from_json(
     data: object, name: str, keys: tuple[str, ...]
 ) -> list[FilteredSpace]:
     """The filtrations under ``keys`` of a structure document called
     ``name``: its shape is checked and every filtration must live in the
     document's ``ambient_dim``."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{name} JSON must be an object")
-    for key in ("ambient_dim", *keys):
-        if key not in data:
-            raise ValueError(f"{name} JSON missing key {key!r}")
-    n = data["ambient_dim"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError("ambient_dim must be a nonnegative integer")
+    n = _ambient_dim_from_json(data, f"{name} JSON", keys)
     filtrations = [from_json(data[key]) for key in keys]
     if any(f.ambient_dim != n for f in filtrations):
         raise ValueError("filtration dimensions disagree with ambient_dim")

@@ -27,9 +27,10 @@ twist that moves the bigraded support into the first quadrant: there
                         + sum_{q >= 1} (2q-1)/2 f^{0,q}
 
 with no f^{0,0} term, since the second mixed difference of (p+q)^2 is the
-constant 2 and the edge weights telescope.  Both alpha routes read
-intersection dimensions, since s is itself the second mixed difference of
-the f-table; the independent parts are the summation and the Tate twist.
+constant 2 and the edge weights telescope.  Both alpha routes read the
+one (F, G) level table (``multifilt.intersection_dims``), since s is its
+second mixed difference; the independent parts are the summation and the
+Tate twist.
 The independent route for s is ``multifilt.simultaneous_splitting``.
 """
 
@@ -40,11 +41,11 @@ from fractions import Fraction
 
 from mixedhodge.exactfield import fraction_json
 from mixedhodge.filtration import FilteredSpace, graded_dims, shift
-from mixedhodge.linalg import intersect_dim
 from mixedhodge.multifilt import (
     TrifilteredSpace,
     bigraded_dims,
     hodge_numbers,
+    intersection_dims,
     is_opposed,
     pair_bigraded,
     trigraded_dims,
@@ -113,21 +114,20 @@ def alpha_via_f_expansion(t: TrifilteredSpace) -> Fraction:
         plus += Fraction((p + q) * (p + q) * d, 2)
 
     minus = Fraction(0)
-    max_p = t2.F.levels[-1][0]  # F is zero from here on
-    max_q = t2.G.levels[-1][0]
-    for p in range(0, max_p + 1):
-        fp = t2.F.at(p)
-        for q in range(0, max_q + 1):
-            fval = intersect_dim(fp, t2.G.at(q))
-            if not fval:
-                continue
-            if p >= 1 and q >= 1:
-                minus += fval
-            elif p >= 1:
-                minus += Fraction((2 * p - 1) * fval, 2)
-            elif q >= 1:
-                minus += Fraction((2 * q - 1) * fval, 2)
-            # f^{0,0} carries weight zero
+    # F and G are zero from their last jumps on
+    quadrant = intersection_dims(
+        t2.F, t2.G, range(t2.F.levels[-1][0] + 1), range(t2.G.levels[-1][0] + 1)
+    )
+    for (p, q), fval in quadrant.items():
+        if not fval:
+            continue
+        if p >= 1 and q >= 1:
+            minus += fval
+        elif p >= 1:
+            minus += Fraction((2 * p - 1) * fval, 2)
+        elif q >= 1:
+            minus += Fraction((2 * q - 1) * fval, 2)
+        # f^{0,0} carries weight zero
     return plus - minus
 
 

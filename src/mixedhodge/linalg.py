@@ -46,22 +46,11 @@ Coordinates in a subspace are taken in its Q(i) basis, not in its
 integer rows: with pivot columns p_0 < p_1 < ..., the coefficient of
 basis row j in a member x is just x[p_j] (``_in_basis``).
 
-``intersect_dim`` remembers its results.  The dimension tables and both
-alpha routes of one triple meet the same levels many times over (a Tate
-twist keeps the level subspaces under shifted indices), so past the zero,
-full and equal shortcuts it hands its operand pair to a private
-``lru_cache`` keyed by value, ``_intersect_dim``, of 128 entries.  The
-whole invariant suite of one random structure of dimension up to 8 needed
-at most 21 distinct pairs (96 draws), and different structures share few,
-so a larger bound would only hold memory.  The memo sits on the private
-name because a wrapper that rebinds the public one (as a tracer does)
-hides ``cache_clear``; module-level caches under their own names are
-found and emptied like any other.  ``intersect`` and ``subspace_sum``
-compute each call afresh: no benchmark workload calls them, and their
-callers (``simultaneous_splitting``, the morphism checks and
-``induced_on_sub``) serve the oracle route and the category operations.
-``full_space`` keeps its last 16 results, so filtration lookups below
-the first jump share one object.
+``intersect_dim``, ``intersect`` and ``subspace_sum`` compute each call
+afresh; the dimension tables that meet the same levels many times over
+keep their counts in ``multifilt._level_dims`` (below).  ``full_space``
+keeps its last 16 results, so filtration lookups below the first jump
+share one object.
 
 Two more caches serve the trigraded table, keyed by level subspaces and
 not by jump indices, so that a shifted or Tate-twisted filtration and the
@@ -74,11 +63,10 @@ well, after ``validate`` has built the table that fills its entry.
 
 Every (F, G) dimension table is read off ``multifilt._level_dims``:
 dim(x ∩ y) for each pair of values of two filtrations, keyed by the two
-chains of values (full space first, then the levels; 128 entries).  It
-calls ``intersect_dim``, so the pair memo stays underneath.  One triple
-needs one entry for (F, G), one each for (W, F) and (W, G) when its K0
-class is asked for, and one per W-piece; a twist shares them all.  The
-fibers of a lambda grid share W, and each of their two W-pieces has
+chains of values (full space first, then the levels; 128 entries).  One
+triple needs one entry for (F, G), one each for (W, F) and (W, G) when
+its K0 class is asked for, and one per W-piece; a twist shares them all.
+The fibers of a lambda grid share W, and each of their two W-pieces has
 dimension 1, where F and G are full or zero, so every fiber's pieces find
 the same two entries, and a pass of n fibers misses at most n + 2 times.
 """
@@ -470,11 +458,6 @@ def intersect_dim(a: Subspace, b: Subspace) -> int:
         return b.dim
     if a == b:
         return a.dim
-    return _intersect_dim(a, b)
-
-
-@lru_cache(maxsize=128)
-def _intersect_dim(a: Subspace, b: Subspace) -> int:
     return b.dim - len(_echelon(b.rows, {_pivot(r): r for r in a.rows}))
 
 

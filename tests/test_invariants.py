@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import one_dim_triple, triples, weight_graded_pieces
+from mixedhodge import linalg
 from mixedhodge.exactfield import I, gauss
 from mixedhodge.families import two_flag_fiber
 from mixedhodge.filtration import graded_dims
@@ -21,10 +23,13 @@ from mixedhodge.invariants import (
     weight_graded_splitting_types,
 )
 from mixedhodge.multifilt import (
+    _level_dims,
     bigraded_dims,
+    f_table,
     hodge_numbers,
     is_opposed,
 )
+from mixedhodge.sampling import random_mhs
 
 LINE_PARAMS = (gauss(0), gauss(1), I, gauss(1, 1))
 
@@ -95,6 +100,25 @@ def test_alpha_f_expansion_handles_negative_support():
     t = tate_twist_triple(two_flag_fiber(I, gauss(1)), -2)
     assert min(p for p, _ in bigraded_dims(t)) < 0
     assert alpha_via_f_expansion(t) == alpha(t) == 1
+
+
+def test_alpha_expansion_reads_the_level_table_of_its_triple(monkeypatch):
+    # the expansion reads its quadrant off the (F, G) level table, and its
+    # Tate twist keeps the level subspaces: after the triple's own tables
+    # it adds no level table and reduces no row
+    calls = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda *a: calls.append(1) or echelon(*a))
+    rng = random.Random(19)
+    draws = [random_mhs(rng, max_dim=6).triple() for _ in range(12)]
+    draws.append(tate_twist_triple(two_flag_fiber(I, gauss(1)), -2))
+    for t in draws:
+        is_opposed(t)
+        f_table(t)
+        misses = _level_dims.cache_info().misses
+        calls.clear()
+        alpha_via_f_expansion(t)
+        assert (_level_dims.cache_info().misses, calls) == (misses, [])
 
 
 def test_alpha_is_tate_invariant():

@@ -9,6 +9,11 @@ module builds an instance around its class's ``__init__`` with
 module-level function, where a scan of module attributes (the tests' and
 the benchmark's cache clearing) finds it.
 
+Only ``exactfield`` decides what a JSON integer is: outside it, no
+``*from_json`` function tests ``isinstance(_, bool)`` or compares
+``type(_)`` with ``int``; the parsers read integers, arrays and objects
+through ``exactfield``'s readers.
+
 Every definition in the package is reached from something other than the
 tests, or is on ``ALLOWED_UNREACHED`` with its reason.  A reference counts
 only for the definition it resolves to, so that a name collision keeps
@@ -109,6 +114,51 @@ def test_caches_sit_on_module_level_functions():
                 assert id(node) in top, f"{path.name}: {node.name}"
                 cached += 1
     assert cached  # the scan sees the package's caches
+
+
+def _decides_an_int(node: ast.AST) -> bool:
+    """``isinstance(_, bool)``, bool alone or in a tuple, or a comparison
+    of ``type(_)`` with ``int``."""
+    if isinstance(node, ast.Call):
+        if not (isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+            return False
+        kinds = node.args[-1]
+        kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+        return any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds)
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        return any(
+            isinstance(o, ast.Name) and o.id == "int" for o in operands
+        ) and any(
+            isinstance(o, ast.Call) and isinstance(o.func, ast.Name)
+            and o.func.id == "type"
+            for o in operands
+        )
+    return False
+
+
+# the document parsers and their helpers, each of which the scan must find
+JSON_PARSERS = {
+    "filtration.from_json", "filtration._ambient_dim_from_json",
+    "filtration._filtrations_from_json", "multifilt.triple_from_json",
+    "curves.config_from_json", "curves._point_from_json",
+    "families.family_from_json", "families._coord_from_json",
+}
+
+
+def test_only_exactfield_decides_a_json_integer():
+    seen = set()
+    for path in SOURCES:
+        if path.stem == "exactfield":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name.endswith("from_json"):
+                seen.add(f"{path.stem}.{node.name}")
+                assert not any(map(_decides_an_int, ast.walk(node))), (
+                    f"{path.name}: {node.name}"
+                )
+    assert JSON_PARSERS <= seen  # the scan sees every parser
 
 
 # definitions that nothing outside the tests reaches, on purpose
