@@ -274,7 +274,7 @@ MAX_CURVE_POINTS = 64
 def _point_from_json(obj, name: str = "point"):
     if obj == "inf":
         return INF
-    pair = array_from_json(obj, "malformed point %r", obj, length=2)
+    pair = array_from_json(obj, "malformed %s %r", name, obj, length=2)
     return complex(*(finite_from_json(v, f"{name} coordinate") for v in pair))
 
 

@@ -1,17 +1,14 @@
-"""Q(i) values at the boundary: what JSON, ``linalg.Matrix``, ``span`` and
-``reduce_mod`` exchange.  ``GaussianRational`` is a + b*i with gcd-reduced
-``Fraction`` parts (so equality is component-wise) and no arithmetic: all
-of that runs on Gaussian-integer rows in ``linalg``.
+"""Q(i) values and the JSON readers of every document shape.
 
-The one interchange format is the JSON quadruple ``[a, b, c, d]``
-(numerator and denominator of the real part, then of the imaginary part; at
-most ``MAX_ENTRY_BITS`` bits each): ``to_json`` writes it and
-``quadruple_from_json`` reads it, into a tuple of four ints in lowest
-terms with positive denominators.  That tuple is the reduced quadruple
-``span`` takes beside Q(i) values, so a document's vectors become
-Gaussian-integer rows with no ``Fraction`` or ``GaussianRational`` made on
-the way.  JSON numbers that stand for doubles (curve points, tolerances,
-family coordinates) are read by ``finite_from_json``.
+A Q(i) value a + b*i is its reduced quadruple ``(re_num, re_den, im_num,
+im_den)``: a tuple of four ints, each fraction in lowest terms with a
+positive denominator, so equality is that of the tuples.  It has no
+arithmetic of its own: all of that runs on Gaussian-integer rows in
+``linalg``.  ``gauss`` makes one from ints and ``Fraction``s, and
+``quadruple_from_json`` reads one from the JSON quadruple ``[a, b, c, d]``
+(at most ``MAX_ENTRY_BITS`` bits each), the one interchange format, which
+``list(q)`` writes back.  JSON numbers that stand for doubles (curve
+points, tolerances, family coordinates) are read by ``finite_from_json``.
 
 Every JSON shape that a document parser accepts is decided here: the
 parsers read integers (never booleans), arrays and objects with
@@ -25,50 +22,25 @@ entry and once per vector, so they keep their one fused type test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-_RationalLike = int | Fraction
+Quad = tuple[int, int, int, int]
+
+ZERO: Quad = (0, 1, 0, 1)
+I: Quad = (0, 1, 1, 1)
 
 
-def _as_fraction(x: _RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    re: Fraction
-    im: Fraction
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def to_json(self) -> list[int]:
-        return [
-            self.re.numerator,
-            self.re.denominator,
-            self.im.numerator,
-            self.im.denominator,
-        ]
-
-
-ZERO = GaussianRational(Fraction(0), Fraction(0))
-I = GaussianRational(Fraction(0), Fraction(1))
-
-
-def gauss(
-    re: GaussianRational | _RationalLike, im: _RationalLike = 0
-) -> GaussianRational:
-    """Coerce to GaussianRational; ``gauss(a, b)`` is a + b*i."""
-    if isinstance(re, GaussianRational):
+def gauss(re: Quad | int | Fraction = 0, im: int | Fraction = 0) -> Quad:
+    """The reduced quadruple of re + im*i; a quadruple passes through."""
+    if type(re) is tuple:
         if im:
-            raise ValueError("cannot add an imaginary part to a GaussianRational")
+            raise ValueError("cannot add an imaginary part to a Q(i) value")
         return re
-    return GaussianRational(_as_fraction(re), _as_fraction(im))
+    for x in (re, im):
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+    re, im = Fraction(re), Fraction(im)
+    return re.numerator, re.denominator, im.numerator, im.denominator
 
 
 def fraction_json(x: Fraction) -> int | list[int]:
@@ -81,7 +53,7 @@ def fraction_json(x: Fraction) -> int | list[int]:
 MAX_ENTRY_BITS = 128
 
 
-def quadruple_from_json(data: object) -> tuple[int, int, int, int]:
+def quadruple_from_json(data: object) -> Quad:
     """Read the JSON quadruple [re_num, re_den, im_num, im_den] as its
     reduced form: each fraction in lowest terms, with a positive
     denominator, so its parts are those of ``Fraction(re_num, re_den)``

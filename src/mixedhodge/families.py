@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mixedhodge.exactfield import (
-    GaussianRational,
+    Quad,
     array_from_json,
     finite_from_json,
     fraction_json,
@@ -209,11 +209,7 @@ class HypothesisAudit:
     min_is_generic: bool
 
 
-def hypothesis_H_audit(
-    fam: SampledFamily, report: StrataReport | None = None
-) -> HypothesisAudit:
-    if report is None:
-        report = alpha_map(fam)
+def hypothesis_H_audit(fam: SampledFamily, report: StrataReport) -> HypothesisAudit:
     keys = [k for k, _ in report.f_tables[0]]
     per_point = [dict(tab) for tab in report.f_tables]
     generic: list[tuple[tuple[int, int], int]] = []
@@ -250,10 +246,8 @@ class SemicontinuityReport:
 
 
 def semicontinuity_report(
-    fam: SampledFamily, report: StrataReport | None = None
+    fam: SampledFamily, report: StrataReport
 ) -> SemicontinuityReport:
-    if report is None:
-        report = alpha_map(fam)
     a = report.alphas
     increasing = []
     for i, j in fam.edges:
@@ -390,7 +384,7 @@ def strata_csv(fam: SampledFamily, report: StrataReport) -> str:
 _TWO_FLAG_W = FilteredSpace(2, ((-1, span([[1, 0]], 2)), (1, zero_subspace(2))))
 
 
-def two_flag_fiber(lam: GaussianRational, kap: GaussianRational) -> TrifilteredSpace:
+def two_flag_fiber(lam: Quad, kap: Quad) -> TrifilteredSpace:
     """Rank 2 with weight pieces in degrees 2 and 0; F and G are the lines
     through (lam, 1) and (kap, 1), both sitting in level 1.  The defect is
     0 when lam = kap and 1 otherwise, which makes this the fiber of choice

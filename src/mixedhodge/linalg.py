@@ -13,18 +13,16 @@ Conventions used throughout the package:
   rows are a canonical form: two subspaces are equal iff their
   dataclasses are.
 
-Q(i) values (``GaussianRational``) appear only at the boundary: in
-``Matrix`` (``from_rows``), the type of user-given linear
-maps; in ``rref``; in what ``span`` takes and ``reduce_mod`` takes and
-returns; in ``Subspace.basis``, the Q(i) reduced row echelon basis
-built on demand for JSON output; and in ``vector_to_json``.  Input
-documents make none: ``vector_from_json`` reads a vector as reduced
-quadruples of ints (``exactfield.quadruple_from_json``), which ``span``
-takes beside Q(i) values.  ``GaussianRational`` has no arithmetic of its
-own: ``_cleared`` turns every entry, of either kind, into its reduced
-quadruple and clears a vector's denominators into a Gaussian-integer row
-on the way in, and ``_to_qi`` and ``reduce_mod`` divide by one integer on
-the way out.  Everything else runs on the integer rows, ``kernel``,
+Q(i) values are reduced quadruples of ints (``exactfield.gauss``) and
+appear only at the boundary: as the entries of a ``Matrix``
+(``from_rows``), the type of user-given linear maps; in ``rref``; in what
+``span`` takes and ``reduce_mod`` takes and returns; in
+``Subspace.basis``, the Q(i) reduced row echelon basis built on demand
+for JSON output; and in ``vector_to_json``.  ``vector_from_json`` reads
+a document's vector as quadruples too.  ``_cleared`` clears a vector's
+denominators into a Gaussian-integer row on the way in, and ``_to_qi``
+and ``reduce_mod`` divide by one positive integer on the way out
+(``_quotient``).  Everything else runs on the integer rows, ``kernel``,
 ``image`` and ``annihilator`` included (a ``Matrix`` is scaled to Gaussian
 integers first), and so do the constructions of the other modules.
 
@@ -74,20 +72,18 @@ the same two entries, and a pass of n fibers misses at most n + 2 times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from mixedhodge.exactfield import (
     MAX_ENTRY_BITS,
     ZERO,
-    GaussianRational,
+    Quad,
     gauss,
     quadruple_from_json,
 )
 
-Vector = tuple[GaussianRational, ...]
-Quad = tuple[int, int, int, int]
+Vector = tuple[Quad, ...]
 IntRow = tuple[tuple[int, int], ...]
 
 _Z = (0, 0)
@@ -97,7 +93,7 @@ _Z = (0, 0)
 class Matrix:
     rows: int
     cols: int
-    entries: tuple[GaussianRational, ...]  # row-major
+    entries: tuple[Quad, ...]  # row-major
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
@@ -107,9 +103,6 @@ class Matrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
-
-    def entry(self, i: int, j: int) -> GaussianRational:
-        return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols : (i + 1) * self.cols]
@@ -125,20 +118,12 @@ def from_rows(rows: list[Vector], cols: int) -> Matrix:
 # -- the Gaussian-integer kernel -------------------------------------------
 
 
-def _quadruple(e) -> Quad:
-    """A Q(i) entry (``GaussianRational``, int or ``Fraction``) as its
-    reduced quadruple; a quadruple, as ``vector_from_json`` reads it, is
-    one already."""
-    if type(e) is tuple:
-        return e
-    g = gauss(e)
-    return g.re.numerator, g.re.denominator, g.im.numerator, g.im.denominator
-
-
 def _cleared(v) -> tuple[list[tuple[int, int]], int]:
     """(row, den): den is the lcm of the reduced denominators of the
-    entries of v, and row is v times den, as Gaussian-integer pairs."""
-    quads = [_quadruple(e) for e in v]
+    entries of v, and row is v times den, as Gaussian-integer pairs.  An
+    entry is anything ``gauss`` takes: a quadruple, an int or a
+    ``Fraction``."""
+    quads = [gauss(e) for e in v]
     den = lcm(*[q[1] for q in quads], *[q[3] for q in quads])
     return [(a * (den // b), c * (den // d)) for a, b, c, d in quads], den
 
@@ -305,12 +290,18 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     return Matrix(m.rows, m.cols, tuple(entries)), len(rows)
 
 
-def _to_qi(rows) -> list[GaussianRational]:
+def _quotient(x: int, y: int, d: int) -> Quad:
+    """The reduced quadruple of (x + y*i) / d, for a positive int d."""
+    g, h = gcd(x, d), gcd(y, d)
+    return x // g, d // g, y // h, d // h
+
+
+def _to_qi(rows) -> list[Quad]:
     """Entries of the canonical rows divided by their pivots, row-major."""
-    out: list[GaussianRational] = []
+    out: list[Quad] = []
     for row in rows:
         d = row[_pivot(row)][0]
-        out.extend(GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in row)
+        out.extend(_quotient(a, b, d) for a, b in row)
     return out
 
 
@@ -382,8 +373,8 @@ def row_space(rows: list, n: int) -> Subspace:
 
 def span(vectors: list[Vector] | list[list], ambient_dim: int) -> Subspace:
     """The span of Q(i) vectors: their cleared rows, canonicalized.  An
-    entry is a ``GaussianRational``, an int, a ``Fraction`` or a reduced
-    quadruple (see ``exactfield.quadruple_from_json``)."""
+    entry is a reduced quadruple, an int or a ``Fraction`` (see
+    ``exactfield.gauss``)."""
     rows = []
     for v in vectors:
         row, den = _cleared(v)
@@ -410,7 +401,7 @@ def reduce_mod(a: Subspace, v: Vector) -> Vector:
     row, den = _cleared(v)
     u, s = _residual(a.rows, row)
     den *= s
-    return tuple(GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in u)
+    return tuple(_quotient(x, y, den) for x, y in u)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -506,7 +497,7 @@ def conj_subspace(a: Subspace) -> Subspace:
 
 
 def vector_to_json(v: Vector) -> list[list[int]]:
-    return [e.to_json() for e in v]
+    return [list(e) for e in v]
 
 
 def vector_from_json(data: object, ambient_dim: int) -> tuple[Quad, ...]:

@@ -12,9 +12,11 @@ Vectors are drawn and combined as Gaussian-integer rows, tuples of
 ``(re, im)`` int pairs, the form ``linalg`` stores subspaces in: a basis
 candidate is tested against the echelon rows of the vectors kept so far,
 tails are added in integer arithmetic, and each flag level is spanned
-from its rows with ``row_space``.  ``GaussianRational`` appears only where a ``Matrix`` is
-returned: the lift of ``random_extension`` and the matrix of
-``random_compatible_morphism``.  The sequence of ``randint`` calls is
+from its rows with ``row_space``.  Q(i) values, reduced quadruples of
+ints (``exactfield.gauss``), appear only where a ``Matrix`` is returned:
+the lift of ``random_extension`` and the matrix of
+``random_compatible_morphism``, whose entries are read off the kernel's
+canonical integer rows.  The sequence of ``randint`` calls is
 fixed: the tests pin seeded draws by a digest, and the benchmark replays
 the proposal stage.
 """
@@ -357,13 +359,15 @@ def random_compatible_morphism(
 
     # rational solution space of the homogeneous system, one row per basis vector
     nu = nt * ns
-    ker = annihilator(row_space(rows, nu)).basis
-    basis = [[ker.entry(i, j).re for j in range(nu)] for i in range(ker.rows)]
+    # the equations are real, so the kernel's rows are too; each row over
+    # its pivot is a row of the reduced echelon basis
+    ker = annihilator(row_space(rows, nu))
     entries = [Fraction(0)] * nu
-    for brow in basis:
+    for krow, p in zip(ker.rows, ker.pivots()):
         c = rng.randint(-3, 3)
         if c:
-            entries = [e + c * b for e, b in zip(entries, brow)]
+            d = krow[p][0]
+            entries = [e + Fraction(c * a, d) for e, (a, _) in zip(entries, krow)]
     mat = from_rows(
         [[gauss(entries[i * ns + j]) for j in range(ns)] for i in range(nt)],
         ns,

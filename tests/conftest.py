@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 import mixedhodge
 from mixedhodge.curves import INF, CurveConfig, genus0_alpha, genus0_report, is_inf
-from mixedhodge.exactfield import GaussianRational, gauss
+from mixedhodge.exactfield import Quad, gauss
 from mixedhodge.linalg import Matrix
 
 settings.register_profile(
@@ -88,20 +88,20 @@ def fractions_(draw, max_num: int = 50, max_den: int = 20) -> Fraction:
 
 
 @st.composite
-def gaussians(draw, **kw) -> GaussianRational:
-    return GaussianRational(draw(fractions_(**kw)), draw(fractions_(**kw)))
+def gaussians(draw, **kw) -> Quad:
+    return gauss(draw(fractions_(**kw)), draw(fractions_(**kw)))
 
 
 # small entries keep exact row reduction fast in property tests
 @st.composite
-def small_gaussians(draw) -> GaussianRational:
+def small_gaussians(draw) -> Quad:
     re = draw(st.integers(min_value=-3, max_value=3))
     im = draw(st.integers(min_value=-2, max_value=2))
-    return GaussianRational(Fraction(re), Fraction(im))
+    return gauss(re, im)
 
 
 @st.composite
-def vectors(draw, ambient_dim: int) -> tuple[GaussianRational, ...]:
+def vectors(draw, ambient_dim: int) -> tuple[Quad, ...]:
     return tuple(draw(small_gaussians()) for _ in range(ambient_dim))
 
 
@@ -200,7 +200,7 @@ def random_flag_basis(draw, n: int, real: bool = False) -> list:
     for _ in range(n):
         r = draw(vectors(n))
         if real:
-            r = tuple(gauss(e.re) for e in r)
+            r = tuple((a, b, 0, 1) for a, b, _, _ in r)
         if span(basis + [r], n).dim > len(basis):
             basis.append(r)
     for i in range(n):

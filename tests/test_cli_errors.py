@@ -129,7 +129,7 @@ CASES = [
     ("curve-alpha", edit(CURVE, (("pairs", 0), ["inf"])), "malformed pair ['inf']"),
     ("curve-alpha", edit(CURVE, (("tau",), "inf")),
      "tau must be a finite [re, im] pair, got 'inf'"),
-    ("curve-alpha", edit(CURVE, (("tau",), 5)), "malformed point 5"),
+    ("curve-alpha", edit(CURVE, (("tau",), 5)), "malformed tau 5"),
     ("curve-alpha", edit(CURVE, (("tau",), [0, True])), "malformed tau coordinate True"),
     ("curve-alpha", edit(CURVE, (("tol",), "x")), "malformed tol 'x'"),
     ("curve-alpha", edit(CURVE, (("tol",), 10**400)), "tol is outside the double range"),

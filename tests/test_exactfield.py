@@ -3,14 +3,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import gaussians
 from mixedhodge.exactfield import (
     I,
     MAX_ENTRY_BITS,
     ZERO,
-    GaussianRational,
     gauss,
     quadruple_from_json,
 )
@@ -18,8 +17,8 @@ from mixedhodge.exactfield import (
 
 def test_construction_and_coercion():
     x = gauss(Fraction(3, 2), Fraction(-1, 3))
-    assert x.re == Fraction(3, 2) and x.im == Fraction(-1, 3)
-    assert gauss(5) == GaussianRational(Fraction(5), Fraction(0))
+    assert x == (3, 2, -1, 3)
+    assert gauss(5) == (5, 1, 0, 1)
     assert gauss(x) is x
     with pytest.raises(ValueError):
         gauss(x, 1)
@@ -27,16 +26,25 @@ def test_construction_and_coercion():
         gauss(0.5)  # floats are not exact, refuse them
 
 
-def test_is_real_and_bool():
-    assert gauss(3).im == 0
-    assert I.im != 0
-    assert not ZERO
-    assert gauss(1) and I
+def test_constants_and_real_values():
+    assert gauss(3)[2:] == (0, 1)
+    assert I[2:] != (0, 1)
+    assert ZERO == gauss() == (0, 1, 0, 1)
+    assert I == gauss(0, 1) == (0, 1, 1, 1)
+
+
+nonzero = st.integers(min_value=-60, max_value=60).filter(bool)
+
+
+@given(st.integers(min_value=-60, max_value=60), nonzero,
+       st.integers(min_value=-60, max_value=60), nonzero)
+def test_gauss_matches_the_json_reader(a, b, c, d):
+    assert gauss(Fraction(a, b), Fraction(c, d)) == quadruple_from_json([a, b, c, d])
 
 
 def test_json_round_trip_fixed_values():
     x = gauss(Fraction(3, 2), Fraction(-1, 3))
-    assert x.to_json() == [3, 2, -1, 3]
+    assert list(x) == [3, 2, -1, 3]
     assert quadruple_from_json([3, 2, -1, 3]) == (3, 2, -1, 3)
     # lowest terms, positive denominators, zero as 0/1
     assert quadruple_from_json([-6, -4, 2, -6]) == (3, 2, -1, 3)
@@ -47,7 +55,7 @@ def test_json_round_trip_fixed_values():
 
 @given(gaussians())
 def test_json_round_trip(x):
-    assert quadruple_from_json(x.to_json()) == tuple(x.to_json())
+    assert quadruple_from_json(list(x)) == x
 
 
 def test_json_rejects_garbage():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -34,10 +35,9 @@ def _sympy_matrix(sympy, rows, n):
         len(rows),
         n,
         [
-            sympy.Rational(e.re.numerator, e.re.denominator)
-            + sympy.I * sympy.Rational(e.im.numerator, e.im.denominator)
+            sympy.Rational(a, b) + sympy.I * sympy.Rational(c, d)
             for row in rows
-            for e in row
+            for a, b, c, d in row
         ],
     )
 
@@ -173,7 +173,8 @@ def test_subspaces_of_a_structure_have_nonpositive_c1():
         dst = direct_sum_mhs(a, random_mhs(rng, max_dim=2))
         f = random_compatible_morphism(rng, src, dst)
         mat = DomainMatrix(
-            [[qq_i(e.re, e.im) for e in row] for row in f.matrix.row_list()],
+            [[qq_i(Fraction(a, b), Fraction(c, d)) for a, b, c, d in row]
+             for row in f.matrix.row_list()],
             (f.matrix.rows, f.matrix.cols), qq_i,
         )
         assert chern_data(f.kernel()).c1 == 0
