@@ -46,7 +46,6 @@ from mixedhodge.invariants import (
     invariants_report,
     tate_twist_triple,
 )
-from mixedhodge.linalg import vector_to_json
 from mixedhodge.mhs import (
     deligne_splitting,
     is_r_split,
@@ -125,7 +124,7 @@ def cmd_deligne_split(args) -> tuple[str, int]:
             {
                 "p": p,
                 "q": q,
-                "vectors": [vector_to_json(row) for row in v.basis.row_list()],
+                "vectors": v.to_json(),
             }
             for (p, q), v in sorted(pieces.items())
         ],

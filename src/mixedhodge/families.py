@@ -40,7 +40,7 @@ from mixedhodge.exactfield import (
 )
 from mixedhodge.filtration import FilteredSpace, common_window
 from mixedhodge.invariants import alpha
-from mixedhodge.linalg import span, zero_subspace
+from mixedhodge.linalg import Subspace, _cleared, row_space, zero_subspace
 from mixedhodge.multifilt import (
     TrifilteredSpace,
     hodge_numbers,
@@ -381,17 +381,27 @@ def strata_csv(fam: SampledFamily, report: StrataReport) -> str:
 
 # the weight flag of every ``two_flag_fiber``: the first axis from -1 on,
 # zero from 1 on; full ⊃ line ⊃ 0 leaves no nesting to check
-_TWO_FLAG_W = FilteredSpace(2, ((-1, span([[1, 0]], 2)), (1, zero_subspace(2))))
+_TWO_FLAG_W = FilteredSpace(
+    2, ((-1, row_space([((1, 0), (0, 0))], 2)), (1, zero_subspace(2)))
+)
 
 
-def two_flag_fiber(lam: Quad, kap: Quad) -> TrifilteredSpace:
+def _graph_line(x: Quad | int | Fraction) -> Subspace:
+    """The line through (x, 1), from its one cleared Gaussian-integer row."""
+    return row_space([_cleared((x, 1))[0]], 2)
+
+
+def two_flag_fiber(
+    lam: Quad | int | Fraction, kap: Quad | int | Fraction
+) -> TrifilteredSpace:
     """Rank 2 with weight pieces in degrees 2 and 0; F and G are the lines
-    through (lam, 1) and (kap, 1), both sitting in level 1.  The defect is
-    0 when lam = kap and 1 otherwise, which makes this the fiber of choice
-    for the worked grids.  Every fiber holds the same W, built once at
+    through (lam, 1) and (kap, 1), both sitting in level 1, for Q(i)
+    values lam and kap as ``gauss`` takes them.  The defect is 0 when
+    lam = kap and 1 otherwise, which makes this the fiber of choice for
+    the worked grids.  Every fiber holds the same W, built once at
     import, so a grid builds only its F and G lines."""
-    f = FilteredSpace(2, ((1, span([(lam, gauss(1))], 2)), (2, zero_subspace(2))))
-    g = FilteredSpace(2, ((1, span([(kap, gauss(1))], 2)), (2, zero_subspace(2))))
+    f = FilteredSpace(2, ((1, _graph_line(lam)), (2, zero_subspace(2))))
+    g = FilteredSpace(2, ((1, _graph_line(kap)), (2, zero_subspace(2))))
     return TrifilteredSpace(2, W=_TWO_FLAG_W, F=f, G=g)
 
 
@@ -435,5 +445,5 @@ def lambda_kappa_grid(
     the diagonal lam = kap."""
     return _square_grid(
         radius, step, ("lambda", "kappa"),
-        lambda lam, kap: two_flag_fiber(gauss(lam), gauss(kap)),
+        two_flag_fiber,
     )

@@ -40,7 +40,6 @@ from mixedhodge.linalg import (
     row_space,
     span,
     vector_from_json,
-    vector_to_json,
     zero_subspace,
 )
 
@@ -92,7 +91,7 @@ class FilteredSpace:
             "levels": [
                 {
                     "index": k,
-                    "vectors": [vector_to_json(row) for row in v.basis.row_list()],
+                    "vectors": v.to_json(),
                 }
                 for k, v in self.levels
             ],

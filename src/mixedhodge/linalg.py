@@ -2,8 +2,11 @@
 
 Conventions used throughout the package:
 
-* matrices act on column vectors, so an (m x n) matrix maps Q(i)^n to
-  Q(i)^m;
+* a linear map from Q(i)^n to Q(i)^m is m rows of n Gaussian integers,
+  acting on column vectors: row i gives coordinate i of the image.  Its
+  image and kernel do not change under a positive integer scale, so a
+  map with rational entries is held as its rows times a common
+  denominator;
 * a ``Subspace`` stores its basis as rows of Gaussian integers, each an
   ``(re, im)`` pair of Python ints.  The rows are in reduced echelon form
   (each pivot column is zero outside its own row) and each row is scaled
@@ -14,17 +17,15 @@ Conventions used throughout the package:
   dataclasses are.
 
 Q(i) values are reduced quadruples of ints (``exactfield.gauss``) and
-appear only at the boundary: as the entries of a ``Matrix``
-(``from_rows``), the type of user-given linear maps; in ``rref``; in what
-``span`` takes and ``reduce_mod`` takes and returns; in
-``Subspace.basis``, the Q(i) reduced row echelon basis built on demand
-for JSON output; and in ``vector_to_json``.  ``vector_from_json`` reads
-a document's vector as quadruples too.  ``_cleared`` clears a vector's
-denominators into a Gaussian-integer row on the way in, and ``_to_qi``
-and ``reduce_mod`` divide by one positive integer on the way out
-(``_quotient``).  Everything else runs on the integer rows, ``kernel``,
-``image`` and ``annihilator`` included (a ``Matrix`` is scaled to Gaussian
-integers first), and so do the constructions of the other modules.
+appear only at the boundary.  On the way in, ``_cleared`` clears a
+vector's denominators into a Gaussian-integer row: for ``span``, for a
+document's vectors (``vector_from_json`` reads them as quadruples), and
+for ``rref`` and ``reduce_mod``.  On the way out, one positive integer
+divides a row (``_quotient``): ``Subspace.to_json`` writes the reduced
+row echelon basis as JSON quadruples, and ``rref`` and ``reduce_mod``
+return quadruples.  Everything else runs on the integer rows, linear
+maps, ``kernel``, ``image`` and ``annihilator`` included, and so do the
+constructions of the other modules.
 
 A ``Subspace`` holds canonical rows.  ``row_space`` makes one from any
 Gaussian-integer rows, and ``span`` from any Q(i) vectors; a vector's
@@ -89,32 +90,6 @@ IntRow = tuple[tuple[int, int], ...]
 _Z = (0, 0)
 
 
-@dataclass(frozen=True)
-class Matrix:
-    rows: int
-    cols: int
-    entries: tuple[Quad, ...]  # row-major
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimension")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_list(self) -> list[Vector]:
-        return [self.row(i) for i in range(self.rows)]
-
-
-def from_rows(rows: list[Vector], cols: int) -> Matrix:
-    return Matrix(len(rows), cols, tuple(e for r in rows for e in r))
-
-
 # -- the Gaussian-integer kernel -------------------------------------------
 
 
@@ -131,14 +106,6 @@ def _cleared(v) -> tuple[list[tuple[int, int]], int]:
 def _mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     """Product of two Gaussian integers."""
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _apply(f: Matrix, rows) -> tuple[list[list[tuple[int, int]]], int]:
-    """(images, D): D is the lcm of the denominators of f's entries, and
-    images holds the Gaussian-integer row D f x for each row x."""
-    flat, den = _cleared(f.entries)
-    scaled = [flat[i * f.cols : (i + 1) * f.cols] for i in range(f.rows)]
-    return [[_dot(r, x) for r in scaled] for x in rows], den
 
 
 def _dot(r, x) -> tuple[int, int]:
@@ -276,33 +243,24 @@ def _residual(rows, u: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], in
     return u, s
 
 
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank. Shape is preserved.
+def rref(rows: list[Vector], width: int) -> tuple[list[Vector], int]:
+    """Reduced row echelon form over Q(i) of vectors of ``width`` entries,
+    and its rank.  Shape is preserved: zero rows pad the result to
+    len(rows) rows.
 
     Elimination runs over the Gaussian integers after clearing each row's
     denominators; fractions reappear only in the final pivot normalisation.
     """
-    if m.rows == 0 or m.cols == 0:
-        return m, 0
-    rows = _canonical([_cleared(m.row(i))[0] for i in range(m.rows)])
-    entries = _to_qi(rows)
-    entries.extend([ZERO] * ((m.rows - len(rows)) * m.cols))
-    return Matrix(m.rows, m.cols, tuple(entries)), len(rows)
+    sub = row_space([_cleared(v)[0] for v in rows], width)
+    reduced = [tuple(map(tuple, v)) for v in sub.to_json()]
+    reduced += [(ZERO,) * width] * (len(rows) - sub.dim)
+    return reduced, sub.dim
 
 
 def _quotient(x: int, y: int, d: int) -> Quad:
     """The reduced quadruple of (x + y*i) / d, for a positive int d."""
     g, h = gcd(x, d), gcd(y, d)
     return x // g, d // g, y // h, d // h
-
-
-def _to_qi(rows) -> list[Quad]:
-    """Entries of the canonical rows divided by their pivots, row-major."""
-    out: list[Quad] = []
-    for row in rows:
-        d = row[_pivot(row)][0]
-        out.extend(_quotient(a, b, d) for a, b in row)
-    return out
 
 
 @dataclass(frozen=True)
@@ -325,10 +283,14 @@ class Subspace:
     def is_full(self) -> bool:
         return len(self.rows) == self.ambient_dim
 
-    @property
-    def basis(self) -> Matrix:
-        """The reduced row echelon basis over Q(i), built on each call."""
-        return Matrix(self.dim, self.ambient_dim, tuple(_to_qi(self.rows)))
+    def to_json(self) -> list[list[list[int]]]:
+        """The reduced row echelon basis over Q(i), as JSON rows of
+        quadruples: each canonical row divided by its pivot."""
+        out = []
+        for row in self.rows:
+            d = row[_pivot(row)][0]
+            out.append([list(_quotient(a, b, d)) for a, b in row])
+        return out
 
     def pivots(self) -> tuple[int, ...]:
         return tuple(_pivot(row) for row in self.rows)
@@ -452,16 +414,19 @@ def intersect_dim(a: Subspace, b: Subspace) -> int:
     return b.dim - len(_echelon(b.rows, {_pivot(r): r for r in a.rows}))
 
 
-def kernel(f: Matrix) -> Subspace:
-    """Kernel of the column-vector action of f, as a subspace of Q(i)^cols."""
-    return annihilator(row_space([_cleared(r)[0] for r in f.row_list()], f.cols))
+def kernel(rows, n: int) -> Subspace:
+    """Kernel of the map with Gaussian-integer rows of width n, as a
+    subspace of Q(i)^n."""
+    return annihilator(row_space(rows, n))
 
 
-def image(f: Matrix, a: Subspace) -> Subspace:
-    """Image of a under f, as a subspace of Q(i)^(f.rows)."""
-    if a.ambient_dim != f.cols:
+def image(rows, a: Subspace) -> Subspace:
+    """Image of a under the map with Gaussian-integer rows, as a subspace
+    of Q(i)^len(rows): row j of a maps to the dot products of the map's
+    rows with it."""
+    if any(len(r) != a.ambient_dim for r in rows):
         raise ValueError("subspace ambient dimension does not match matrix columns")
-    return row_space(_apply(f, a.rows)[0], f.rows)
+    return row_space([[_dot(r, x) for r in rows] for x in a.rows], len(rows))
 
 
 def annihilator(a: Subspace) -> Subspace:
@@ -494,10 +459,6 @@ def conj_subspace(a: Subspace) -> Subspace:
     return Subspace(
         a.ambient_dim, tuple(tuple((x, -y) for x, y in row) for row in a.rows)
     )
-
-
-def vector_to_json(v: Vector) -> list[list[int]]:
-    return [list(e) for e in v]
 
 
 def vector_from_json(data: object, ambient_dim: int) -> tuple[Quad, ...]:

@@ -51,11 +51,10 @@ from mixedhodge.filtration import (
     trivial,
 )
 from mixedhodge.linalg import (
-    Matrix,
+    IntRow,
     Subspace,
     _Z,
     _adapted_basis,
-    _apply,
     _dot,
     _echelon,
     _flag_coordinates,
@@ -231,33 +230,39 @@ def tensor_mhs(
 
 
 def assemble_extension(
-    a: MixedHodgeStructure, b: MixedHodgeStructure, lift: Matrix
+    a: MixedHodgeStructure,
+    b: MixedHodgeStructure,
+    lift: tuple[tuple[IntRow, ...], int],
 ) -> MixedHodgeStructure:
     """Glue b on top of a along a lift of the Hodge filtration.
 
-    The underlying space is V_a + V_b.  Weights add up componentwise; the
-    Hodge filtration of the total space is spanned by F_a^p and the graph
-    vectors (lift . v, v) for v in F_b^p, taken as (D lift . v, D v) on
-    integer rows v, D the common denominator of lift.  The graph makes
-    the sub/quotient contract hold by itself: a vector of F^p lies in V_a
-    only when its graph part is zero, so restricting to V_a gives back
-    F_a^p, and projecting to V_b gives back F_b^p.  The result is
-    validated, so a lift that breaks opposedness raises.
+    The lift is ``(rows, den)``: the map from V_b to V_a whose matrix is
+    the Gaussian-integer rows, one per coordinate of V_a, divided by the
+    positive int den.  The underlying space is V_a + V_b.  Weights add up
+    componentwise; the Hodge filtration of the total space is spanned by
+    F_a^p and the graph vectors (lift . v, v) for v in F_b^p, taken as
+    (rows . v, den v) on integer rows v.  Unlike an image, the graph
+    depends on the scale, hence den.  The graph makes the sub/quotient
+    contract hold by itself: a vector of F^p lies in V_a only when its
+    graph part is zero, so restricting to V_a gives back F_a^p, and
+    projecting to V_b gives back F_b^p.  The result is validated, so a
+    lift that breaks opposedness raises.
     """
-    if lift.rows != a.ambient_dim or lift.cols != b.ambient_dim:
+    rows, den = lift
+    if len(rows) != a.ambient_dim or any(len(r) != b.ambient_dim for r in rows):
         raise ValueError("lift must map the second summand into the first")
+    if den < 1:
+        raise ValueError("lift denominator must be a positive integer")
     n = a.ambient_dim + b.ambient_dim
     pad = (_Z,) * b.ambient_dim
     f_levels: dict[int, Subspace] = {}
     for p in sorted(set(a.F.jumps()) | set(b.F.jumps())):
-        b_rows = b.F.at(p).rows
-        images, den = _apply(lift, b_rows)
-        rows = [row + pad for row in a.F.at(p).rows]
-        rows += [
-            [*image, *((den * x, den * y) for x, y in row)]
-            for image, row in zip(images, b_rows)
+        level = [row + pad for row in a.F.at(p).rows]
+        level += [
+            [*(_dot(r, v) for r in rows), *((den * x, den * y) for x, y in v)]
+            for v in b.F.at(p).rows
         ]
-        f_levels[p] = row_space(rows, n)
+        f_levels[p] = row_space(level, n)
     return validate(direct_sum(a.W, b.W), filtered_space(n, f_levels))
 
 

@@ -35,10 +35,12 @@ tables in ``_level_dims`` (see ``linalg``), so a Tate twist of the triple
 and the fibers of a family that share W and a flag reuse them.
 
 ``simultaneous_splitting`` realizes s^{p,q} by an explicit bigraded
-decomposition, which exists for any two filtrations.  Morphisms between
-triples can be tested for compatibility and strictness, and have kernels
-and cokernels with their induced filtrations: a kernel in the coordinates
-of its Q(i) basis, a cokernel in the non-pivot columns of the image.
+decomposition, which exists for any two filtrations.  A morphism between
+triples holds its map as Gaussian-integer rows (see ``linalg``); it can be
+tested for compatibility and strictness, and has a kernel and a cokernel
+with their induced filtrations: a kernel in the coordinates of its Q(i)
+basis, a cokernel in the non-pivot columns of the image.  None of these
+depends on a positive scale of the rows.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from mixedhodge.filtration import (
     induced_on_sub,
 )
 from mixedhodge.linalg import (
-    Matrix,
+    IntRow,
     Subspace,
     _adapted_basis,
     _dot,
@@ -67,7 +69,7 @@ from mixedhodge.linalg import (
     image,
     intersect,
     intersect_dim,
-    kernel as matrix_kernel,
+    kernel as map_kernel,
     row_space,
     subspace_sum,
 )
@@ -306,14 +308,14 @@ def simultaneous_splitting(
 
 @dataclass(frozen=True)
 class FilteredMorphism:
-    matrix: Matrix
+    rows: tuple[IntRow, ...]  # one per target coordinate, of source width
     source: TrifilteredSpace
     target: TrifilteredSpace
 
     def __post_init__(self) -> None:
-        if self.matrix.cols != self.source.ambient_dim:
+        if any(len(r) != self.source.ambient_dim for r in self.rows):
             raise ValueError("matrix columns do not match the source dimension")
-        if self.matrix.rows != self.target.ambient_dim:
+        if len(self.rows) != self.target.ambient_dim:
             raise ValueError("matrix rows do not match the target dimension")
 
     def _levels(self):
@@ -324,7 +326,7 @@ class FilteredMorphism:
                 yield src.at(p), dst.at(p)
 
     def compatible(self) -> bool:
-        return all(image(self.matrix, src) <= dst for src, dst in self._levels())
+        return all(image(self.rows, src) <= dst for src, dst in self._levels())
 
     def is_strict(self) -> bool:
         """Whether the image meets each target level exactly in the image
@@ -333,15 +335,15 @@ class FilteredMorphism:
         """
         if not self.compatible():
             raise ValueError("morphism is not compatible with the filtrations")
-        full_image = image(self.matrix, full_space(self.source.ambient_dim))
+        full_image = image(self.rows, full_space(self.source.ambient_dim))
         return all(
-            intersect(full_image, dst) == image(self.matrix, src)
+            intersect(full_image, dst) == image(self.rows, src)
             for src, dst in self._levels()
         )
 
     def kernel(self) -> TrifilteredSpace:
         """Kernel with the filtrations induced from the source."""
-        k = matrix_kernel(self.matrix)
+        k = map_kernel(self.rows, self.source.ambient_dim)
         return TrifilteredSpace(
             k.dim,
             W=induced_on_sub(self.source.W, k),
@@ -351,7 +353,7 @@ class FilteredMorphism:
 
     def cokernel(self) -> TrifilteredSpace:
         """Cokernel with the filtrations induced from the target."""
-        im = image(self.matrix, full_space(self.source.ambient_dim))
+        im = image(self.rows, full_space(self.source.ambient_dim))
         return TrifilteredSpace(
             self.target.ambient_dim - im.dim,
             W=induced_on_quotient(self.target.W, im),

@@ -12,30 +12,28 @@ Vectors are drawn and combined as Gaussian-integer rows, tuples of
 ``(re, im)`` int pairs, the form ``linalg`` stores subspaces in: a basis
 candidate is tested against the echelon rows of the vectors kept so far,
 tails are added in integer arithmetic, and each flag level is spanned
-from its rows with ``row_space``.  Q(i) values, reduced quadruples of
-ints (``exactfield.gauss``), appear only where a ``Matrix`` is returned:
-the lift of ``random_extension`` and the matrix of
-``random_compatible_morphism``, whose entries are read off the kernel's
-canonical integer rows.  The sequence of ``randint`` calls is
-fixed: the tests pin seeded draws by a digest, and the benchmark replays
-the proposal stage.
+from its rows with ``row_space``.  Linear maps are Gaussian-integer rows
+too: the lift of ``random_extension`` is its drawn rows over the
+denominator 1, and the map of ``random_compatible_morphism`` is a random
+integer combination of the solution kernel's canonical rows, each scaled
+so that its pivot becomes the lcm of their pivots.  No Q(i) value is
+built here.  The sequence of ``randint`` calls
+is fixed: the tests pin seeded draws by a digest, and the benchmark
+replays the proposal stage.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from math import lcm
 
-from .exactfield import gauss
 from .filtration import FilteredSpace, from_increasing
 from .linalg import (
     IntRow,
-    Matrix,
     Subspace,
     _echelon,
     _mul,
     annihilator,
-    from_rows,
     full_space,
     row_space,
     zero_subspace,
@@ -307,22 +305,22 @@ def random_mhs(
 
 def random_extension(
     rng: random.Random, max_dim_each: int = 3
-) -> tuple[MixedHodgeStructure, MixedHodgeStructure, Matrix, MixedHodgeStructure]:
+) -> tuple[
+    MixedHodgeStructure,
+    MixedHodgeStructure,
+    tuple[tuple[IntRow, ...], int],
+    MixedHodgeStructure,
+]:
     """(sub, quotient, lift, total) with sub weights strictly below quotient.
 
-    Weight separation makes every lift matrix produce a valid total structure,
-    so the lift can be drawn freely.
+    Weight separation makes every lift produce a valid total structure, so
+    the lift, ``(rows, 1)`` as ``assemble_extension`` takes it, can be
+    drawn freely.
     """
     split = rng.randint(-1, 1)
     a = random_mhs(rng, max_dim_each, weight_range=(-2, split))
     b = random_mhs(rng, max_dim_each, weight_range=(split + 1, 3))
-    lift = from_rows(
-        [
-            tuple(gauss(re, im) for re, im in _random_row(rng, b.ambient_dim))
-            for _ in range(a.ambient_dim)
-        ],
-        b.ambient_dim,
-    )
+    lift = tuple(_random_row(rng, b.ambient_dim) for _ in range(a.ambient_dim)), 1
     total = assemble_extension(a, b, lift)
     return a, b, lift, total
 
@@ -332,16 +330,17 @@ def random_compatible_morphism(
     src: MixedHodgeStructure,
     dst: MixedHodgeStructure,
 ) -> FilteredMorphism:
-    """A random real matrix compatible with both weight and Hodge levels.
+    """A random real map compatible with both weight and Hodge levels.
 
     Compatibility with a filtration level is a linear condition on the matrix
     entries: each annihilator functional of the target level must vanish on
     the image of each source basis vector.  Realness of the unknowns plus
     compatibility with F gives compatibility with the conjugate filtration
     for free, so only W and F contribute equations.  The conditions are
-    solved exactly over the rationals and a random integer combination of the
-    kernel basis is returned; the zero morphism is always available, so the
-    construction never fails.
+    solved exactly over the rationals, and the map is a random integer
+    combination of the reduced echelon basis of the solutions, times the
+    lcm of its pivots so that its rows are integers; the zero morphism is
+    always available, so the construction never fails.
     """
     ns, nt = src.ambient_dim, dst.ambient_dim
     # real and imaginary parts of a_i v_j, unknown (i, j) at i * ns + j,
@@ -357,19 +356,18 @@ def random_compatible_morphism(
                     if any(im for _, im in coeffs):
                         rows.append([(im, 0) for _, im in coeffs])
 
-    # rational solution space of the homogeneous system, one row per basis vector
+    # rational solution space of the homogeneous system, one row per basis
+    # vector; the equations are real, so the kernel's rows are too, and
+    # each row over its pivot is a row of the reduced echelon basis
     nu = nt * ns
-    # the equations are real, so the kernel's rows are too; each row over
-    # its pivot is a row of the reduced echelon basis
     ker = annihilator(row_space(rows, nu))
-    entries = [Fraction(0)] * nu
-    for krow, p in zip(ker.rows, ker.pivots()):
+    pivots = ker.pivots()
+    big = lcm(*(krow[p][0] for krow, p in zip(ker.rows, pivots)))
+    entries = [(0, 0)] * nu
+    for krow, p in zip(ker.rows, pivots):
         c = rng.randint(-3, 3)
         if c:
-            d = krow[p][0]
-            entries = [e + Fraction(c * a, d) for e, (a, _) in zip(entries, krow)]
-    mat = from_rows(
-        [[gauss(entries[i * ns + j]) for j in range(ns)] for i in range(nt)],
-        ns,
-    )
+            s = c * (big // krow[p][0])
+            entries = [(x + s * a, y + s * b) for (x, y), (a, b) in zip(entries, krow)]
+    mat = tuple(tuple(entries[i * ns : (i + 1) * ns]) for i in range(nt))
     return FilteredMorphism(mat, src.triple(), dst.triple())

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, settings, strategies as st
 import mixedhodge
 from mixedhodge.curves import INF, CurveConfig, genus0_alpha, genus0_report, is_inf
 from mixedhodge.exactfield import Quad, gauss
-from mixedhodge.linalg import Matrix
 
 settings.register_profile(
     "default",
@@ -48,10 +47,22 @@ def _empty_caches():
         cache.cache_clear()
 
 
-def matrix(rows: list[list]) -> Matrix:
-    """A ``Matrix`` from a nonempty list of equally long rows, each entry
-    through ``gauss``."""
-    return Matrix(len(rows), len(rows[0]), tuple(gauss(e) for r in rows for e in r))
+def lift(rows: list[list]) -> tuple[tuple, int]:
+    """(int_rows, den): a linear map given by rows of Q(i) values, each
+    entry through ``gauss``, as Gaussian-integer rows over their common
+    denominator, the form ``assemble_extension`` takes."""
+    quads = [[gauss(e) for e in r] for r in rows]
+    den = lcm(*(q[k] for r in quads for q in r for k in (1, 3)))
+    return tuple(
+        tuple((a * (den // b), c * (den // d)) for a, b, c, d in r) for r in quads
+    ), den
+
+
+def int_map(rows: list[list]) -> tuple:
+    """The Gaussian-integer rows of a linear map given by rows of Q(i)
+    values: ``lift``'s rows, a positive multiple of the map, which has the
+    same image and kernel."""
+    return lift(rows)[0]
 
 
 def assert_canonical(sub) -> None:

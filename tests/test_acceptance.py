@@ -260,7 +260,7 @@ def test_c11_compatible_morphisms_are_strict():
             mor = random_compatible_morphism(rng, src, dst)
             assert mor.compatible()
             assert mor.is_strict()
-            if any(mor.matrix.entries):
+            if any(x or y for row in mor.rows for x, y in row):
                 nonzero += 1
-                proper += 0 < kernel(mor.matrix).dim < src.ambient_dim
+                proper += 0 < kernel(mor.rows, src.ambient_dim).dim < src.ambient_dim
         assert nonzero >= 90 and proper >= 80

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from conftest import matrix
+from conftest import lift
 from mixedhodge.cli import _build_parser, _parse_args, main
 from mixedhodge.curves import MAX_CURVE_POINTS
 from mixedhodge.exactfield import I, MAX_ENTRY_BITS, gauss
@@ -41,8 +41,8 @@ def write(tmp_path, name, obj):
 @pytest.fixture
 def mixed_pair(tmp_path):
     """A split and a non-split rank 2 structure, as JSON files."""
-    split = assemble_extension(tate(0), tate(-1), matrix([[gauss(0)]]))
-    knotted = assemble_extension(tate(0), tate(-1), matrix([[gauss(1, 2)]]))
+    split = assemble_extension(tate(0), tate(-1), lift([[gauss(0)]]))
+    knotted = assemble_extension(tate(0), tate(-1), lift([[gauss(1, 2)]]))
     return (
         write(tmp_path, "split.json", split.to_json()),
         write(tmp_path, "knotted.json", knotted.to_json()),
@@ -67,7 +67,7 @@ def test_alpha_accepts_both_shapes(tmp_path, capsys):
     path = write(tmp_path, "tri.json", t.to_json())
     code, out, _ = run(capsys, ["alpha", "--in", path])
     assert code == 0 and json.loads(out) == {"alpha": 1}
-    m = assemble_extension(tate(0), tate(-1), matrix([[I]]))
+    m = assemble_extension(tate(0), tate(-1), lift([[I]]))
     path2 = write(tmp_path, "m.json", m.to_json())
     code, out, _ = run(capsys, ["alpha", "--in", path2])
     assert code == 0 and json.loads(out) == {"alpha": 1}

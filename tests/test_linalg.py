@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_canonical, matrix, package_caches, subspaces, vectors
+from conftest import assert_canonical, int_map, package_caches, subspaces, vectors
 from mixedhodge.exactfield import I, MAX_ENTRY_BITS, ZERO, gauss
 from mixedhodge.linalg import (
-    Matrix,
     Subspace,
     _in_basis,
     annihilator,
@@ -28,32 +27,43 @@ from mixedhodge.linalg import (
 )
 
 
+def qi_json(rows: list[list]) -> list:
+    """Rows of Q(i) values, each entry through ``gauss``, as JSON rows of
+    quadruples."""
+    return [[list(gauss(e)) for e in r] for r in rows]
+
+
 def test_matrix_shape_validation():
-    with pytest.raises(ValueError):
-        Matrix(2, 2, (gauss(1), ZERO, gauss(1)))
-    with pytest.raises(ValueError, match="negative matrix dimension"):
-        Matrix(-1, 0, ())
+    # a map's rows must be as wide as the space it acts on
+    f = int_map([[1, 0], [0, 1]])
+    assert image(f, full_space(2)) == full_space(2)
+    with pytest.raises(
+        ValueError, match="^subspace ambient dimension does not match matrix columns$"
+    ):
+        image(f, full_space(3))
+    with pytest.raises(ValueError, match="matrix columns"):
+        image(((), ((1, 0),)), zero_subspace(0))
 
 
 def test_rref_fixed_value():
     # the second row is i times the first, so the rank collapses to 1
-    m = matrix([[1, I], [I, -1]])
-    reduced, rank = rref(m)
+    reduced, rank = rref([[1, I], [I, -1]], 2)
     assert rank == 1
-    assert reduced == matrix([[1, I], [0, 0]])
+    assert reduced == [(gauss(1), I), (ZERO, ZERO)]
 
 
 def test_rref_identity_is_fixed_point():
-    identity = matrix([[int(i == j) for j in range(3)] for i in range(3)])
-    reduced, rank = rref(identity)
+    identity = [tuple(gauss(int(i == j)) for j in range(3)) for i in range(3)]
+    reduced, rank = rref(identity, 3)
     assert reduced == identity
     assert rank == 3
+    assert rref([(), ()], 0) == ([(), ()], 0)
 
 
 def test_span_canonicalizes():
     a = span([[2, 0, 1], [0, 3, 0], [2, 3, 1]], 3)
     assert a.dim == 2
-    assert a.basis == matrix([[1, 0, Fraction(1, 2)], [0, 1, 0]])
+    assert a.to_json() == qi_json([[1, 0, Fraction(1, 2)], [0, 1, 0]])
 
 
 def test_subspace_invariants_enforced():
@@ -74,8 +84,8 @@ def test_subspace_invariants_enforced():
         with pytest.raises(AssertionError, match=msg):
             assert_canonical(Subspace(2, rows))
     with pytest.raises(AssertionError, match="tuple"):
-        # a Q(i) matrix is not the stored form
-        assert_canonical(Subspace(2, matrix([[1, 0]])))
+        # a list of Q(i) rows is not the stored form
+        assert_canonical(Subspace(2, [(gauss(1), ZERO)]))
 
 
 def test_vector_common_denominator_is_capped():
@@ -95,7 +105,7 @@ def test_integer_rows_basis_and_conjugate_fixed_value():
     a = span([[4, 0, gauss(2, 2)], [2, 3, gauss(2, 1)]], 3)
     assert a.rows == (((2, 0), (0, 0), (1, 1)), ((0, 0), (3, 0), (1, 0)))
     half = Fraction(1, 2)
-    assert a.basis == matrix([[1, 0, gauss(half, half)], [0, 1, Fraction(1, 3)]])
+    assert a.to_json() == qi_json([[1, 0, gauss(half, half)], [0, 1, Fraction(1, 3)]])
     b = conj_subspace(a)
     assert b.rows == (((2, 0), (0, 0), (1, -1)), ((0, 0), (3, 0), (1, 0)))
     assert Subspace(3, b.rows) == b == span([[2, 0, gauss(1, -1)], [0, 3, 1]], 3)
@@ -129,8 +139,8 @@ def test_coordinates_and_reduce_mod():
 
 
 def test_kernel_image_fixed_values():
-    f = matrix([[1, 0, 1], [0, 1, 1]])
-    k = kernel(f)
+    f = int_map([[1, 0, 1], [0, 1, 1]])
+    k = kernel(f, 3)
     assert k.dim == 1
     assert span([(gauss(-1), gauss(-1), gauss(1))], 3) <= k
     assert image(f, full_space(3)) == full_space(2)
@@ -211,9 +221,9 @@ def test_intersection_is_largest_common_subspace(pair):
 ))
 def test_rank_nullity_and_preimage_roundtrip(data):
     n, b, rows = data
-    f = matrix([list(r) for r in rows])
-    assert image(f, full_space(n)).dim + kernel(f).dim == n
-    assert image(f, kernel(f)).is_zero
+    f = int_map([list(r) for r in rows])
+    assert image(f, full_space(n)).dim + kernel(f, n).dim == n
+    assert image(f, kernel(f, n)).is_zero
 
 
 def _copy(a: Subspace) -> Subspace:
@@ -273,14 +283,14 @@ def test_canonical_rows_pass_the_full_check(data):
     meet = intersect(a, b)
     assert meet == intersect(b, a)
     assert meet.dim == a.dim + b.dim - join.dim
-    # a map with a rational row, so that image and kernel clear denominators
-    f = matrix(
+    # a map with a rational row, cleared into integer rows
+    f = int_map(
         [[gauss(x, y) for x, y in r] for r in rows_b]
         + [[Fraction(1, k + 2) for k in range(n)]]
     )
     outs = (
         a, b, meet, join, conj_subspace(a), image(f, a),
-        kernel(f), annihilator(a), _in_basis(a, meet.rows), zero_subspace(n),
+        kernel(f, n), annihilator(a), _in_basis(a, meet.rows), zero_subspace(n),
         full_space(n),
     )
     for out in outs:

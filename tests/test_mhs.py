@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     deligne_pieces,
     filtered_spaces,
-    matrix,
+    lift,
     package_modules,
     weight_two_zero_mhs,
 )
@@ -245,18 +245,18 @@ def test_assemble_extension_reproduces_the_line_family():
     a = tate(0)
     b = tate(-1)
     for lmb in LINE_PARAMS:
-        h = assemble_extension(a, b, matrix([[lmb]]))
+        h = assemble_extension(a, b, lift([[lmb]]))
         ref = weight_two_zero_mhs(lmb)
         assert h.W == ref.W
         assert h.F == ref.F
-    assert alpha(assemble_extension(a, b, matrix([[I]])).triple()) == 1
-    assert alpha(assemble_extension(a, b, matrix([[0]])).triple()) == 0
+    assert alpha(assemble_extension(a, b, lift([[I]])).triple()) == 1
+    assert alpha(assemble_extension(a, b, lift([[0]])).triple()) == 0
 
 
 def test_assemble_extension_zero_lift_is_direct_sum():
     a = weight_two_zero_mhs(I)
     b = tate(-2)
-    zero_lift = matrix([[0], [0]])
+    zero_lift = lift([[0], [0]])
     h = assemble_extension(a, b, zero_lift)
     assert alpha(h.triple()) == alpha(a.triple())
     assert hodge_numbers(h.triple()) == {(1, 1): 1, (0, 0): 1, (2, 2): 1}
@@ -264,7 +264,9 @@ def test_assemble_extension_zero_lift_is_direct_sum():
 
 def test_assemble_extension_shape_check():
     with pytest.raises(ValueError, match="lift"):
-        assemble_extension(tate(0), tate(-1), matrix([[1], [0]]))
+        assemble_extension(tate(0), tate(-1), lift([[1], [0]]))
+    with pytest.raises(ValueError, match="^lift denominator must be a positive integer$"):
+        assemble_extension(tate(0), tate(-1), ((((1, 0),),), 0))
 
 
 def test_json_round_trip():

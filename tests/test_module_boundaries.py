@@ -9,6 +9,10 @@ module builds an instance around its class's ``__init__`` with
 module-level function, where a scan of module attributes (the tests' and
 the benchmark's cache clearing) finds it.
 
+Q(i) values, reduced quadruples, are built or read only in the modules
+on ``QI_MODULES``, and no module defines or uses a ``Matrix``: a linear
+map is Gaussian-integer rows.
+
 Only ``exactfield`` decides what a JSON integer is: outside it, no
 ``*from_json`` function tests ``isinstance(_, bool)`` or compares
 ``type(_)`` with ``int``; the parsers read integers, arrays and objects
@@ -27,7 +31,7 @@ nothing alive:
   ``import mixedhodge.<mod> as``, by ``from mixedhodge import <mod>`` or
   by (tuple) assignment of a ``pkg.<mod>``;
 * any other attribute read, for the public methods of that name, unless
-  the name is also a dataclass field: ``self.matrix`` reads a field.
+  the name is also a dataclass field: ``self.rows`` reads a field.
 
 Names that only ``bench/tracer.py``'s lists reach are pinned in
 ``TRACER_ONLY``.
@@ -87,6 +91,26 @@ def test_only_linalg_knows_the_canonical_form():
         known = _names(tree) & LINALG_ONLY
         assert known == (LINALG_ONLY if path.stem == "linalg" else set()), path.name
         assert not _calls_object_new(tree), path.name
+
+
+# the names through which a module builds or reads Q(i) quadruples
+QI_NAMES = {"gauss", "ZERO", "I", "_quotient", "quadruple_from_json"}
+# the modules that use them: the value type and its JSON reader
+# (exactfield), the clearing on the way in and the writer on the way out
+# (linalg), the selftest's fixed values (cli), the package's exported
+# constructor (__init__), and the conjugate grid's points re + im*i
+# (families); linear maps and everything else run on integer rows
+QI_MODULES = {"__init__", "cli", "exactfield", "families", "linalg"}
+
+
+def test_q_i_values_stay_at_the_edges():
+    using = set()
+    for path in SOURCES:
+        names = _names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        assert "Matrix" not in names, path.name  # a linear map is integer rows
+        if names & QI_NAMES:
+            using.add(path.stem)
+    assert using == QI_MODULES
 
 
 CACHE_DECORATORS = {"lru_cache", "cache"}

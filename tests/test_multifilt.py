@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     filtered_spaces,
-    matrix,
+    int_map,
     one_dim_triple,
     triples,
     weight_graded_pieces,
@@ -313,9 +313,9 @@ def test_induced_on_subquotient_requires_nesting():
 def test_morphism_compatibility():
     src = one_dim_triple(0, 0, 0)
     dst = one_dim_triple(0, 1, 0)
-    up = FilteredMorphism(matrix([[1]]), src, dst)  # target F is deeper: fine
+    up = FilteredMorphism(int_map([[1]]), src, dst)  # target F is deeper: fine
     assert up.compatible()
-    down = FilteredMorphism(matrix([[1]]), dst, src)  # source F too deep
+    down = FilteredMorphism(int_map([[1]]), dst, src)  # source F too deep
     assert not down.compatible()
     with pytest.raises(ValueError):
         down.is_strict()
@@ -326,18 +326,45 @@ def test_strictness_fixed_example():
     # than the image of source level 1
     src = one_dim_triple(0, 0, 0)
     dst = one_dim_triple(0, 1, 0)
-    m = FilteredMorphism(matrix([[1]]), src, dst)
+    m = FilteredMorphism(int_map([[1]]), src, dst)
     assert m.compatible()
     assert not m.is_strict()
     # identity to an identical target is strict
-    m2 = FilteredMorphism(matrix([[1]]), src, src)
+    m2 = FilteredMorphism(int_map([[1]]), src, src)
     assert m2.is_strict()
 
 
 def test_morphism_shape_validation():
     src = one_dim_triple(0, 0, 0)
     with pytest.raises(ValueError):
-        FilteredMorphism(matrix([[1, 0]]), src, src)
+        FilteredMorphism(int_map([[1, 0]]), src, src)
+
+
+def test_morphisms_at_the_zero_space():
+    # a map's rows carry no width of their own: into the zero space it has
+    # no rows, and out of it, one empty row per target coordinate
+    t = two_flag_fiber(I, 1)
+    point = TrifilteredSpace(0, W=trivial(0), F=trivial(0), G=trivial(0))
+    into = FilteredMorphism((), t, point)
+    assert into.compatible() and into.is_strict()
+    ker = into.kernel()
+    assert (ker.ambient_dim, ker.W, ker.F, ker.G) == (2, t.W, t.F, t.G)
+    assert into.cokernel().ambient_dim == 0
+    out = FilteredMorphism(((), ()), point, t)
+    assert out.compatible() and out.is_strict()
+    assert out.kernel().ambient_dim == 0
+    cok = out.cokernel()
+    assert (cok.ambient_dim, cok.W, cok.F, cok.G) == (2, t.W, t.F, t.G)
+    columns = "^matrix columns do not match the source dimension$"
+    rows = "^matrix rows do not match the target dimension$"
+    for bad, src, dst, match in (
+        ((((1, 0),),), point, point, columns),  # a row of width 1 from 0
+        ((((1, 0),), ((0, 0),)), point, t, columns),
+        ((((0, 0), (1, 0)),), t, point, rows),  # one row into 0
+        ((), point, t, rows),
+    ):
+        with pytest.raises(ValueError, match=match):
+            FilteredMorphism(bad, src, dst)
 
 
 def test_kernel_and_cokernel_fixed_example():
@@ -345,7 +372,7 @@ def test_kernel_and_cokernel_fixed_example():
     # weight 0 with induced type (0, 0); the map is onto, so no cokernel
     t = two_flag_fiber(I, 1)
     target = one_dim_triple(-2, 1, 1)
-    proj = FilteredMorphism(matrix([[0, 1]]), t, target)
+    proj = FilteredMorphism(int_map([[0, 1]]), t, target)
     assert proj.compatible()
     ker = proj.kernel()
     assert ker.ambient_dim == 1
@@ -376,11 +403,11 @@ def test_kernel_and_cokernel_use_rref_coordinates():
     # and (2, -2)
     src = TrifilteredSpace(3, W=trivial(3), F=_line(2, 1, 0), G=_line(2, -2, -1))
     point = one_dim_triple(0, 0, 0)
-    ker = FilteredMorphism(matrix([[1, -2, 6]]), src, point).kernel()
+    ker = FilteredMorphism(int_map([[1, -2, 6]]), src, point).kernel()
     assert (ker.W, ker.F, ker.G) == (trivial(2), _line(2, 1), _line(1, -1))
     # the image is the line (2, 1, 0, 0): (1, 0, 0, 1) leaves (-1/2, 0, 1)
     dst = TrifilteredSpace(4, W=trivial(4), F=_line(1, 0, 0, 1), G=trivial(4))
-    cok = FilteredMorphism(matrix([[2], [1], [0], [0]]), point, dst).cokernel()
+    cok = FilteredMorphism(int_map([[2], [1], [0], [0]]), point, dst).cokernel()
     assert (cok.W, cok.F, cok.G) == (trivial(3), _line(1, 0, -2), trivial(3))
 
 
@@ -389,7 +416,7 @@ def test_cokernel_of_inclusion():
     # which keeps its type (1, 1)
     t = two_flag_fiber(I, I)
     sub = one_dim_triple(0, 0, 0)
-    incl = FilteredMorphism(matrix([[1], [0]]), sub, t)
+    incl = FilteredMorphism(int_map([[1], [0]]), sub, t)
     assert incl.compatible()
     cok = incl.cokernel()
     assert cok.ambient_dim == 1

@@ -1,5 +1,6 @@
 """Checks against libraries that share no code with the package: sympy for
-exact row reduction over Q(i), mpmath for the Jacobi theta function."""
+exact row reduction over Q(i), of subspaces and of linear maps, mpmath for
+the Jacobi theta function."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import gaussians
 from mixedhodge.curves import theta
-from mixedhodge.filtration import induced_on_sub
+from mixedhodge.filtration import common_window, induced_on_sub
 from mixedhodge.invariants import chern_data
 from mixedhodge.linalg import (
     full_space,
@@ -25,7 +26,7 @@ from mixedhodge.linalg import (
     span,
     subspace_sum,
 )
-from mixedhodge.mhs import deligne_splitting, direct_sum_mhs
+from mixedhodge.mhs import assemble_extension, deligne_splitting, direct_sum_mhs
 from mixedhodge.multifilt import TrifilteredSpace
 from mixedhodge.sampling import random_compatible_morphism, random_mhs
 
@@ -60,13 +61,13 @@ def _row_lists(n: int, max_rows: int):
 def test_span_basis_is_sympy_rref(data):
     sympy = pytest.importorskip("sympy")
     n, rows = data
-    basis = span(rows, n).basis
+    basis = span(rows, n).to_json()
     if not rows:
-        assert basis.rows == 0
+        assert basis == []
         return
     reduced, pivots = _sympy_matrix(sympy, rows, n).rref()
-    assert basis.rows == len(pivots)
-    ours = _sympy_matrix(sympy, basis.row_list(), n)
+    assert len(basis) == len(pivots)
+    ours = _sympy_matrix(sympy, basis, n)
     assert sympy.simplify(ours - reduced[: len(pivots), :]).is_zero_matrix
 
 
@@ -83,9 +84,88 @@ def test_intersection_dimension_and_members_against_sympy(data):
     want = dim_a + dim_b - _rank(sympy, rows_a + rows_b, n)
     assert meet.dim == want
     assert intersect_dim(a, b) == want
-    for v in meet.basis.row_list():
+    for v in meet.to_json():
         assert _rank(sympy, rows_a + [v], n) == dim_a
         assert _rank(sympy, rows_b + [v], n) == dim_b
+
+
+def _int_maps(max_dim: int):
+    """(n, rows, a_rows): a map from Q(i)^n to Q(i)^len(rows) as
+    Gaussian-integer rows, zero rows and zero maps included, and rows
+    spanning a subspace of its source."""
+    entry = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+    def rows(n, k):
+        return st.lists(st.tuples(*[entry] * n), min_size=0, max_size=k)
+
+    return st.integers(min_value=0, max_value=max_dim).flatmap(
+        lambda n: st.tuples(st.just(n), rows(n, max_dim), rows(n, n + 1))
+    )
+
+
+@settings(max_examples=150)
+@given(_int_maps(4))
+def test_kernel_and_image_against_sympy(data):
+    # a subspace equals sympy's when it has sympy's dimension and each of
+    # its rows passes sympy's membership test
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    n, rows, a_rows = data
+    qq_i = sympy.QQ_I
+
+    def dm(int_rows, width):
+        return DomainMatrix(
+            [[qq_i(x, y) for x, y in r] for r in int_rows], (len(int_rows), width), qq_i
+        )
+
+    m = len(rows)
+    f = dm(rows, n)
+    ker = kernel(rows, n)
+    assert ker.dim == n - f.rank()
+    for v in ker.rows:
+        assert (f * dm([v], n).transpose()).is_zero_matrix
+    # the image of a is spanned by f applied to a's rows, the columns of f A^T
+    a = row_space(list(a_rows), n)
+    ours = image(rows, a)
+    theirs = (f * dm(a_rows, n).transpose()).transpose()
+    rank = theirs.rank()
+    assert ours.dim == rank
+    for v in ours.rows:
+        assert theirs.vstack(dm([v], m)).rank() == rank
+
+
+def test_rational_lift_extension_against_sympy():
+    # the Hodge levels of an extension are the span of a's levels and the
+    # graph (lift v, v) of b's, with the lift's entries rational
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    qq_i = sympy.QQ_I
+    rng = random.Random("rational lift")
+    a = random_mhs(rng, 3, weight_range=(-2, 0))
+    b = random_mhs(rng, 3, weight_range=(1, 3))
+    na, nb = a.ambient_dim, b.ambient_dim
+    den = 6
+    rows = tuple(
+        tuple((rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(nb))
+        for _ in range(na)
+    )
+    total = assemble_extension(a, b, (rows, den))
+    lift = [[qq_i(Fraction(x, den), Fraction(y, den)) for x, y in r] for r in rows]
+    n = na + nb
+    for p in common_window(a.F, b.F):
+        vecs = [[qq_i(x, y) for x, y in r] + [qq_i(0)] * nb for r in a.F.at(p).rows]
+        for v in b.F.at(p).rows:
+            w = [qq_i(x, y) for x, y in v]
+            graph = [sum((c * e for c, e in zip(r, w)), qq_i(0)) for r in lift]
+            vecs.append(graph + w)
+        level = total.F.at(p)
+        want = DomainMatrix(vecs, (len(vecs), n), qq_i).rank() if vecs else 0
+        assert level.dim == want
+        ours = [[qq_i(x, y) for x, y in r] for r in level.rows]
+        both = vecs + ours
+        assert (DomainMatrix(both, (len(both), n), qq_i).rank() if both else 0) == want
 
 
 @pytest.mark.parametrize(
@@ -173,14 +253,13 @@ def test_subspaces_of_a_structure_have_nonpositive_c1():
         dst = direct_sum_mhs(a, random_mhs(rng, max_dim=2))
         f = random_compatible_morphism(rng, src, dst)
         mat = DomainMatrix(
-            [[qq_i(Fraction(a, b), Fraction(c, d)) for a, b, c, d in row]
-             for row in f.matrix.row_list()],
-            (f.matrix.rows, f.matrix.cols), qq_i,
+            [[qq_i(a, b) for a, b in row] for row in f.rows],
+            (dst.ambient_dim, src.ambient_dim), qq_i,
         )
         assert chern_data(f.kernel()).c1 == 0
-        ker = kernel(f.matrix)
+        ker = kernel(f.rows, src.ambient_dim)
         assert c1(src.triple(), ker, mat.nullspace().to_list()) == 0
-        im = image(f.matrix, full_space(src.ambient_dim))
+        im = image(f.rows, full_space(src.ambient_dim))
         im_rows = mat.columnspace().transpose().to_list()
         assert c1(dst.triple(), im, im_rows) == 0
         seen["kernels"] += 0 < ker.dim < src.ambient_dim
