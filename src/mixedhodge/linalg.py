@@ -37,9 +37,14 @@ canonical form at every such site.
 
 One routine puts Gaussian-integer rows in echelon form: ``_echelon``,
 which drops rows that reduce to zero and grows a table of rows by leading
-column.  ``_canonical`` is ``_echelon`` plus back substitution, and the
+column.  One step reduces a row against a table row (``_reduce_step``):
+it forms the combination that clears the pivot column from the first
+column where that can be nonzero, finds its leading column and content
+in one loop, and divides out the content.  ``_canonical`` is
+``_echelon`` plus a back substitution by the same step, and the
 intersections and the rank checks of the other modules count or read its
-rows; ``_residual`` only reduces one row against canonical rows.
+rows; ``_residual`` only reduces one row against canonical rows, and
+keeps its content.
 
 Coordinates in a subspace are taken in its Q(i) basis, not in its
 integer rows: with pivot columns p_0 < p_1 < ..., the coefficient of
@@ -117,44 +122,48 @@ def _dot(r, x) -> tuple[int, int]:
     return re, im
 
 
-def _primitive(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """row divided by the gcd of all its components."""
-    g = 0
-    for a, b in row:
-        g = gcd(g, a, b)
-        if g == 1:
-            return row
-    if g <= 1:
-        return row
-    return [(a // g, b // g) for a, b in row]
-
-
 def _pivot(row) -> int | None:
     """The column of row's first nonzero entry; None for a zero row."""
     return next((j for j, e in enumerate(row) if e != _Z), None)
 
 
-def _eliminate(
-    prow, row, col: int, d: int, c: tuple[int, int]
-) -> list[tuple[int, int]]:
-    """d * row - c * prow, computed from column ``col`` on: both rows
-    vanish left of it.  With d the positive integer pivot of prow and c
-    the entry of row in that pivot column, the result vanishes there."""
-    ca, cb = c
-    return list(row[:col]) + [
-        (d * xa - ca * ya + cb * yb, d * xb - ca * yb - cb * ya)
-        for (xa, xb), (ya, yb) in zip(row[col:], prow[col:])
-    ]
+def _reduce_step(prow, row, col: int, start: int) -> tuple[list, int | None]:
+    """(r, lead): d * row - c * prow over its content, for d the positive
+    integer pivot of prow at ``col`` and c = row[col], and r's first nonzero
+    column (None if r = 0).  r is formed from ``start`` on and is zero left
+    of it: col + 1 in echelon form, where both rows lead at col, or row's
+    own pivot column in back substitution, where prow vanishes."""
+    d = prow[col][0]
+    ca, cb = row[col]
+    tail = [(d * xa - ca * ya + cb * yb, d * xb - ca * yb - cb * ya)
+            for (xa, xb), (ya, yb) in zip(row[start:], prow[start:])]
+    lead = None
+    g = 0
+    for j, (a, b) in enumerate(tail, start):
+        if a or b:
+            if lead is None:
+                lead = j
+            g = gcd(g, a, b)
+            if g == 1:
+                break
+    if g > 1:
+        tail = [(a // g, b // g) for a, b in tail]
+    return [_Z] * start + tail, lead
 
 
-def _real_pivot(row, col: int) -> list[tuple[int, int]]:
+def _real_pivot(row, col: int):
     """row times a Gaussian integer making its entry at ``col`` a positive
-    integer, primitive."""
+    integer, primitive; row itself when it is both already."""
     pa, pb = row[col]
-    if pb == 0 and pa > 0:
-        return _primitive(list(row))
-    # multiply by the conjugate of the pivot: the pivot becomes its norm
-    return _primitive([(a * pa + b * pb, b * pa - a * pb) for a, b in row])
+    if pb or pa < 0:
+        # multiply by the conjugate of the pivot: the pivot becomes its norm
+        row = [(a * pa + b * pb, b * pa - a * pb) for a, b in row]
+    g = 0
+    for a, b in row[col:]:
+        g = gcd(g, a, b)
+        if g == 1:
+            return row
+    return [(a // g, b // g) for a, b in row]
 
 
 def _adapted_basis(chain) -> list:
@@ -181,7 +190,8 @@ def _flag_coordinates(chain: tuple[Subspace, ...]) -> tuple[IntRow, ...]:
 
 
 def _echelon(rows, by_lead: dict | None = None) -> list:
-    """Each row reduced against the rows before it until its leading
+    """Each row reduced against the rows before it, one ``_reduce_step``
+    per leading column it shares with one of them, until its leading
     column is new to them, or dropped when it reduces to zero; a kept
     row's own leading entry becomes a positive integer.  The kept rows
     span what ``rows`` spans, and their leading columns are distinct.
@@ -199,9 +209,7 @@ def _echelon(rows, by_lead: dict | None = None) -> list:
     for r in rows:
         col = _pivot(r)
         while col in by_lead:
-            prow = by_lead[col]
-            r = _primitive(_eliminate(prow, r, col, prow[col][0], r[col]))
-            col = _pivot(r)
+            r, col = _reduce_step(by_lead[col], r, col, col + 1)
         if col is None:
             continue
         r = _real_pivot(r, col)
@@ -221,24 +229,25 @@ def _canonical(rows) -> tuple[IntRow, ...]:
     for k in range(len(done) - 1, 0, -1):
         col = pivots[k]
         prow = done[k]
-        d = prow[col][0]
         for r in range(k):
-            c = done[r][col]
-            if c != _Z:
-                done[r] = _primitive(_eliminate(prow, done[r], pivots[r], d, c))
+            if done[r][col] != _Z:
+                done[r] = _reduce_step(prow, done[r], col, pivots[r])[0]
     return tuple(tuple(r) for r in done)
 
 
 def _residual(rows, u: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
     """(w, s): s * u reduced by canonical rows, so w vanishes at their
-    pivot columns and w / s differs from u by an element of their span."""
+    pivot columns and w / s differs from u by an element of their span.
+    w keeps its content: ``reduce_mod`` reads w / s, which dividing w alone
+    would change."""
     s = 1
     for row in rows:
         p = _pivot(row)
-        c = u[p]
-        if c != _Z:
+        ca, cb = u[p]
+        if ca or cb:
             d = row[p][0]
-            u = _eliminate(row, u, 0, d, c)
+            u = [(d * xa - ca * ya + cb * yb, d * xb - ca * yb - cb * ya)
+                 for (xa, xb), (ya, yb) in zip(u, row)]
             s *= d
     return u, s
 

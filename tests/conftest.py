@@ -91,6 +91,20 @@ def assert_canonical(sub) -> None:
         assert sum(r[piv] != (0, 0) for r in rows) == 1, "pivot column not cleared"
 
 
+def reference_step(prow, row, col: int) -> tuple[list, int | None]:
+    """The oracle for ``linalg._reduce_step``, in three passes over the
+    whole row: d * row - c * prow, for d = prow[col][0] and c = row[col];
+    then that row divided by the gcd of all its parts; then the column of
+    its first nonzero entry, None for a zero row."""
+    d, (ca, cb) = prow[col][0], row[col]
+    out = [(d * xa - ca * ya + cb * yb, d * xb - ca * yb - cb * ya)
+           for (xa, xb), (ya, yb) in zip(row, prow)]
+    g = gcd(*(x for e in out for x in e))
+    if g > 1:
+        out = [(a // g, b // g) for a, b in out]
+    return out, next((j for j, e in enumerate(out) if e != (0, 0)), None)
+
+
 @st.composite
 def fractions_(draw, max_num: int = 50, max_den: int = 20) -> Fraction:
     num = draw(st.integers(min_value=-max_num, max_value=max_num))

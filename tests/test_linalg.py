@@ -1,16 +1,27 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_canonical, int_map, package_caches, subspaces, vectors
+from conftest import (
+    assert_canonical,
+    int_map,
+    package_caches,
+    reference_step,
+    subspaces,
+    vectors,
+)
 from mixedhodge.exactfield import I, MAX_ENTRY_BITS, ZERO, gauss
 from mixedhodge.linalg import (
     Subspace,
+    _echelon,
     _in_basis,
+    _real_pivot,
+    _reduce_step,
     annihilator,
     conj_subspace,
     full_space,
@@ -296,6 +307,106 @@ def test_canonical_rows_pass_the_full_check(data):
     for out in outs:
         assert_canonical(out)
         assert row_space(list(out.rows), out.ambient_dim) == out
+
+
+_ENTRY = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+_NONZERO = _ENTRY.filter(lambda e: e != (0, 0))
+
+
+@st.composite
+def reduction_steps(draw) -> tuple:
+    """(prow, row, col, start) as ``_echelon`` and ``_canonical`` pass them
+    to ``_reduce_step``: prow leads at col with a positive integer and row
+    is nonzero there.  In echelon form (start = col + 1) row vanishes left
+    of col; in back substitution (start < col) it vanishes left of start.
+    Some rows are multiples of prow, which reduce to zero, and a common
+    factor k of both rows gives the result a content of at least k**2."""
+    n = draw(st.integers(1, 8))
+    col = draw(st.integers(0, n - 1))
+    start = draw(st.sampled_from([col + 1, *range(col)]))
+    zero = (0, 0)
+    prow = [zero] * col + [(draw(st.integers(1, 6)), 0)]
+    prow += [draw(_ENTRY) for _ in range(col + 1, n)]
+    if draw(st.booleans()):
+        ma, mb = draw(_NONZERO)
+        row = [(ma * a - mb * b, ma * b + mb * a) for a, b in prow]
+    else:
+        lo = min(col, start)
+        row = [zero] * lo + [draw(_ENTRY) for _ in range(lo, n)]
+        row[col] = draw(_NONZERO)
+    k = draw(st.integers(1, 3))
+    return (
+        [(k * a, k * b) for a, b in prow], [(k * a, k * b) for a, b in row],
+        col, start,
+    )
+
+
+@settings(max_examples=400)
+@given(reduction_steps())
+# a zero result: row is i times prow
+@example(([(2, 0), (1, -1)], [(0, 2), (1, 1)], 0, 1))
+# pivots in the last column: in echelon form nothing is left, in back
+# substitution the result has content 3
+@example(([(0, 0), (0, 0), (3, 0)], [(0, 0), (0, 0), (1, -2)], 2, 3))
+@example(([(0, 0), (0, 0), (3, 0)], [(2, 0), (1, 1), (1, -2)], 2, 0))
+# content 4 after the step
+@example(([(2, 0), (4, 2)], [(4, 0), (2, 6)], 0, 1))
+# a negative and a complex c
+@example(([(1, 0), (2, -1)], [(-4, 0), (1, 1)], 0, 1))
+@example(([(1, 0), (2, -1), (0, 3)], [(-3, 2), (1, 1), (5, 0)], 0, 1))
+# back substitution: row leads at start, left of col
+@example(([(0, 0), (4, 0), (1, 2)], [(2, 0), (6, -2), (0, 0)], 1, 0))
+def test_reduce_step_matches_the_reference(step):
+    prow, row, col, start = step
+    assert _reduce_step(prow, row, col, start) == reference_step(prow, row, col)
+
+
+def test_real_pivot_fixed_values():
+    # rows of content > 1 whose pivots are a positive integer, a negative
+    # one, a negative imaginary one and a complex one
+    cases = [
+        ([(0, 0), (5, 0), (10, -5)], 1, [(0, 0), (1, 0), (2, -1)]),
+        ([(-2, 0), (4, 2), (0, 6)], 0, [(1, 0), (-2, -1), (0, -3)]),
+        ([(0, -3), (3, 6)], 0, [(1, 0), (-2, 1)]),
+        ([(2, 2), (4, 0), (0, 6)], 0, [(2, 0), (2, -2), (3, 3)]),
+    ]
+    for row, col, want in cases:
+        assert gcd(*(x for e in row for x in e)) > 1
+        got = _real_pivot(row, col)
+        assert got == want
+        pa, pb = got[col]
+        assert pb == 0 and pa > 0
+        assert gcd(*(x for e in got for x in e)) == 1
+        assert row_space([row], len(row)).rows == (tuple(want),)
+        # a row in that form already is returned as it is
+        assert _real_pivot(want, col) is want
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(st.just(n), int_row_lists(n), int_row_lists(n))
+))
+def test_echelon_leaves_its_inputs_alone(data):
+    # _echelon keeps a given row whose leading entry is a positive integer
+    # and whose content is 1 without a copy, in its result and in by_lead;
+    # no later step may write into it
+    n, rows_a, rows_b = data
+    results = []
+    for form in (tuple, list):
+        given_a = [form(r) for r in rows_a]
+        given_b = [form(r) for r in rows_b]
+        alone = _echelon(given_a)
+        by_lead: dict = {}
+        _echelon(given_a, by_lead)
+        before = {col: (r, list(r)) for col, r in by_lead.items()}
+        after = _echelon(given_b, by_lead)
+        row_space(given_a, n)
+        row_space(given_b, n)
+        assert given_a == [form(r) for r in rows_a]
+        assert given_b == [form(r) for r in rows_b]
+        for col, (r, old) in before.items():
+            assert by_lead[col] is r and list(r) == old
+        results.append([[list(r) for r in out] for out in (alone, after)])
+    assert results[0] == results[1]
 
 
 def test_package_caches_are_bounded():
