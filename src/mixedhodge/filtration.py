@@ -169,6 +169,11 @@ def graded_dims(f: FilteredSpace) -> dict[int, int]:
     return out
 
 
+def common_jumps(f: FilteredSpace, g: FilteredSpace) -> list[int]:
+    """The sorted union of two filtrations' jump indices."""
+    return sorted({*f.jumps(), *g.jumps()})
+
+
 def direct_sum(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:
     d1, d2 = f.ambient_dim, g.ambient_dim
     n = d1 + d2
@@ -182,7 +187,7 @@ def direct_sum(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:
             + tuple((_Z,) * d1 + row for row in b.rows),
         )
 
-    keys = sorted({k for k, _ in f.levels} | {k for k, _ in g.levels})
+    keys = common_jumps(f, g)
     return filtered_space(n, {k: embed(f.at(k), g.at(k)) for k in keys})
 
 

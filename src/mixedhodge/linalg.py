@@ -52,27 +52,9 @@ basis row j in a member x is just x[p_j] (``_in_basis``).
 
 ``intersect_dim``, ``intersect`` and ``subspace_sum`` compute each call
 afresh; the dimension tables that meet the same levels many times over
-keep their counts in ``multifilt._level_dims`` (below).  ``full_space``
-keeps its last 16 results, so filtration lookups below the first jump
-share one object.
-
-Two more caches serve the trigraded table, keyed by level subspaces and
-not by jump indices, so that a shifted or Tate-twisted filtration and the
-fibers of one family, which share W, hit them: ``_flag_coordinates``
-(the dual basis adapted to W, keyed by W's chain of level subspaces, 16
-entries) and ``multifilt._trigraded_items`` (the levels of one flag on
-every W-graded piece, keyed by (n, W's chain, the flag's chain), 128
-entries).  ``mhs``'s Deligne splitting reads ``_flag_coordinates`` as
-well, after ``validate`` has built the table that fills its entry.
-
-Every (F, G) dimension table is read off ``multifilt._level_dims``:
-dim(x ∩ y) for each pair of values of two filtrations, keyed by the two
-chains of values (full space first, then the levels; 128 entries).  One
-triple needs one entry for (F, G), one each for (W, F) and (W, G) when
-its K0 class is asked for, and one per W-piece; a twist shares them all.
-The fibers of a lambda grid share W, and each of their two W-pieces has
-dimension 1, where F and G are full or zero, so every fiber's pieces find
-the same two entries, and a pass of n fibers misses at most n + 2 times.
+keep their counts in ``multifilt``'s caches.  ``full_space`` keeps its
+last 16 results, so filtration lookups below the first jump share one
+object.
 """
 
 from __future__ import annotations
@@ -164,29 +146,6 @@ def _real_pivot(row, col: int):
         if g == 1:
             return row
     return [(a // g, b // g) for a, b in row]
-
-
-def _adapted_basis(chain) -> list:
-    """Rows adapted to an increasing chain of subspaces: each member's
-    canonical rows whose pivots are new.  Pivot sets grow along the chain,
-    so the rows kept once a member is reached are a basis of it."""
-    taken: set[int] = set()
-    out = []
-    for sub in chain:
-        for row in sub.rows:
-            p = _pivot(row)
-            if p not in taken:
-                taken.add(p)
-                out.append(row)
-    return out
-
-
-@lru_cache(maxsize=16)
-def _flag_coordinates(chain: tuple[Subspace, ...]) -> tuple[IntRow, ...]:
-    """Rows a_0, ..., a_{n-1} of a dual basis adapted to a decreasing chain
-    of subspaces ending at zero: with y_j = a_j . x, each member V of the
-    chain is {y_j = 0 for j < n - dim V}."""
-    return tuple(_adapted_basis([annihilator(v) for v in chain]))
 
 
 def _echelon(rows, by_lead: dict | None = None) -> list:

@@ -17,8 +17,9 @@ weight term hits zero.  Conjugation maps I^{p,q} into I^{q,p} only up to
 lower weight; the structure is R-split when it maps it onto I^{q,p} on
 the nose, which happens exactly when the splitting defect alpha vanishes.
 
-Every term is read off one elimination.  In coordinates y adapted to W
-(``linalg._flag_coordinates``) each W_m is {y_j = 0 for j < n - dim W_m}.
+Every term is read off one elimination, the F entry of the trigraded
+table (``multifilt._trigraded_items``), which ``validate`` has built.  In
+coordinates y adapted to W each W_m is {y_j = 0 for j < n - dim W_m}.
 An F-adapted basis, each row carrying its original coordinates x as
 [y | x], is put in echelon form on y once; then F^a ∩ W_m is spanned by
 those of the first dim F^a rows that lead at n - dim W_m or later.  The
@@ -43,6 +44,7 @@ from functools import cached_property
 from mixedhodge.filtration import (
     FilteredSpace,
     _filtrations_from_json,
+    common_jumps,
     direct_sum,
     dual,
     filtered_space,
@@ -54,19 +56,17 @@ from mixedhodge.linalg import (
     IntRow,
     Subspace,
     _Z,
-    _adapted_basis,
     _dot,
     _echelon,
-    _flag_coordinates,
     _pivot,
     conj_subspace,
-    full_space,
     row_space,
     zero_subspace,
 )
 from mixedhodge.multifilt import (
     TrifilteredSpace,
     _chain,
+    _trigraded_items,
     hodge_numbers,
     trigraded_dims,
 )
@@ -104,7 +104,7 @@ class MixedHodgeStructure:
     @cached_property
     def _deligne(self) -> dict[tuple[int, int], Subspace]:
         n = self.ambient_dim
-        rows = _hodge_echelon(self.W, self.F)
+        rows = _trigraded_items(n, _chain(self.W), _chain(self.F))[0]
         leads = [_pivot(r) for r in rows]
         # Fbar's echelon is the row-wise conjugate of F's; as corrector
         # rows of the Zassenhaus pass their x half is zero
@@ -144,22 +144,6 @@ class MixedHodgeStructure:
             "W": self.W.to_json(),
             "F": self.F.to_json(),
         }
-
-
-def _hodge_echelon(w: FilteredSpace, f: FilteredSpace) -> list:
-    """Rows [y | x] of an F-adapted basis, deepest level first, in echelon
-    form on the y half: x in the original coordinates, y in coordinates
-    adapted to W (``linalg._flag_coordinates``).  The first dim F^a rows
-    span F^a, and those among them leading at n - dim W_m or later span
-    F^a ∩ W_m."""
-    n = w.ambient_dim
-    coords = _flag_coordinates(_chain(w))
-    return _echelon(
-        [
-            [*(_dot(a, x) for a in coords), *x]
-            for x in _adapted_basis([*reversed(_chain(f)), full_space(n)])
-        ]
-    )
 
 
 def conj_filtration(f: FilteredSpace) -> FilteredSpace:
@@ -256,7 +240,7 @@ def assemble_extension(
     n = a.ambient_dim + b.ambient_dim
     pad = (_Z,) * b.ambient_dim
     f_levels: dict[int, Subspace] = {}
-    for p in sorted(set(a.F.jumps()) | set(b.F.jumps())):
+    for p in common_jumps(a.F, b.F):
         level = [row + pad for row in a.F.at(p).rows]
         level += [
             [*(_dot(r, v) for r in rows), *((den * x, den * y) for x, y in v)]

@@ -29,10 +29,25 @@ same with the levels F and G induce on it.
 
 The trigraded table is computed once per triple and kept on it, so
 ``hodge_numbers``, ``is_opposed`` and the invariants of one triple share
-it, and it goes away with the triple.  The levels one flag induces on the
-pieces of W are kept by value in ``_trigraded_items``, and the level
-tables in ``_level_dims`` (see ``linalg``), so a Tate twist of the triple
-and the fibers of a family that share W and a flag reuse them.
+it, and it goes away with the triple.  Three caches outlive it, keyed by
+level subspaces and not by jump indices, so that a shifted or
+Tate-twisted filtration and the fibers of one family, which share W, hit
+them:
+
+* ``_flag_coordinates``, the dual basis adapted to W, keyed by W's chain
+  of level subspaces (16 entries);
+* ``_trigraded_items``, one flag's echelon rows in W-adapted coordinates
+  and the levels it induces on every W-graded piece, keyed by (n, W's
+  chain, the flag's chain) (128 entries).  ``mhs``'s Deligne splitting
+  reads the rows of the F entry, which ``validate`` fills when it builds
+  the table;
+* ``_level_dims``, the level tables, keyed by the two chains of values,
+  full space first (128 entries).  One triple needs one entry for
+  (F, G), one each for (W, F) and (W, G) when its K0 class is asked for,
+  and one per W-piece; a twist shares them all.  The fibers of a lambda
+  grid share W, and each of their two W-pieces has dimension 1, where F
+  and G are full or zero, so every fiber's pieces find the same two
+  entries, and a pass of n fibers misses at most n + 2 times.
 
 ``simultaneous_splitting`` realizes s^{p,q} by an explicit bigraded
 decomposition, which exists for any two filtrations.  A morphism between
@@ -52,6 +67,7 @@ from functools import cached_property, lru_cache
 from mixedhodge.filtration import (
     FilteredSpace,
     _filtrations_from_json,
+    common_jumps,
     common_window,
     induced_on_quotient,
     induced_on_sub,
@@ -59,12 +75,11 @@ from mixedhodge.filtration import (
 from mixedhodge.linalg import (
     IntRow,
     Subspace,
-    _adapted_basis,
     _dot,
     _echelon,
-    _flag_coordinates,
     _in_basis,
     _pivot,
+    annihilator,
     full_space,
     image,
     intersect,
@@ -107,8 +122,8 @@ class TrifilteredSpace:
         out: dict[tuple[int, int, int], int] = {}
         for (key, _), f_gr, g_gr in zip(
             self.W.levels,
-            _trigraded_items(n, w_chain, _chain(self.F)),
-            _trigraded_items(n, w_chain, _chain(self.G)),
+            _trigraded_items(n, w_chain, _chain(self.F))[1],
+            _trigraded_items(n, w_chain, _chain(self.G))[1],
         ):
             table = _level_dims(f_gr, g_gr)
             for (p, q), d in _bigraded_by_position(table, f_jumps, g_jumps).items():
@@ -121,31 +136,57 @@ def _chain(f: FilteredSpace) -> tuple[Subspace, ...]:
     return tuple(v for _, v in f.levels)
 
 
+def _adapted_basis(chain) -> list:
+    """Rows adapted to an increasing chain of subspaces: each member's
+    canonical rows whose pivots are new.  Pivot sets grow along the chain,
+    so the rows kept once a member is reached are a basis of it."""
+    taken: set[int] = set()
+    out = []
+    for sub in chain:
+        for row in sub.rows:
+            p = _pivot(row)
+            if p not in taken:
+                taken.add(p)
+                out.append(row)
+    return out
+
+
+@lru_cache(maxsize=16)
+def _flag_coordinates(chain: tuple[Subspace, ...]) -> tuple[IntRow, ...]:
+    """Rows a_0, ..., a_{n-1} of a dual basis adapted to a decreasing chain
+    of subspaces ending at zero: with y_j = a_j . x, each member V of the
+    chain is {y_j = 0 for j < n - dim V}."""
+    return tuple(_adapted_basis([annihilator(v) for v in chain]))
+
+
 @lru_cache(maxsize=128)
 def _trigraded_items(
     n: int, w_chain: tuple[Subspace, ...], x_chain: tuple[Subspace, ...]
-) -> tuple[tuple[Subspace, ...], ...]:
-    """The flag Q(i)^n ⊃ x_chain induced on each graded piece of the flag
-    Q(i)^n ⊃ w_chain: per piece, the images of the full space and of each
-    member of x_chain, in the piece's own coordinates.
+) -> tuple[tuple[IntRow, ...], tuple[tuple[Subspace, ...], ...]]:
+    """(rows, pieces): the flag Q(i)^n ⊃ x_chain in coordinates adapted to
+    the flag Q(i)^n ⊃ w_chain, and induced on each of its graded pieces.
 
     In coordinates y adapted to W (``_flag_coordinates``) the member W_k
-    of w_chain is {y_j = 0 for j < n - dim W_k}.  An X-adapted basis,
-    deepest level first, is put in echelon form (``_echelon``); its first
-    dim X rows span a level X, and those that lead in the columns
-    [n - dim W_{k-1}, n - dim W_k) give X ∩ W_{k-1} modulo W_k, cut to
-    those columns.  Keyed by the level subspaces, so a shifted or twisted
-    filtration shares the entry.
+    of w_chain is {y_j = 0 for j < n - dim W_k}.  ``rows`` is an X-adapted
+    basis, deepest level first, each row [y | x] carrying its original
+    coordinates x, put in echelon form on y (``_echelon``): the x halves
+    of its first dim X rows span a level X, and those among them that
+    lead at n - dim W_k or later span X ∩ W_k.  ``pieces`` holds, per
+    graded piece, the images of the full space and of each member of
+    x_chain in the piece's own coordinates: the rows of X ∩ W_{k-1} that
+    lead in the columns [n - dim W_{k-1}, n - dim W_k), cut to those
+    columns, give X ∩ W_{k-1} modulo W_k.  Keyed by the level subspaces,
+    so a shifted or twisted filtration shares the entry.
     """
     coords = _flag_coordinates(w_chain)
     rows = _echelon(
         [
-            [_dot(a, x) for a in coords]
+            [*(_dot(a, x) for a in coords), *x]
             for x in _adapted_basis([*reversed(x_chain), full_space(n)])
         ]
     )
     leads = [_pivot(r) for r in rows]
-    out = []
+    pieces = []
     lo = 0
     for w in w_chain:
         hi = n - w.dim
@@ -158,9 +199,9 @@ def _trigraded_items(
             if len(keep) < level.dim:
                 level = row_space(keep, hi - lo)
             levels.append(level)
-        out.append(tuple(levels))
+        pieces.append(tuple(levels))
         lo = hi
-    return tuple(out)
+    return tuple(map(tuple, rows)), tuple(pieces)
 
 
 def _positions(f: FilteredSpace) -> tuple[Subspace, ...]:
@@ -322,7 +363,7 @@ class FilteredMorphism:
         """(source level, target level) at every jump of W, F and G."""
         s, t = self.source, self.target
         for src, dst in ((s.W, t.W), (s.F, t.F), (s.G, t.G)):
-            for p in sorted(set(src.jumps()) | set(dst.jumps())):
+            for p in common_jumps(src, dst):
                 yield src.at(p), dst.at(p)
 
     def compatible(self) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from math import lcm
 
-from .filtration import FilteredSpace, from_increasing
+from .filtration import FilteredSpace, common_jumps, from_increasing
 from .linalg import (
     IntRow,
     Subspace,
@@ -347,7 +347,7 @@ def random_compatible_morphism(
     # for integer rows v of a source level and a of the target annihilator
     rows: list[list[tuple[int, int]]] = []
     for fs, fd in ((src.W, dst.W), (src.F, dst.F)):
-        for key in sorted({k for k, _ in fs.levels} | {k for k, _ in fd.levels}):
+        for key in common_jumps(fs, fd):
             ann_rows = annihilator(fd.at(key)).rows
             for v in fs.at(key).rows:
                 for a in ann_rows:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,11 @@ from conftest import (
     package_modules,
     weight_two_zero_mhs,
 )
+from mixedhodge import linalg
 from mixedhodge.exactfield import I, gauss
 from mixedhodge.filtration import filtered_space, graded_dims, shift, trivial
 from mixedhodge.invariants import alpha
 from mixedhodge.linalg import (
-    _flag_coordinates,
     conj_subspace,
     full_space,
     intersect,
@@ -27,7 +28,6 @@ from mixedhodge.linalg import (
 )
 from mixedhodge.mhs import (
     MixedHodgeStructure,
-    _hodge_echelon,
     assemble_extension,
     conj_filtration,
     deligne_splitting,
@@ -40,7 +40,13 @@ from mixedhodge.mhs import (
     tensor_mhs,
     validate,
 )
-from mixedhodge.multifilt import _chain, hodge_numbers, trigraded_dims
+from mixedhodge.multifilt import (
+    _chain,
+    _flag_coordinates,
+    _trigraded_items,
+    hodge_numbers,
+    trigraded_dims,
+)
 from mixedhodge.sampling import random_extension, random_mhs
 
 LINE_PARAMS = (gauss(0), gauss(1), I, gauss(1, 1))
@@ -132,14 +138,47 @@ def test_deligne_pieces_match_the_formula_at_full_size():
 
 def test_fbar_echelon_is_the_conjugate_of_f_echelon():
     # the fact the Deligne splitting rests on: a conjugation-stable W has
-    # real adapted coordinates, so Fbar's rows are F's rows conjugated
+    # real adapted coordinates, so the trigraded table's Fbar rows are its
+    # F rows conjugated
     for k in range(40):
         m = random_mhs(random.Random(k), max_dim=8)
-        coords = _flag_coordinates(_chain(m.W))
+        n, w = m.ambient_dim, _chain(m.W)
+        coords = _flag_coordinates(w)
         assert all(b == 0 for row in coords for _, b in row)
-        rows = _hodge_echelon(m.W, m.F)
-        conj = [[(a, -b) for a, b in r] for r in rows]
-        assert _hodge_echelon(m.W, conj_filtration(m.F)) == conj
+        rows = _trigraded_items(n, w, _chain(m.F))[0]
+        conj = tuple(tuple((a, -b) for a, b in r) for r in rows)
+        assert _trigraded_items(n, w, _chain(conj_filtration(m.F)))[0] == conj
+
+
+def test_deligne_splitting_reuses_the_trigraded_rows(monkeypatch):
+    # validate fills the trigraded table's F entry; the splitting reads its
+    # rows and runs one Zassenhaus pass per Hodge cell.  Every other
+    # _echelon call is row_space canonicalizing a piece
+    rng = random.Random("fresh draw")
+    m = random_mhs(rng, 8)
+    while m.ambient_dim != 8:
+        m = random_mhs(rng, 8)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every name, in every module, bound to either routine
+    for fn in (linalg._echelon, linalg._canonical):
+        for mod in package_modules():
+            for name, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, name, counted(fn.__name__, fn))
+    misses = _trigraded_items.cache_info().misses
+    assert "_deligne" not in vars(m)  # not computed yet
+    pieces = deligne_splitting(m)
+    assert _trigraded_items.cache_info().misses == misses
+    cells = hodge_numbers(m.triple())
+    assert set(pieces) == set(cells)
+    assert calls["_echelon"] - calls["_canonical"] == len(cells)
 
 
 def test_deligne_splitting_runs_no_intersections_or_sums(monkeypatch):

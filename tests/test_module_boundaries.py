@@ -5,9 +5,11 @@ reduced: the other modules build a ``Subspace`` through ``linalg.row_space``
 or ``linalg.span``, or pass rows that are canonical already, and reduce
 rows through ``linalg._echelon``, ``row_space`` or ``span``.  And no
 module builds an instance around its class's ``__init__`` with
-``object.__new__``.  Every ``lru_cache`` or ``cache`` sits on a
-module-level function, where a scan of module attributes (the tests' and
-the benchmark's cache clearing) finds it.
+``object.__new__``.  Only ``multifilt`` knows the W-adapted layout
+(``_flag_coordinates``, ``_adapted_basis``) that its trigraded table and
+``mhs``'s Deligne splitting share.  Every ``lru_cache`` or ``cache`` sits
+on a module-level function, where a scan of module attributes (the
+tests' and the benchmark's cache clearing) finds it.
 
 Q(i) values, reduced quadruples, are built or read only in the modules
 on ``QI_MODULES``, and no module defines or uses a ``Matrix``: a linear
@@ -91,6 +93,24 @@ def test_only_linalg_knows_the_canonical_form():
         known = _names(tree) & LINALG_ONLY
         assert known == (LINALG_ONLY if path.stem == "linalg" else set()), path.name
         assert not _calls_object_new(tree), path.name
+
+
+# the W-adapted layout that the trigraded table and the Deligne splitting
+# share: one module builds it, and the splitting reads its cached rows
+MULTIFILT_ONLY = {"_flag_coordinates", "_adapted_basis"}
+
+
+def test_only_multifilt_knows_the_w_adapted_layout():
+    assert any(path.stem == "multifilt" for path in SOURCES)
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if path.stem == "multifilt":
+            defined = {
+                node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            }
+            assert MULTIFILT_ONLY <= defined
+        else:
+            assert not _names(tree) & MULTIFILT_ONLY, path.name
 
 
 # the names through which a module builds or reads Q(i) quadruples

@@ -28,7 +28,10 @@ from mixedhodge.families import (
 from mixedhodge.filtration import common_window, filtered_space, shift, trivial
 from mixedhodge.invariants import alpha, alpha_via_f_expansion, tate_twist_triple
 from mixedhodge.linalg import (
-    _flag_coordinates,
+    _pivot,
+    full_space,
+    intersect,
+    row_space,
     span,
     subspace_sum,
     zero_subspace,
@@ -36,6 +39,8 @@ from mixedhodge.linalg import (
 from mixedhodge.multifilt import (
     FilteredMorphism,
     TrifilteredSpace,
+    _chain,
+    _flag_coordinates,
     _level_dims,
     _trigraded_items,
     bigraded_dims,
@@ -141,6 +146,37 @@ def test_trigraded_dims_match_subquotients_at_full_size():
         ]
     for t in cases:
         assert trigraded_dims(t) == _subquotient_trigraded(t), t.to_json()
+
+
+def _assert_rows_meet_the_flags(n, w_chain, x_chain) -> None:
+    """The trigraded table's rows against intersect: the x halves of the
+    first dim X rows span X, and those among them leading at n - dim W_k
+    or later span X ∩ W_k, for every level X of the flag and W_k of W."""
+    rows = _trigraded_items(n, w_chain, x_chain)[0]
+    assert sorted(_pivot(r) for r in rows) == list(range(n))  # echelon on y
+    for x in (full_space(n), *x_chain):
+        first = rows[:x.dim]
+        assert row_space([r[n:] for r in first], n) == x
+        for w in w_chain:
+            cut = n - w.dim
+            met = [r[n:] for r in first if _pivot(r) >= cut]
+            assert row_space(met, n) == intersect(x, w)
+
+
+def test_trigraded_rows_span_the_flag_meets_on_structures():
+    for k in range(30):
+        m = random_mhs(random.Random(k), max_dim=8)
+        for x in (m.F, m.fbar):
+            _assert_rows_meet_the_flags(m.ambient_dim, _chain(m.W), _chain(x))
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(filtered_spaces(n), filtered_spaces(n))
+))
+def test_trigraded_rows_span_the_flag_meets(pair):
+    w, x = pair
+    _assert_rows_meet_the_flags(w.ambient_dim, _chain(w), _chain(x))
 
 
 def test_trigraded_pieces_are_shared_across_shifts_and_fibers():
