@@ -1,10 +1,11 @@
 """Command line front end.
 
 One subcommand per report: ``invariants``, ``check-mhs``, ``deligne-split``
-and ``alpha`` for a single structure, ``curve-alpha`` for period
-configurations, ``stratify`` for sampled families, ``selftest`` for a quick
-worked-example run.  Every command reads one JSON document (``--in``, ``-``
-for stdin) and writes one report (``--out``, stdout by default).
+and ``alpha`` for a single structure, ``curve-alpha`` for the splitting
+defect of a punctured genus 0 or 1 curve configuration, ``stratify`` for
+sampled families, ``selftest`` for a quick worked-example run.  Every
+command reads one JSON document (``--in``, ``-`` for stdin) and writes one
+report (``--out``, stdout by default).
 
 Output is deterministic byte for byte: JSON is dumped with sorted keys at
 a fixed indent, CSV rows come straight from the family order.  Exit codes:
@@ -15,11 +16,12 @@ precondition), 2 when the input cannot be parsed at all or breaks a size
 limit, or when ``--out`` cannot be written.  Either failure writes a
 ``{"error": ...}`` object to stderr.
 
-``main`` builds one argparse parser per call: that of the named
-subcommand alone, with the prog name the full parser would give it.  The
-full parser, built from the same table of arguments, is built only for
-help, an unknown or missing command, and words that the subcommand leaves
-over, so that those errors print the usage they always did.
+A well-formed call, ``cmd (--flag value)*`` with exact flag spellings, is
+read straight from the ``_COMMANDS`` table and builds no argparse parser.
+Anything else (help, an unknown or missing command, ``--flag=value``,
+abbreviations, repeats, a value that could be read as an option, a value
+of the wrong type, a missing flag) goes to the argparse parser built from
+the same table, so that help and usage errors print what they always did.
 """
 
 from __future__ import annotations
@@ -240,7 +242,7 @@ _COMMANDS = {
         cmd_curve_alpha,
         (_IN, _OUT, ("--tol", {"type": float, "default": None,
                                 "help": "override the tolerance in the config"})),
-        "period matrix defect of a punctured genus 0 or 1 configuration"),
+        "splitting defect of a punctured genus 0 or 1 curve configuration"),
     "stratify": (
         cmd_stratify,
         (_IN, _OUT, ("--format", {"choices": ("json", "csv"), "default": "json"})),
@@ -250,13 +252,6 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
-    run, arguments, _ = _COMMANDS[name]
-    for flag, kwargs in arguments:
-        parser.add_argument(flag, **kwargs)
-    parser.set_defaults(run=run)
-
-
 def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of the subcommand ``only`` alone."""
     parser = argparse.ArgumentParser(
@@ -264,25 +259,59 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
         description="exact invariants of filtered structures and their families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (*_, help_text) in _COMMANDS.items():
+    for name, (run, arguments, help_text) in _COMMANDS.items():
         if only in (None, name):
-            _add_arguments(sub.add_parser(name, help=help_text), name)
+            cmd = sub.add_parser(name, help=help_text)
+            for flag, kwargs in arguments:
+                cmd.add_argument(flag, **kwargs)
+            cmd.set_defaults(run=run)
     return parser
+
+
+def _read_words(name: str, words) -> argparse.Namespace | None:
+    """What the parser of subcommand ``name`` makes of its words, when they
+    are ``(--flag value)*`` with each flag spelled out once, no value that
+    could be read as an option (``-`` alone, stdin, is fine), every value
+    of its type and among its choices, and every required flag given;
+    None for anything else."""
+    run, arguments, _ = _COMMANDS[name]
+    spec = dict(arguments)
+    if len(words) % 2:
+        return None
+    given = {}
+    for flag, value in zip(words[::2], words[1::2]):
+        kwargs = spec.get(flag)
+        if kwargs is None or flag in given or (value[:1] == "-" and value != "-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        given[flag] = value
+    args = argparse.Namespace(run=run)
+    for flag, kwargs in arguments:
+        if flag not in given and kwargs.get("required"):
+            return None
+        # without a dest, argparse names the attribute after the long flag
+        dest = kwargs.get("dest", flag[2:].replace("-", "_"))
+        setattr(args, dest, given.get(flag, kwargs.get("default")))
+    return args
 
 
 def _parse_args(argv) -> argparse.Namespace:
     """What ``_build_parser`` makes of argv.  After a subcommand's name, its
-    top-level parser hands every word to that subcommand's parser, so a
-    parser of the subcommand alone does the same; only words left over,
-    which the top-level parser reports under its own usage, need it."""
+    top-level parser hands every word to that subcommand's parser, so words
+    that ``_read_words`` reads need no parser; the others go to
+    ``_build_parser`` with that subcommand alone, for the usage errors and
+    help it prints."""
     words = sys.argv[1:] if argv is None else argv
     if not words or words[0] not in _COMMANDS:
         # a help flag, an unknown command or none: the usage lists them all
         return _build_parser().parse_args(argv)
-    parser = argparse.ArgumentParser(prog=f"mixedhodge {words[0]}")
-    _add_arguments(parser, words[0])
-    args, extra = parser.parse_known_args(words[1:])
-    if extra:
+    args = _read_words(words[0], words[1:])
+    if args is None:
         return _build_parser(words[0]).parse_args(argv)
     return args
 

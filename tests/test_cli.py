@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import hashlib
+import io
 import json
+import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import lift
-from mixedhodge.cli import _build_parser, _parse_args, main
+from mixedhodge.cli import _COMMANDS, _build_parser, _parse_args, main
 from mixedhodge.curves import MAX_CURVE_POINTS
 from mixedhodge.exactfield import I, MAX_ENTRY_BITS, gauss
 from mixedhodge.families import (
@@ -510,12 +515,31 @@ def test_usage_surface_is_pinned(capsys, monkeypatch):
     digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
     assert [r[1] for r in results] == [2, 0, 2] + [0] * 7 + [2, 2]
     assert digest == (
-        "8a4368d601f183d934c4399dcfd5feccad9da122a6f01a0e13cad40db447df7e"
+        "322761b35d91c52e8c9ce850db441cd3d389d7fc1951f75add56aebc7cd5c27c"
     )
 
 
-def test_main_builds_only_the_invoked_subparser(capsys, monkeypatch):
-    # one ArgumentParser for a well-formed call; help builds them all
+def command_docs(tmp_path):
+    """One document per subcommand that reads one, as a file path."""
+    knotted = assemble_extension(tate(0), tate(-1), lift([[gauss(1, 2)]]))
+    curve = {"genus": 0, "punctures": [[0, 0], [1, 0]], "pairs": [["inf", [2, 0]]]}
+    triple = write(tmp_path, "tri.json", two_flag_fiber(gauss(1), I).to_json())
+    mhs = write(tmp_path, "mhs.json", knotted.to_json())
+    return {
+        "invariants": triple,
+        "check-mhs": mhs,
+        "deligne-split": mhs,
+        "alpha": triple,
+        "curve-alpha": write(tmp_path, "curve.json", curve),
+        "stratify": write(tmp_path, "fam.json",
+                          family_to_json(lambda_kappa_grid(radius=1))),
+    }
+
+
+def test_main_builds_only_the_invoked_subparser(tmp_path, capsys, monkeypatch):
+    # no ArgumentParser for a well-formed call, in each argv shape of the
+    # bench's cli_docs corpus; a usage error builds the parser of its
+    # subcommand, and help builds them all
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -524,8 +548,17 @@ def test_main_builds_only_the_invoked_subparser(capsys, monkeypatch):
         built.append(self.prog)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    assert main(["selftest", "--seed", "3"]) == 0
-    assert built == ["mixedhodge selftest"]
+    docs, out = command_docs(tmp_path), str(tmp_path / "out.txt")
+    argvs = [[cmd, "--in", path, "--out", out] for cmd, path in docs.items()]
+    argvs += [["stratify", "--in", docs["stratify"], "--format", "csv", "--out", out],
+              ["selftest", "--seed", "3", "--out", out]]
+    assert {argv[0] for argv in argvs} == set(SUBCOMMANDS)
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        assert built == [], argv
+    with pytest.raises(SystemExit):
+        main(["selftest", "--seed=x"])
+    assert built == ["mixedhodge", "mixedhodge selftest"]
     built.clear()
     with pytest.raises(SystemExit):
         main(["--help"])
@@ -533,13 +566,20 @@ def test_main_builds_only_the_invoked_subparser(capsys, monkeypatch):
 
 
 # what can follow a subcommand's name: option spellings, repeats, "--",
-# help after options, and each kind of usage error
+# help after options, each kind of usage error, and the values at the edge
+# of what main reads without argparse
 ARGV_SHAPES = [
     ["invariants", "--in=doc.json"],
     ["invariants", "--i", "doc.json"],
     ["alpha", "--in", "doc.json", "--out", "a", "--out", "b"],
     ["alpha", "--in", "doc.json", "--"],
     ["alpha", "--", "--in", "doc.json"],
+    ["alpha", "--in", "-"],
+    ["alpha", "--out", "o", "--in", "doc.json"],
+    ["alpha", "--in", ""],
+    ["alpha", "--in", "-x"],
+    ["alpha", "--in", "-1"],
+    ["alpha", "--in", "--out"],
     ["check-mhs", "--in", "doc.json", "-h"],
     ["deligne-split", "--in", "doc.json", "--bogus"],
     ["deligne-split", "--in", "doc.json", "extra"],
@@ -549,46 +589,107 @@ ARGV_SHAPES = [
     ["curve-alpha", "--in", "doc.json", "--tol", "x"],
     ["curve-alpha", "--in", "doc.json", "--tol=-1e-3"],
     ["curve-alpha", "--in", "doc.json", "--t", "0.5"],
+    ["curve-alpha", "--in", "d", "--tol", "nan"],
+    ["curve-alpha", "--in", "d", "--tol", "1e-3"],
     ["stratify", "--in", "doc.json", "--format", "xml"],
     ["stratify", "--in", "doc.json", "--format", "csv", "--format", "json"],
     ["stratify", "--in", "doc.json", "--f", "csv"],
+    ["stratify", "--in", "d", "--format", "json"],
+    ["selftest"],
     ["selftest", "--seed", "x"],
     ["selftest", "--seed", "-3"],
+    ["selftest", "--seed", "+5"],
     ["selftest", "--seed"],
     ["selftest", "--in", "doc.json"],
     ["selftest", "--", "3"],
 ]
 
 
-@pytest.mark.parametrize("argv", ARGV_SHAPES, ids=" ".join)
-def test_subcommand_parser_matches_the_full_parser(capsys, monkeypatch, argv):
-    # main parses a call with its subcommand's parser alone; the full
-    # parser must not be able to tell
-    monkeypatch.setenv("COLUMNS", "80")
-
-    def outcome(parse):
+def parse_outcome(parse, argv):
+    """Exit code, stdout, stderr and namespace (less the full parser's
+    subparsers dest) of one parse.  Values are compared by repr, so that a
+    NaN equals itself; argparse wraps help to the terminal width, so fix it."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            ns = vars(parse(argv))
-            code = None
+            ns, code = vars(parse(argv)), None
         except SystemExit as exc:
             ns, code = None, exc.code
-        captured = capsys.readouterr()
-        if ns is not None:
-            ns.pop("command", None)  # the full parser's subparsers dest
-        return code, captured.out, captured.err, ns
-
-    assert outcome(_parse_args) == outcome(_build_parser(argv[0]).parse_args)
+    if ns is not None:
+        ns.pop("command", None)
+        ns = {key: repr(value) for key, value in ns.items()}
+    return code, out.getvalue(), err.getvalue(), ns
 
 
-def test_console_script_entry_point(tmp_path):
-    path = write(tmp_path, "tri.json", two_flag_fiber(gauss(1), I).to_json())
-    proc = subprocess.run(
-        [sys.executable, "-m", "mixedhodge.cli", "invariants", "--in", path],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["c2"] == 1
+@pytest.mark.parametrize("argv", ARGV_SHAPES, ids=" ".join)
+def test_subcommand_parser_matches_the_full_parser(argv):
+    # main reads a well-formed call without argparse; the full parser
+    # must not be able to tell
+    assert parse_outcome(_parse_args, argv) == parse_outcome(
+        _build_parser(argv[0]).parse_args, argv)
+
+
+FLAGS = ("--in", "--out", "--tol", "--format", "--seed")
+VALUES = ("-", "-3", "3", "nan", "csv", "json", "x", "")
+WORDS = [
+    *FLAGS,
+    *(flag[:k] for flag in FLAGS for k in range(3, len(flag))),
+    *(f"{flag}={value}" for flag in FLAGS for value in ("x", "-3")),
+    "-h", "--", *VALUES,
+]
+
+@st.composite
+def drawn_argvs(draw):
+    """A subcommand and 0-6 words: up to three of its flags, each with a
+    value, then up to two words put in or written over, so that well-formed
+    calls come up among the malformed ones."""
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    own = [flag for flag, _ in _COMMANDS[command][1]]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(own), st.sampled_from(VALUES)),
+                          max_size=3))
+    words = [word for pair in pairs for word in pair]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(words)))
+        over = at < len(words) and draw(st.booleans())
+        words[at:at + over] = [draw(st.sampled_from(WORDS))]
+    return [command, *words[:6]]
+
+
+@settings(max_examples=500, deadline=None)
+@given(drawn_argvs())
+def test_drawn_words_parse_as_the_full_parser_reads_them(argv):
+    assert parse_outcome(_parse_args, argv) == parse_outcome(
+        _build_parser(argv[0]).parse_args, argv)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("invariants", []), ("stratify", []), ("stratify", ["--format", "csv"]),
+])
+def test_stdin_input_matches_a_file(tmp_path, capsys, monkeypatch, command, extra):
+    path = command_docs(tmp_path)[command]
+    from_file = run(capsys, [command, "--in", path, *extra])
+    with open(path, encoding="utf-8") as fh:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(fh.read()))
+    assert run(capsys, [command, "--in", "-", *extra]) == from_file
+    assert from_file[0] == 0 and from_file[1]
+
+
+def test_console_script_entry_point(tmp_path, capsys):
+    # python -m runs main() with no argv, so it reads the words off sys.argv,
+    # on the direct route and through argparse (--in=PATH)
+    docs = command_docs(tmp_path)
+    argvs = [[cmd, "--in", path] for cmd, path in docs.items()]
+    argvs += [["stratify", "--in", docs["stratify"], "--format", "csv"],
+              ["selftest", "--seed", "3"], ["alpha", f"--in={docs['alpha']}"]]
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixedhodge.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, argv), argv
+    assert json.loads(run(capsys, ["invariants", "--in", docs["invariants"]])[1])["c2"] == 1
 
 
 def test_cli_outputs_are_pinned(tmp_path, capsys):
