@@ -64,11 +64,12 @@ def chern_data(t: TrifilteredSpace) -> ChernData:
     delta = trigraded_dims(t)
     s = bigraded_dims(t)
     c1 = sum((r + p + q) * d for (r, p, q), d in delta.items())
-    ch2 = Fraction(0)
-    for (r, p, q), d in delta.items():
-        ch2 += Fraction(d * (r * r + 2 * r * p + 2 * r * q), 2)
-    for (p, q), d in s.items():
-        ch2 += Fraction(d * (p + q) * (p + q), 2)
+    # twice ch2, summed in ints
+    twice = sum(
+        d * (r * r + 2 * r * p + 2 * r * q) for (r, p, q), d in delta.items()
+    )
+    twice += sum(d * (p + q) * (p + q) for (p, q), d in s.items())
+    ch2 = Fraction(twice, 2)
     c2 = -ch2 if c1 == 0 else None
     return ChernData(rank=t.ambient_dim, c1=c1, ch2=ch2, c2=c2)
 
@@ -80,12 +81,9 @@ def alpha(t: TrifilteredSpace) -> Fraction:
         raise ValueError("alpha is defined only for opposed triples")
     h = hodge_numbers(t)
     s = bigraded_dims(t)
-    acc = Fraction(0)
-    for (p, q), d in h.items():
-        acc += Fraction((p + q) * (p + q) * d, 2)
-    for (p, q), d in s.items():
-        acc -= Fraction((p + q) * (p + q) * d, 2)
-    return acc
+    twice = sum((p + q) * (p + q) * d for (p, q), d in h.items())
+    twice -= sum((p + q) * (p + q) * d for (p, q), d in s.items())
+    return Fraction(twice, 2)
 
 
 def tate_twist_triple(t: TrifilteredSpace, k: int) -> TrifilteredSpace:
@@ -109,11 +107,8 @@ def alpha_via_f_expansion(t: TrifilteredSpace) -> Fraction:
     low = min(min(p, q) for p, q in support)
     t2 = tate_twist_triple(t, -low) if low < 0 else t
 
-    plus = Fraction(0)
-    for (p, q), d in hodge_numbers(t2).items():
-        plus += Fraction((p + q) * (p + q) * d, 2)
-
-    minus = Fraction(0)
+    # twice the h-part minus twice the s-part, as one int
+    twice = sum((p + q) * (p + q) * d for (p, q), d in hodge_numbers(t2).items())
     # F and G are zero from their last jumps on
     quadrant = intersection_dims(
         t2.F, t2.G, range(t2.F.levels[-1][0] + 1), range(t2.G.levels[-1][0] + 1)
@@ -122,13 +117,13 @@ def alpha_via_f_expansion(t: TrifilteredSpace) -> Fraction:
         if not fval:
             continue
         if p >= 1 and q >= 1:
-            minus += fval
+            twice -= 2 * fval
         elif p >= 1:
-            minus += Fraction((2 * p - 1) * fval, 2)
+            twice -= (2 * p - 1) * fval
         elif q >= 1:
-            minus += Fraction((2 * q - 1) * fval, 2)
+            twice -= (2 * q - 1) * fval
         # f^{0,0} carries weight zero
-    return plus - minus
+    return Fraction(twice, 2)
 
 
 @dataclass(frozen=True)

@@ -50,11 +50,12 @@ Coordinates in a subspace are taken in its Q(i) basis, not in its
 integer rows: with pivot columns p_0 < p_1 < ..., the coefficient of
 basis row j in a member x is just x[p_j] (``_in_basis``).
 
-``intersect_dim``, ``intersect`` and ``subspace_sum`` compute each call
-afresh; the dimension tables that meet the same levels many times over
-keep their counts in ``multifilt``'s caches.  ``full_space`` keeps its
-last 16 results, so filtration lookups below the first jump share one
-object.
+``intersect`` and ``subspace_sum`` compute each call afresh.  The
+dimension tables count dim(x ∩ y) a whole row at a time instead, from one
+``_echelon`` grown level by level through its table of leading rows
+(``multifilt._level_dims``), and keep the tables in ``multifilt``'s
+caches.  ``full_space`` keeps its last 16 results, so filtration lookups
+below the first jump share one object.
 """
 
 from __future__ import annotations
@@ -366,20 +367,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     zero = (_Z,) * n
     met = _echelon([r + zero for r in b.rows], {_pivot(r): r + r for r in a.rows})
     return row_space([r[n:] for r in met if _pivot(r) >= n], n)
-
-
-def intersect_dim(a: Subspace, b: Subspace) -> int:
-    """dim(a ∩ b) = dim a + dim b - rank[A; B]: b's rows, put in echelon
-    form after a's canonical rows, keep rank[A; B] - dim a of them."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("subspaces of different ambient spaces")
-    if a.is_zero or b.is_full:
-        return a.dim
-    if b.is_zero or a.is_full:
-        return b.dim
-    if a == b:
-        return a.dim
-    return b.dim - len(_echelon(b.rows, {_pivot(r): r for r in a.rows}))
 
 
 def kernel(rows, n: int) -> Subspace:

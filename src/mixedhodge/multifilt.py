@@ -25,7 +25,11 @@ holds dim(x ∩ y) for every value x of F and y of G, by position; the
 f-table reads its entries from it at any window, and s is its second
 difference over positions k, l, placed at (jump_k - 1, jump_l - 1), where
 both filtrations change.  Each W-piece of the trigraded table does the
-same with the levels F and G induce on it.
+same with the levels F and G induce on it.  A row of the table, one
+value x, takes one echelon: a basis adapted to G's levels, deepest level
+first, is put in echelon form after x's rows one level's new rows at a
+time, and the rows kept up to each level y give rank[x; y], so
+dim(x ∩ y) for every y at once.  The full and zero values need none.
 
 The trigraded table is computed once per triple and kept on it, so
 ``hodge_numbers``, ``is_opposed`` and the invariants of one triple share
@@ -83,7 +87,6 @@ from mixedhodge.linalg import (
     full_space,
     image,
     intersect,
-    intersect_dim,
     kernel as map_kernel,
     row_space,
     subspace_sum,
@@ -214,10 +217,42 @@ def _positions(f: FilteredSpace) -> tuple[Subspace, ...]:
 def _level_dims(
     xs: tuple[Subspace, ...], ys: tuple[Subspace, ...]
 ) -> tuple[tuple[int, ...], ...]:
-    """dim(x ∩ y) for x in xs and y in ys, x-major.  Keyed by the two
-    chains of subspaces, so indices play no part: a shifted filtration
-    and the pieces of equal level tuples share the entry."""
-    return tuple(tuple(intersect_dim(x, y) for y in ys) for x in xs)
+    """dim(x ∩ y) for x in xs and y in ys, x-major, for two decreasing
+    chains of subspaces.  Keyed by the two chains, so indices play no
+    part: a shifted filtration and the pieces of equal level tuples share
+    the entry.
+
+    A basis adapted to the proper levels of ys (0 < dim y < n), deepest
+    first, holds each such y's rows as its first dim y rows.  A proper x
+    gets one echelon: its canonical rows stand first, and each new slice
+    of that basis is put in echelon form after them and the slices before
+    it, deepest level first.  The rows kept from the first dim y number
+    rank[x; y] - dim x, so dim(x ∩ y) = dim y - kept; once dim x + kept
+    reaches n every further row reduces to zero and none is reduced.  Full
+    and zero levels are read off directly.
+    """
+    if xs and ys and len({v.ambient_dim for v in (*xs, *ys)}) > 1:
+        raise ValueError("subspaces of different ambient spaces")
+    dims = [y.dim for y in ys]
+    levels = {d: y for d, y in zip(dims, ys) if 0 < d < y.ambient_dim}
+    steps = sorted(levels)
+    basis = _adapted_basis([levels[d] for d in steps])
+    out = []
+    for x in xs:
+        k, n = x.dim, x.ambient_dim
+        if k == 0 or k == n:
+            out.append(tuple(min(k, d) for d in dims))
+            continue
+        by_lead = {_pivot(r): r for r in x.rows}
+        kept = done = 0
+        meet = {0: 0, n: k}
+        for d in steps:
+            if k + kept < n:
+                kept += len(_echelon(basis[done:d], by_lead))
+                done = d
+            meet[d] = d - kept
+        out.append(tuple(meet[d] for d in dims))
+    return tuple(out)
 
 
 def _bigraded_by_position(

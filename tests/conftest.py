@@ -322,13 +322,34 @@ def deligne_pieces(m):
     return pieces
 
 
+def intersect_dim(a, b) -> int:
+    """dim(a ∩ b) = dim a + dim b - rank[A; B] by one elimination: b's
+    rows, put in echelon form after a's canonical rows, keep
+    rank[A; B] - dim a of them.  The per-pair oracle for
+    ``multifilt._level_dims``, which fills a whole row of its table from
+    one echelon."""
+    from mixedhodge.linalg import _echelon, _pivot
+
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("subspaces of different ambient spaces")
+    if a.is_zero or b.is_full:
+        return a.dim
+    if b.is_zero or a.is_full:
+        return b.dim
+    return b.dim - len(_echelon(b.rows, {_pivot(r): r for r in a.rows}))
+
+
+def level_dims_by_pairs(xs, ys) -> tuple:
+    """dim(x ∩ y) for x in xs and y in ys, x-major, by one
+    ``intersect_dim`` per pair."""
+    return tuple(tuple(intersect_dim(x, y) for y in ys) for x in xs)
+
+
 def window_intersection_dims(f, g, ps, qs) -> dict:
     """dim(F^p ∩ G^q) by one ``intersect_dim`` per (p, q) of the window,
     p-major: the index-by-index route that serves as the oracle for the
     package's tables, which read every entry off one table of level
     positions."""
-    from mixedhodge.linalg import intersect_dim
-
     return {(p, q): intersect_dim(f.at(p), g.at(q)) for p in ps for q in qs}
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_canonical,
     int_map,
+    intersect_dim,
     package_caches,
     reference_step,
     subspaces,
@@ -27,7 +28,6 @@ from mixedhodge.linalg import (
     full_space,
     image,
     intersect,
-    intersect_dim,
     kernel,
     reduce_mod,
     row_space,
@@ -246,8 +246,9 @@ def _copy(a: Subspace) -> Subspace:
     lambda n: st.tuples(subspaces(n), subspaces(n), subspaces(n))
 ))
 def test_memoized_ops_match_cold_results(triple):
-    # intersect, intersect_dim and subspace_sum keep no memo (the level
-    # tables above them do): equal but distinct operands give equal results
+    # intersect and subspace_sum keep no memo (the level tables above them
+    # do): equal but distinct operands give equal results, and the
+    # per-pair oracle for those tables agrees with intersect
     a, b, c = triple
     ops = (intersect, intersect_dim, subspace_sum)
     cold = [op(a, b) for op in ops]

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from conftest import (
     filtered_spaces,
     int_map,
+    level_dims_by_pairs,
     one_dim_triple,
+    random_flag_basis,
     triples,
     weight_graded_pieces,
     window_bigraded,
     window_intersection_dims,
     window_trigraded,
 )
+from mixedhodge import linalg, multifilt
 from mixedhodge.exactfield import I, gauss
 from mixedhodge.families import (
     alpha_map,
@@ -42,6 +45,7 @@ from mixedhodge.multifilt import (
     _chain,
     _flag_coordinates,
     _level_dims,
+    _positions,
     _trigraded_items,
     bigraded_dims,
     f_table,
@@ -282,6 +286,87 @@ def test_level_tables_reject_mismatched_spaces():
             intersection_dims(f, g, range(-1, 2), range(-1, 2))
         with pytest.raises(ValueError):
             pair_bigraded(f, g)
+
+
+@st.composite
+def level_chain_pairs(draw, n: int):
+    """(xs, ys): two decreasing chains of 1 to 5 subspaces of Q(i)^n, each
+    spanned by prefixes of a flag basis, with levels repeated as the
+    W-pieces' are.  At times the two chains share their basis, so that
+    they meet in equal levels, and at times a chain holds only full and
+    zero spaces."""
+    basis = random_flag_basis(draw, n)
+    chains = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            basis = random_flag_basis(draw, n)
+        sizes = st.sampled_from([0, n]) if draw(st.booleans()) else st.integers(0, n)
+        dims = sorted(draw(st.lists(sizes, min_size=1, max_size=5)), reverse=True)
+        chains.append(tuple(span(basis[:d], n) for d in dims))
+    return tuple(chains)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=6).flatmap(level_chain_pairs))
+def test_level_table_matches_the_per_pair_route(pair):
+    xs, ys = pair
+    assert _level_dims.__wrapped__(xs, ys) == level_dims_by_pairs(xs, ys)
+
+
+def _level_chain_pairs_of(t: TrifilteredSpace):
+    """The chain pairs of a triple's tables: (F, G), (W, F), (W, G) by
+    position, and F and G induced on each W-piece."""
+    w, f, g = _positions(t.W), _positions(t.F), _positions(t.G)
+    yield from ((f, g), (w, f), (w, g))
+    n, w_chain = t.ambient_dim, _chain(t.W)
+    yield from zip(
+        _trigraded_items(n, w_chain, _chain(t.F))[1],
+        _trigraded_items(n, w_chain, _chain(t.G))[1],
+    )
+
+
+def test_level_tables_match_the_per_pair_route_on_structures():
+    rng = random.Random(25)
+    for _ in range(30):
+        t = random_mhs(rng, max_dim=8).triple()
+        for xs, ys in _level_chain_pairs_of(t):
+            assert _level_dims.__wrapped__(xs, ys) == level_dims_by_pairs(xs, ys)
+        # a shift keeps the chains, so it reads the same entries
+        moved = TrifilteredSpace(
+            t.ambient_dim, W=shift(t.W, 2), F=shift(t.F, -1), G=shift(t.G, 3)
+        )
+        assert list(_level_chain_pairs_of(moved)) == list(_level_chain_pairs_of(t))
+
+
+def test_level_table_takes_one_echelon_per_row(monkeypatch):
+    # every proper x reduces the rows of the largest proper y at most once,
+    # against one table of leading rows; one elimination per cell reduces
+    # each proper y's rows afresh
+    rng = random.Random(25)
+    pairs = [
+        pair
+        for _ in range(10)
+        for pair in _level_chain_pairs_of(random_mhs(rng, max_dim=8).triple())
+    ]
+    calls = []
+    real = linalg._echelon
+
+    def counting(rows, by_lead=None):
+        calls.append((by_lead, len(rows)))
+        return real(rows, by_lead)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    monkeypatch.setattr(multifilt, "_echelon", counting)
+    for xs, ys in pairs:
+        calls.clear()
+        _level_dims.__wrapped__(xs, ys)
+        rows: dict[int, int] = {}
+        for by_lead, k in calls:
+            rows[id(by_lead)] = rows.get(id(by_lead), 0) + k
+        proper_x = [x for x in xs if 0 < x.dim < x.ambient_dim]
+        largest_y = max((y.dim for y in ys if 0 < y.dim < y.ambient_dim), default=0)
+        assert len(rows) <= len(proper_x)
+        assert all(k <= largest_y for k in rows.values())
 
 
 @settings(max_examples=100)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussians
+from conftest import gaussians, intersect_dim
 from mixedhodge.curves import theta
 from mixedhodge.filtration import common_window, induced_on_sub
 from mixedhodge.invariants import chern_data
@@ -20,7 +20,6 @@ from mixedhodge.linalg import (
     full_space,
     image,
     intersect,
-    intersect_dim,
     kernel,
     row_space,
     span,
