@@ -136,7 +136,9 @@ def genus0_alpha(cfg: CurveConfig) -> int:
     return genus0_report(cfg)["alpha"]
 
 
-def theta(z: complex, tau: complex, truncation: int = 40) -> complex:
+def theta(
+    z: complex, tau: complex, truncation: int = CurveConfig.theta_truncation
+) -> complex:
     """Jacobi theta sum over |n| <= truncation."""
     if tau.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
@@ -263,7 +265,7 @@ def curve_report(cfg: CurveConfig) -> dict:
 
 
 # Each theta value sums 2 N + 1 terms for theta_truncation N, so the cost
-# of a genus-1 document grows linearly with it; the default is 40.
+# of a genus-1 document grows linearly with it.
 MAX_THETA_TRUNCATION = 1000
 # A report costs time growing with rows times pairs, and the genus-1 point
 # checks with the square of the number of points, so a document may list
@@ -305,11 +307,13 @@ def config_from_json(data: dict) -> CurveConfig:
         raise ValueError("tau must be a finite [re, im] pair, got 'inf'")
     if tau is not None:
         tau = _point_from_json(tau, "tau")
-    tol = finite_from_json(data.get("tol", 1e-9), "tol")
+    tol = finite_from_json(data.get("tol", CurveConfig.tol), "tol")
     if not tol > 0:
         raise ValueError("tol must be a positive number")
     message = "theta_truncation must be a positive integer"
-    trunc = int_from_json(data.get("theta_truncation", 40), message, low=1)
+    trunc = int_from_json(
+        data.get("theta_truncation", CurveConfig.theta_truncation), message, low=1
+    )
     if trunc > MAX_THETA_TRUNCATION:
         raise ValueError(
             f"theta_truncation {trunc} exceeds the limit of {MAX_THETA_TRUNCATION}"

@@ -34,13 +34,12 @@ from mixedhodge.exactfield import (
     array_from_json,
     finite_from_json,
     fraction_json,
-    gauss,
     int_from_json,
     object_from_json,
 )
 from mixedhodge.filtration import FilteredSpace, common_window
 from mixedhodge.invariants import alpha
-from mixedhodge.linalg import Subspace, _cleared, row_space, zero_subspace
+from mixedhodge.linalg import _cleared, row_space, zero_subspace
 from mixedhodge.multifilt import (
     TrifilteredSpace,
     hodge_numbers,
@@ -379,41 +378,47 @@ def strata_csv(fam: SampledFamily, report: StrataReport) -> str:
     return buf.getvalue()
 
 
-# the weight flag of every ``two_flag_fiber``: the first axis from -1 on,
+# the weight flag of every ``_line_fiber``: the first axis from -1 on,
 # zero from 1 on; full ⊃ line ⊃ 0 leaves no nesting to check
 _TWO_FLAG_W = FilteredSpace(
     2, ((-1, row_space([((1, 0), (0, 0))], 2)), (1, zero_subspace(2)))
 )
 
 
-def _graph_line(x: Quad | int | Fraction) -> Subspace:
-    """The line through (x, 1), from its one cleared Gaussian-integer row."""
-    return row_space([_cleared((x, 1))[0]], 2)
+def _line_fiber(f_row, g_row) -> TrifilteredSpace:
+    """Rank 2 with weight pieces in degrees 2 and 0; F and G are the lines
+    through the Gaussian-integer rows f_row and g_row, both sitting in
+    level 1.  Every fiber holds the same W, built once at import, so a
+    grid builds only its F and G lines."""
+    zero = zero_subspace(2)
+    f = FilteredSpace(2, ((1, row_space([f_row], 2)), (2, zero)))
+    g = FilteredSpace(2, ((1, row_space([g_row], 2)), (2, zero)))
+    return TrifilteredSpace(2, W=_TWO_FLAG_W, F=f, G=g)
 
 
 def two_flag_fiber(
     lam: Quad | int | Fraction, kap: Quad | int | Fraction
 ) -> TrifilteredSpace:
-    """Rank 2 with weight pieces in degrees 2 and 0; F and G are the lines
-    through (lam, 1) and (kap, 1), both sitting in level 1, for Q(i)
-    values lam and kap as ``gauss`` takes them.  The defect is 0 when
-    lam = kap and 1 otherwise, which makes this the fiber of choice for
-    the worked grids.  Every fiber holds the same W, built once at
-    import, so a grid builds only its F and G lines."""
-    f = FilteredSpace(2, ((1, _graph_line(lam)), (2, zero_subspace(2))))
-    g = FilteredSpace(2, ((1, _graph_line(kap)), (2, zero_subspace(2))))
-    return TrifilteredSpace(2, W=_TWO_FLAG_W, F=f, G=g)
+    """The fiber whose F and G are the lines through (lam, 1) and
+    (kap, 1), for Q(i) values lam and kap as ``gauss`` takes them.  The
+    defect is 0 when lam = kap and 1 otherwise, which makes this the
+    fiber of choice for the worked grids."""
+    return _line_fiber(_cleared((lam, 1))[0], _cleared((kap, 1))[0])
 
 
 def _square_grid(radius: int, step, names: tuple[str, str], fiber) -> SampledFamily:
     """The points (a, b) with a and b in step * [-radius, radius], a-major,
-    each carrying ``fiber(a, b)``, with edges between grid neighbors."""
+    with edges between grid neighbors.  For step = u / v in lowest terms,
+    the point (i * step, j * step) carries ``fiber(i * u, j * u, v)``: a
+    grid's lines are read off integer numerators over one denominator."""
     side = 2 * radius + 1
-    ticks = [(i - radius) * step for i in range(side)]
+    u, v = step.numerator, step.denominator
+    ks = range(-radius, radius + 1)
+    ticks = [k * step for k in ks]
     params = [
         parameter_point(f"({a},{b})", zip(names, (a, b))) for a in ticks for b in ticks
     ]
-    fibers = [fiber(a, b) for a in ticks for b in ticks]
+    fibers = [fiber(i * u, j * u, v) for i in ks for j in ks]
     n = side * side
     edges = [(i, i + 1) for i in range(n) if (i + 1) % side] + [
         (i, i + side) for i in range(n - side)
@@ -434,7 +439,8 @@ def lambda_conjugate_grid(
     """
     return _square_grid(
         radius, step, ("lambda_re", "lambda_im"),
-        lambda re, im: two_flag_fiber(gauss(re, im), gauss(re, -im)),
+        # lambda = (a + b*i) / d is the row ((a, b), (d, 0)) of its line
+        lambda a, b, d: _line_fiber(((a, b), (d, 0)), ((a, -b), (d, 0))),
     )
 
 
@@ -445,5 +451,5 @@ def lambda_kappa_grid(
     the diagonal lam = kap."""
     return _square_grid(
         radius, step, ("lambda", "kappa"),
-        two_flag_fiber,
+        lambda a, b, d: _line_fiber(((a, 0), (d, 0)), ((b, 0), (d, 0))),
     )

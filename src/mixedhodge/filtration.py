@@ -33,12 +33,13 @@ from mixedhodge.linalg import (
     _Z,
     _in_basis,
     _mul,
-    _residual,
+    _pivot,
     annihilator,
     full_space,
     intersect,
     row_space,
     span,
+    subspace_sum,
     vector_from_json,
     zero_subspace,
 )
@@ -249,7 +250,10 @@ def induced_on_quotient(f: FilteredSpace, sub: Subspace) -> FilteredSpace:
 
     Quotient coordinates of a vector are the entries of its reduction mod
     ``sub`` at the non-pivot columns of ``sub``; the pivot-column entries
-    of the reduction vanish identically.
+    of the reduction vanish identically.  The image of a level is spanned
+    by the canonical rows of its sum with ``sub`` whose pivots are free
+    columns: sub's pivots are pivots of the sum, so those rows vanish
+    there and are their own reductions.
     """
     if sub.ambient_dim != f.ambient_dim:
         raise ValueError("subspace does not live in the filtered space")
@@ -261,9 +265,8 @@ def induced_on_quotient(f: FilteredSpace, sub: Subspace) -> FilteredSpace:
         return FilteredSpace(0, ())
     levels: dict[int, Subspace] = {}
     for key, val in f.levels:
-        # each residual is a positive multiple of a reduction mod sub
-        residuals = (_residual(sub.rows, x)[0] for x in val.rows)
-        levels[key] = row_space([[w[j] for j in free] for w in residuals], d)
+        rows = [r for r in subspace_sum(val, sub).rows if _pivot(r) not in pivots]
+        levels[key] = row_space([[r[j] for j in free] for r in rows], d)
     levels.setdefault(f.levels[-1][0], zero_subspace(d))
     return filtered_space(d, levels)
 

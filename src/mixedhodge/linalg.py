@@ -32,8 +32,8 @@ Gaussian-integer rows, and ``span`` from any Q(i) vectors; a vector's
 common denominator, which scales its integer row, is capped at
 ``MAX_ENTRY_BITS`` bits like each entry.  A direct ``Subspace(n, rows)``
 call must pass rows that are canonical already (conjugation, the
-padding of a direct sum, a single canonical row), and the tests check the
-canonical form at every such site.
+padding of a direct sum, the identity and zero rows), and the tests check
+the canonical form at every such site.
 
 One routine puts Gaussian-integer rows in echelon form: ``_echelon``,
 which drops rows that reduce to zero and grows a table of rows by leading
@@ -43,8 +43,12 @@ column where that can be nonzero, finds its leading column and content
 in one loop, and divides out the content.  ``_canonical`` is
 ``_echelon`` plus a back substitution by the same step, and the
 intersections and the rank checks of the other modules count or read its
-rows; ``_residual`` only reduces one row against canonical rows, and
-keeps its content.
+rows.  Membership is a question to the same table: a row lies in a span
+exactly when ``_echelon`` drops it against the span's canonical rows
+keyed by their pivots, so ``Subspace.__le__`` and the greedy completion
+of ``multifilt.simultaneous_splitting`` ask it there.  ``reduce_mod``
+alone reduces a row and keeps its content, because it returns the
+reduction as Q(i) values.
 
 Coordinates in a subspace are taken in its Q(i) basis, not in its
 integer rows: with pivot columns p_0 < p_1 < ..., the coefficient of
@@ -195,23 +199,6 @@ def _canonical(rows) -> tuple[IntRow, ...]:
     return tuple(tuple(r) for r in done)
 
 
-def _residual(rows, u: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
-    """(w, s): s * u reduced by canonical rows, so w vanishes at their
-    pivot columns and w / s differs from u by an element of their span.
-    w keeps its content: ``reduce_mod`` reads w / s, which dividing w alone
-    would change."""
-    s = 1
-    for row in rows:
-        p = _pivot(row)
-        ca, cb = u[p]
-        if ca or cb:
-            d = row[p][0]
-            u = [(d * xa - ca * ya + cb * yb, d * xb - ca * yb - cb * ya)
-                 for (xa, xb), (ya, yb) in zip(u, row)]
-            s *= d
-    return u, s
-
-
 def rref(rows: list[Vector], width: int) -> tuple[list[Vector], int]:
     """Reduced row echelon form over Q(i) of vectors of ``width`` entries,
     and its rank.  Shape is preserved: zero rows pad the result to
@@ -271,7 +258,9 @@ class Subspace:
             return False
         if other.is_full:
             return True
-        return all(_contains_row(other.rows, row) for row in self.rows)
+        # a row of self outside other keeps a leading column that no row
+        # of other has
+        return not _echelon(self.rows, {_pivot(r): r for r in other.rows})
 
 
 def _in_basis(sub: Subspace, rows) -> Subspace:
@@ -279,11 +268,6 @@ def _in_basis(sub: Subspace, rows) -> Subspace:
     Q(i) basis: x has coordinate x[p] on the basis row with pivot p."""
     pivots = sub.pivots()
     return row_space([[x[p] for p in pivots] for x in rows], sub.dim)
-
-
-def _contains_row(rows, u) -> bool:
-    w, _ = _residual(rows, u)
-    return not any(a or b for a, b in w)
 
 
 def zero_subspace(n: int) -> Subspace:
@@ -329,9 +313,17 @@ def reduce_mod(a: Subspace, v: Vector) -> Vector:
     """
     if len(v) != a.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
-    row, den = _cleared(v)
-    u, s = _residual(a.rows, row)
-    den *= s
+    # den * v reduced by a's canonical rows one by one, scaling den along;
+    # the row keeps its content, which dividing it alone would change
+    u, den = _cleared(v)
+    for row in a.rows:
+        p = _pivot(row)
+        ca, cb = u[p]
+        if ca or cb:
+            d = row[p][0]
+            u = [(d * xa - ca * ya + cb * yb, d * xb - ca * yb - cb * ya)
+                 for (xa, xb), (ya, yb) in zip(u, row)]
+            den *= d
     return tuple(_quotient(x, y, den) for x, y in u)
 
 

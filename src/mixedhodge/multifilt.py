@@ -371,13 +371,10 @@ def simultaneous_splitting(
         den = subspace_sum(meet[p + 1, q], meet[p, q + 1])
         if num.dim == den.dim:
             continue
-        chosen = []
-        acc = den
-        for row in num.rows:
-            line = Subspace(n, (row,))  # one canonical row is canonical alone
-            if not line <= acc:
-                chosen.append(row)
-                acc = subspace_sum(acc, line)
+        # a row is kept when it leaves the span of den and the rows kept
+        # before it, whose echelon rows _echelon adds to by_lead
+        by_lead = {_pivot(r): r for r in den.rows}
+        chosen = [row for row in num.rows if _echelon([row], by_lead)]
         pieces[(p, q)] = row_space(chosen, n)
     return pieces
 

@@ -6,20 +6,23 @@ rejection: it first draws a symmetric dimension diamond, then realises it with
 a random real flag for the weight filtration and a random complex flag for the
 Hodge filtration.  A generic pair of flags with matching dimension data is
 opposed on every graded piece, so the rejection rate stays low; degenerate
-draws are simply discarded and retried.
+draws are simply discarded and retried.  The other generator draws the
+Hodge flag adapted to the weights, which is opposed by construction, so
+none of its draws is rejected.
 
 Vectors are drawn and combined as Gaussian-integer rows, tuples of
 ``(re, im)`` int pairs, the form ``linalg`` stores subspaces in: a basis
 candidate is tested against the echelon rows of the vectors kept so far,
-tails are added in integer arithmetic, and each flag level is spanned
-from its rows with ``row_space``.  Linear maps are Gaussian-integer rows
-too: the lift of ``random_extension`` is its drawn rows over the
-denominator 1, and the map of ``random_compatible_morphism`` is a random
-integer combination of the solution kernel's canonical rows, each scaled
-so that its pivot becomes the lcm of their pivots.  No Q(i) value is
-built here.  The sequence of ``randint`` calls
-is fixed: the tests pin seeded draws by a digest, and the benchmark
-replays the proposal stage.
+tails are added in integer arithmetic, and each proper flag level is
+spanned from its rows with ``row_space``; the generators of a Hodge flag
+are a basis by construction, so nothing checks that they span.  Linear
+maps are Gaussian-integer rows too: the lift of ``random_extension`` is
+its drawn rows over the denominator 1, and the map of
+``random_compatible_morphism`` is a random integer combination of the
+solution kernel's canonical rows, each scaled so that its pivot becomes
+the lcm of their pivots.  No Q(i) value is built here.  The sequence of
+``randint`` calls is fixed: the tests pin seeded draws by a digest, and
+the benchmark replays the proposal stage.
 """
 
 from __future__ import annotations
@@ -141,27 +144,21 @@ def random_hodge_diamond(
     return h
 
 
-def _flag_from_generators(
-    gens: dict[int, list], n: int
-) -> FilteredSpace | None:
+def _flag_from_generators(gens: dict[int, list], n: int) -> FilteredSpace:
     """Decreasing filtration with level p spanned by all generators at >= p.
 
     A level stays constant down to the next smaller generator index, so each
-    value is keyed by the start of the region on which it holds.  Returns
-    None when the generators fail to span the full space.  Callers give n
-    generators in all and at least one per index, so the levels are nested
-    by construction and, once the generators span, strictly decreasing.
+    value is keyed by the start of the region on which it holds.  Callers
+    give a basis, with at least one generator per index, so the levels are
+    nested and strictly decreasing by construction, and the generators
+    span the full space that holds below the smallest index.
     """
     ps = sorted(gens, reverse=True)
     levels: dict[int, Subspace] = {ps[0] + 1: zero_subspace(n)}
     acc: list = []
-    for k, p in enumerate(ps):
+    for p, below in zip(ps, ps[1:]):
         acc.extend(gens[p])
-        if k + 1 < len(ps):
-            levels[ps[k + 1] + 1] = row_space(acc, n)
-    # the generators span exactly when none of them reduces to zero
-    if len(_echelon(acc)) != n:
-        return None
+        levels[below + 1] = row_space(acc, n)
     return FilteredSpace(n, tuple(sorted(levels.items())))
 
 
@@ -195,8 +192,10 @@ def structure_from_diamond(
     """One realisation attempt of a dimension diamond; None if degenerate.
 
     The weight flag is real, so it is conjugation stable for free.  The Hodge
-    flag is a generic complex flag with the prescribed jump dimensions; when
-    the draw happens to be non-generic the validation step rejects it.
+    flag is a generic complex flag with the prescribed jump dimensions,
+    generated by consecutive runs of one random basis; when the draw
+    happens to be non-generic, the two flags are not opposed and the
+    validation step rejects it.
     """
     n = sum(h.values())
     w = _weight_flag(random_basis(rng, n, real=True), _weight_sizes(h), n)
@@ -209,25 +208,26 @@ def structure_from_diamond(
         d = sum(dd for (pp, _), dd in h.items() if pp == p)
         gens[p] = f_basis[start : start + d]
         start += d
-    f = _flag_from_generators(gens, n)
-    if f is None:
-        return None
     try:
-        return validate(w, f)
+        return validate(w, _flag_from_generators(gens, n))
     except ValueError:
         return None
 
 
 def adapted_structure_from_diamond(
     rng: random.Random, h: dict[tuple[int, int], int]
-) -> MixedHodgeStructure | None:
+) -> MixedHodgeStructure:
     """A realisation of h with the Hodge flag drawn adapted to the weights.
 
     Block vectors x, y of each weight give generators x + iy and x - iy for a
     mirror pair of cells and real generators for diagonal cells, then every
     generator picks up a random tail in the lower-weight part.  The tails
     die on the graded pieces, so any symmetric diamond is realisable this
-    way, including ones that need special flag position.
+    way, including ones that need special flag position.  The generators
+    are block-triangular in the real weight basis, with x ± iy spanning
+    what x and y span, so they are a basis, and the flags are opposed by
+    construction: validation never rejects a draw, and an error it raises
+    here is a fault, not a degenerate draw.
     """
     n = sum(h.values())
     sizes = _weight_sizes(h)
@@ -268,13 +268,7 @@ def adapted_structure_from_diamond(
                     gens.setdefault(q, []).append(with_tail(minus, offset))
         offset += sizes[m]
 
-    f = _flag_from_generators(gens, n)
-    if f is None:
-        return None
-    try:
-        return validate(w, f)
-    except ValueError:
-        return None
+    return validate(w, _flag_from_generators(gens, n))
 
 
 def random_mhs(

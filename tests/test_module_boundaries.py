@@ -37,6 +37,9 @@ nothing alive:
 
 Names that only ``bench/tracer.py``'s lists reach are pinned in
 ``TRACER_ONLY``.
+
+Every name a package module imports is read in that module or listed in
+its ``__all__``, so a deletion leaves no import behind.
 """
 
 import ast
@@ -117,10 +120,10 @@ def test_only_multifilt_knows_the_w_adapted_layout():
 QI_NAMES = {"gauss", "ZERO", "I", "_quotient", "quadruple_from_json"}
 # the modules that use them: the value type and its JSON reader
 # (exactfield), the clearing on the way in and the writer on the way out
-# (linalg), the selftest's fixed values (cli), the package's exported
-# constructor (__init__), and the conjugate grid's points re + im*i
-# (families); linear maps and everything else run on integer rows
-QI_MODULES = {"__init__", "cli", "exactfield", "families", "linalg"}
+# (linalg), the selftest's fixed values (cli) and the package's exported
+# constructor (__init__); linear maps, the grids' lines and everything
+# else run on integer rows
+QI_MODULES = {"__init__", "cli", "exactfield", "linalg"}
 
 
 def test_q_i_values_stay_at_the_edges():
@@ -131,6 +134,39 @@ def test_q_i_values_stay_at_the_edges():
         if names & QI_NAMES:
             using.add(path.stem)
     assert using == QI_MODULES
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """The names a module's imports bind, ``__future__`` features aside."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(a.asname or a.name.partition(".")[0] for a in node.names)
+    return out
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The strings of a module's ``__all__``."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            out.update(e.value for e in node.value.elts)
+    return out
+
+
+def test_every_import_is_read():
+    # a deletion that leaves a name imported and unread shows here
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        assert sorted(_imported(tree) - read - _exported(tree)) == [], path.name
 
 
 CACHE_DECORATORS = {"lru_cache", "cache"}

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from conftest import gaussians, intersect_dim
 from mixedhodge.curves import theta
-from mixedhodge.filtration import common_window, induced_on_sub
+from mixedhodge.filtration import (
+    common_window,
+    filtered_space,
+    induced_on_quotient,
+    induced_on_sub,
+)
 from mixedhodge.invariants import chern_data
 from mixedhodge.linalg import (
     full_space,
@@ -86,6 +91,52 @@ def test_intersection_dimension_and_members_against_sympy(data):
     for v in meet.to_json():
         assert _rank(sympy, rows_a + [v], n) == dim_a
         assert _rank(sympy, rows_b + [v], n) == dim_b
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(st.just(n), _row_lists(n, 3), _row_lists(n, 3),
+                        _row_lists(n, 1), st.lists(st.booleans(), max_size=3))
+))
+def test_containment_against_sympy(data):
+    # a takes some of b's rows and at most one row of its own, so both
+    # answers come up, and among the false ones a sharing all but one
+    # basis row with b
+    sympy = pytest.importorskip("sympy")
+    n, rows_a, rows_b, extra, picks = data
+    shared = [r for r, keep in zip(rows_b, picks) if keep]
+    b, rank_b = span(rows_b, n), _rank(sympy, rows_b, n)
+    for rows in (rows_a, shared + extra, shared):
+        a, both = span(rows, n), _rank(sympy, rows_b + rows, n)
+        assert (a <= b) == (both == rank_b)
+        assert (b <= a) == (both == _rank(sympy, rows, n))
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(st.just(n), _row_lists(n, 4), _row_lists(n, 3))
+))
+def test_quotient_levels_against_sympy(data):
+    # the image of a level val in V / sub has dimension rank[val; sub] -
+    # dim sub, and a level row put back at sub's free columns, zero at its
+    # pivots, lies in val + sub
+    sympy = pytest.importorskip("sympy")
+    n, rows, sub_rows = data
+    f = filtered_space(n, {k: span(rows[k:], n) for k in range(len(rows) + 1)})
+    sub = span(sub_rows, n)
+    quot = induced_on_quotient(f, sub)
+    pivots = set(sub.pivots())
+    free = [j for j in range(n) if j not in pivots]
+    for key in range(len(rows) + 1):
+        val = f.at(key).to_json()
+        both = _rank(sympy, val + sub_rows, n)
+        level = quot.at(key)
+        assert level.dim == both - sub.dim
+        for v in level.to_json():
+            back = [[0, 1, 0, 1]] * n
+            for j, e in zip(free, v):
+                back[j] = e
+            assert _rank(sympy, val + sub_rows + [back], n) == both
 
 
 def _int_maps(max_dim: int):

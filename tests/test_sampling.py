@@ -172,6 +172,26 @@ def test_adapted_path_reaches_special_diamonds():
     assert hodge_numbers(m.triple()) == h
 
 
+def test_both_paths_realise_the_drawn_diamond():
+    # nothing checks at draw time that a Hodge flag's generators span: both
+    # paths hand _flag_from_generators a basis by construction.  Had they
+    # stopped spanning, a level would have the wrong dimension and the
+    # Hodge numbers would move off the diamond
+    rng = random.Random("diamond realisation")
+    generic = 0
+    for _ in range(150):
+        h = random_hodge_diamond(rng, 8)
+        m = adapted_structure_from_diamond(rng, h)
+        assert m is not None
+        assert hodge_numbers(m.triple()) == h
+        if generically_realizable(h):
+            m = structure_from_diamond(rng, h)
+            if m is not None:
+                assert hodge_numbers(m.triple()) == h
+                generic += 1
+    assert generic >= 50
+
+
 def test_extensions_add_hodge_numbers():
     rng = random.Random(17)
     for _ in range(15):
