@@ -252,19 +252,18 @@ _COMMANDS = {
 }
 
 
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of the subcommand ``only`` alone."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="mixedhodge",
         description="exact invariants of filtered structures and their families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (run, arguments, help_text) in _COMMANDS.items():
-        if only in (None, name):
-            cmd = sub.add_parser(name, help=help_text)
-            for flag, kwargs in arguments:
-                cmd.add_argument(flag, **kwargs)
-            cmd.set_defaults(run=run)
+        cmd = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            cmd.add_argument(flag, **kwargs)
+        cmd.set_defaults(run=run)
     return parser
 
 
@@ -303,17 +302,15 @@ def _read_words(name: str, words) -> argparse.Namespace | None:
 def _parse_args(argv) -> argparse.Namespace:
     """What ``_build_parser`` makes of argv.  After a subcommand's name, its
     top-level parser hands every word to that subcommand's parser, so words
-    that ``_read_words`` reads need no parser; the others go to
-    ``_build_parser`` with that subcommand alone, for the usage errors and
-    help it prints."""
+    that ``_read_words`` reads need no parser; the others, a help flag, an
+    unknown command or none among them, go to the full parser, for the
+    usage errors and help it prints."""
     words = sys.argv[1:] if argv is None else argv
-    if not words or words[0] not in _COMMANDS:
-        # a help flag, an unknown command or none: the usage lists them all
-        return _build_parser().parse_args(argv)
-    args = _read_words(words[0], words[1:])
-    if args is None:
-        return _build_parser(words[0]).parse_args(argv)
-    return args
+    if words and words[0] in _COMMANDS:
+        args = _read_words(words[0], words[1:])
+        if args is not None:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _write(path: str | None, text: str) -> None:

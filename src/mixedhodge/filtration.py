@@ -4,20 +4,23 @@ A ``FilteredSpace`` keeps only the jump levels: the sorted indices p where
 F^p differs from F^{p-1}, each with its subspace.  Below the first stored
 index the filtration is the full space, and the last stored value is
 required to be zero, so lookups are total and two filtrations are equal
-iff their dataclasses are.  Constructors accept redundant level data and
-canonicalize it.
+iff their dataclasses are.
 
-Increasing filtrations (weight filtrations in particular) are converted on
-input: ``from_increasing`` produces the decreasing filtration whose value
-at p is the input's value at -p.
+``from_generators`` builds every filtration whose levels are nested by
+construction: direct sum, tensor product and dual here, an extension's
+Hodge filtration (``mhs``) and the sampler's flags.  Its level p is the
+span of the Gaussian-integer rows at indices >= p, homogeneous generators
+of the Rees module; ``_values`` gives a filtration's own.
+``filtered_space`` canonicalizes level subspaces whose nesting is not
+known and checks it: a document's levels (``from_json``) and the
+filtrations induced on a subspace and on a quotient.
 
-The constructions (direct sum, tensor product, dual, induced filtrations)
-build their levels from the canonical Gaussian-integer rows of the input
-levels.  Only ``to_json`` sees Q(i) vectors; ``from_json`` reads each
-level's vectors as reduced quadruples (``linalg.vector_from_json``), all
-of them before any is spanned, and ``span`` turns them into integer rows,
-so every shape and entry error of a level precedes its denominator-cap
-error.  A filtration
+The constructions build their levels from the canonical Gaussian-integer
+rows of the input levels.  Only ``to_json`` sees Q(i) vectors;
+``from_json`` reads each level's vectors as reduced quadruples
+(``linalg.vector_from_json``), all of them before any is spanned, and
+``span`` turns them into integer rows, so every shape and entry error of
+a level precedes its denominator-cap error.  A filtration
 induced on a subspace or a quotient lives in the coordinates of the
 subspace's Q(i) basis, as ``linalg`` sets out.
 """
@@ -25,7 +28,7 @@ subspace's Q(i) basis, as ``linalg`` sets out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from mixedhodge.exactfield import array_from_json, int_from_json, object_from_json
 from mixedhodge.linalg import (
@@ -51,9 +54,10 @@ class FilteredSpace:
 
     The constructor checks only the cheap structure: ambient dimensions,
     strictly increasing indices, strictly decreasing level dimensions and
-    the zero tail.  It trusts that each level lies inside the one before;
-    ``filtered_space`` is the constructor for untrusted levels and the one
-    place that checks the nesting.
+    the zero tail.  It trusts that each level lies inside the one before:
+    ``from_generators`` nests its levels by construction, and
+    ``filtered_space``, the constructor for levels whose nesting is not
+    known, is the one place that checks it.
     """
 
     ambient_dim: int
@@ -121,36 +125,46 @@ def filtered_space(
     return FilteredSpace(ambient_dim, tuple(out))
 
 
+def from_generators(
+    ambient_dim: int, gens: Mapping[int, Iterable]
+) -> FilteredSpace:
+    """Decreasing filtration whose level p is the ``row_space`` of the
+    Gaussian-integer rows at indices >= p, each level spanned from the
+    rows of the one above it and those at its own index.
+
+    Nothing checks the nesting, which holds by construction.  The caller
+    promises that each index enlarges the span and that the rows span
+    Q(i)^n.  At the package's call sites each index enlarges the span: in
+    the sampler it carries its own run of one basis; elsewhere it is one
+    less than a jump of an input, where a graded piece is nonzero, and the
+    graded pieces add (direct sum, extension), convolve (tensor) or
+    reflect (dual).  The smallest index carries a spanning set: a basis
+    in the sampler, the full space's rows in ``_values``, ann(0) in
+    ``dual``.  ``FilteredSpace`` still rejects an index that does not
+    enlarge the span; rows that do not span go unnoticed.
+    """
+    if ambient_dim == 0:
+        return FilteredSpace(0, ())
+    ps = sorted(gens, reverse=True)
+    levels = [(ps[0] + 1, zero_subspace(ambient_dim))]
+    for p, below in zip(ps, ps[1:]):
+        rows = [*levels[-1][1].rows, *gens[p]]
+        levels.append((below + 1, row_space(rows, ambient_dim)))
+    return FilteredSpace(ambient_dim, tuple(reversed(levels)))
+
+
+def _values(f: FilteredSpace) -> dict[int, tuple]:
+    """Generators of f for ``from_generators``: the rows of each value of f,
+    the full space first, keyed by the last index at which it holds."""
+    values = [full_space(f.ambient_dim), *(val for _, val in f.levels)]
+    return {key - 1: val.rows for (key, _), val in zip(f.levels, values)}
+
+
 def trivial(ambient_dim: int) -> FilteredSpace:
     """Full at every level up to 0, zero from level 1 on."""
     if ambient_dim == 0:
         return FilteredSpace(0, ())
     return FilteredSpace(ambient_dim, ((1, zero_subspace(ambient_dim)),))
-
-
-def from_increasing(
-    ambient_dim: int, levels: Mapping[int, Subspace]
-) -> FilteredSpace:
-    """Decreasing filtration with value at p equal to the input's at -p.
-
-    The input is an increasing filtration given at some indices; between
-    them the value carries forward as the index grows, it is zero below
-    the first index, and it must reach the full space at the last.
-    """
-    if ambient_dim == 0:
-        return FilteredSpace(0, ())
-    items = sorted(levels.items())
-    if not items:
-        raise ValueError("empty increasing filtration")
-    if not items[-1][1].is_full:
-        raise ValueError("increasing filtration must reach the full space")
-    out: dict[int, Subspace] = {}
-    for (_, val), (key_next, _) in zip(items, items[1:]):
-        # val holds on input indices [key, key_next); flipped, its region
-        # of the output starts at -key_next + 1
-        out[-key_next + 1] = val
-    out[-items[0][0] + 1] = zero_subspace(ambient_dim)
-    return filtered_space(ambient_dim, out)
 
 
 def shift(f: FilteredSpace, k: int) -> FilteredSpace:
@@ -176,59 +190,36 @@ def common_jumps(f: FilteredSpace, g: FilteredSpace) -> list[int]:
 
 
 def direct_sum(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:
+    """Level p is F^p + G^p: f's values padded on the right, g's on the left."""
     d1, d2 = f.ambient_dim, g.ambient_dim
-    n = d1 + d2
-
-    def embed(a: Subspace, b: Subspace) -> Subspace:
-        # the padded rows of a and b keep their pivots, signs and gcds,
-        # and each pivot column stays zero outside its row: canonical
-        return Subspace(
-            n,
-            tuple(row + (_Z,) * d2 for row in a.rows)
-            + tuple((_Z,) * d1 + row for row in b.rows),
-        )
-
-    keys = common_jumps(f, g)
-    return filtered_space(n, {k: embed(f.at(k), g.at(k)) for k in keys})
+    gens: dict[int, list] = {}
+    for key, rows in _values(f).items():
+        gens.setdefault(key, []).extend(row + (_Z,) * d2 for row in rows)
+    for key, rows in _values(g).items():
+        gens.setdefault(key, []).extend((_Z,) * d1 + row for row in rows)
+    return from_generators(d1 + d2, gens)
 
 
 def tensor(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:
-    """Tensor product filtration: level p is the sum over a of F^a (x) G^{p-a}."""
-    d1, d2 = f.ambient_dim, g.ambient_dim
-    n = d1 * d2
-    if n == 0:
-        return FilteredSpace(0, ())
-    f_lo = f.levels[0][0] - 1  # below this, f is the full space
-    f_hi = f.levels[-1][0]
-    g_lo = g.levels[0][0] - 1
-    g_hi = g.levels[-1][0]
-
-    levels: dict[int, Subspace] = {}
-    for p in range(f_lo + g_lo, f_hi + g_hi + 1):
-        # Kronecker products: basis vector (i, j) of V (x) W sits at i*d2+j
-        rows = [
-            [_mul(s, t) for s in x for t in y]
-            for a in range(f_lo, f_hi + 1)
-            for x in f.at(a).rows
-            for y in g.at(p - a).rows
-        ]
-        levels[p] = row_space(rows, n)
-    levels[f_hi + g_hi + 1] = zero_subspace(n)
-    return filtered_space(n, levels)
+    """Tensor product filtration: level p is the sum over a of F^a (x) G^{p-a},
+    generated by the Kronecker products of f's and g's values; basis vector
+    (i, j) of V (x) W sits at i * dim W + j."""
+    g_values = _values(g)
+    gens: dict[int, list] = {}
+    for a, xs in _values(f).items():
+        for b, ys in g_values.items():
+            gens.setdefault(a + b, []).extend(
+                [_mul(s, t) for s in x for t in y] for x in xs for y in ys
+            )
+    return from_generators(f.ambient_dim * g.ambient_dim, gens)
 
 
 def dual(f: FilteredSpace) -> FilteredSpace:
     """Dual filtration: level k of the dual annihilates level -k+1 of f."""
-    n = f.ambient_dim
-    if n == 0:
-        return FilteredSpace(0, ())
-    # f holds value v on [key, key_next), so the dual holds ann(v) on
-    # the flipped region [2 - key_next, 1 - key]; store the region starts
-    levels: dict[int, Subspace] = {}
-    for (_, val), (key_next, _) in zip(f.levels, f.levels[1:]):
-        levels[2 - key_next] = annihilator(val)
-    levels[2 - f.levels[0][0]] = zero_subspace(n)
-    return filtered_space(n, levels)
+    return from_generators(
+        f.ambient_dim,
+        {1 - key: annihilator(val).rows for key, val in f.levels},
+    )
 
 
 def induced_on_sub(f: FilteredSpace, sub: Subspace) -> FilteredSpace:

@@ -32,8 +32,8 @@ Gaussian-integer rows, and ``span`` from any Q(i) vectors; a vector's
 common denominator, which scales its integer row, is capped at
 ``MAX_ENTRY_BITS`` bits like each entry.  A direct ``Subspace(n, rows)``
 call must pass rows that are canonical already (conjugation, the
-padding of a direct sum, the identity and zero rows), and the tests check
-the canonical form at every such site.
+identity and zero rows), and the tests check the canonical form at every
+such site.
 
 One routine puts Gaussian-integer rows in echelon form: ``_echelon``,
 which drops rows that reduce to zero and grows a table of rows by leading

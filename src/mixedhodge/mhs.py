@@ -44,10 +44,10 @@ from functools import cached_property
 from mixedhodge.filtration import (
     FilteredSpace,
     _filtrations_from_json,
-    common_jumps,
+    _values,
     direct_sum,
     dual,
-    filtered_space,
+    from_generators,
     shift,
     tensor,
     trivial,
@@ -239,15 +239,15 @@ def assemble_extension(
         raise ValueError("lift denominator must be a positive integer")
     n = a.ambient_dim + b.ambient_dim
     pad = (_Z,) * b.ambient_dim
-    f_levels: dict[int, Subspace] = {}
-    for p in common_jumps(a.F, b.F):
-        level = [row + pad for row in a.F.at(p).rows]
-        level += [
+    gens: dict[int, list] = {}
+    for p, level in _values(a.F).items():
+        gens.setdefault(p, []).extend(row + pad for row in level)
+    for p, level in _values(b.F).items():
+        gens.setdefault(p, []).extend(
             [*(_dot(r, v) for r in rows), *((den * x, den * y) for x, y in v)]
-            for v in b.F.at(p).rows
-        ]
-        f_levels[p] = row_space(level, n)
-    return validate(direct_sum(a.W, b.W), filtered_space(n, f_levels))
+            for v in level
+        )
+    return validate(direct_sum(a.W, b.W), from_generators(n, gens))
 
 
 def parse_json(data: object) -> tuple[FilteredSpace, FilteredSpace]:

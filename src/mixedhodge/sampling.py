@@ -13,9 +13,11 @@ none of its draws is rejected.
 Vectors are drawn and combined as Gaussian-integer rows, tuples of
 ``(re, im)`` int pairs, the form ``linalg`` stores subspaces in: a basis
 candidate is tested against the echelon rows of the vectors kept so far,
-tails are added in integer arithmetic, and each proper flag level is
-spanned from its rows with ``row_space``; the generators of a Hodge flag
-are a basis by construction, so nothing checks that they span.  Linear
+and tails are added in integer arithmetic.  Each flag is
+``filtration.from_generators`` of one basis cut into consecutive runs
+(``_runs``), one run per index: weight m's run at index -m, since
+W^{-m} = W_m, and Hodge index p's run at p.  The generators are a basis
+by construction, so nothing checks that they span.  Linear
 maps are Gaussian-integer rows too: the lift of ``random_extension`` is
 its drawn rows over the denominator 1, and the map of
 ``random_compatible_morphism`` is a random integer combination of the
@@ -30,16 +32,13 @@ from __future__ import annotations
 import random
 from math import lcm
 
-from .filtration import FilteredSpace, common_jumps, from_increasing
+from .filtration import FilteredSpace, common_jumps, from_generators
 from .linalg import (
     IntRow,
-    Subspace,
     _echelon,
     _mul,
     annihilator,
-    full_space,
-    row_space,
-    zero_subspace,
+    kernel,
 )
 from .mhs import MixedHodgeStructure, assemble_extension, validate
 from .multifilt import FilteredMorphism
@@ -89,18 +88,22 @@ def _weight_sizes(h: dict[tuple[int, int], int]) -> dict[int, int]:
     return {m: sum(d for (p, q), d in h.items() if p + q == m) for m in weights}
 
 
+def _runs(basis: list[IntRow], sizes: dict[int, int]) -> dict[int, list[IntRow]]:
+    """Consecutive runs of the basis, one of each size, under the keys of
+    sizes in their order."""
+    runs: dict[int, list[IntRow]] = {}
+    start = 0
+    for key, size in sizes.items():
+        runs[key] = basis[start : start + size]
+        start += size
+    return runs
+
+
 def _weight_flag(basis: list[IntRow], sizes: dict[int, int], n: int) -> FilteredSpace:
     """The weight filtration with W_m spanned by the basis vectors of the
-    weights up to m, taken in order; sizes as from ``_weight_sizes``.  The
-    basis spans the full space, so the last level needs no elimination."""
-    increasing: dict[int, Subspace] = {}
-    running = 0
-    for m, size in sizes.items():
-        running += size
-        increasing[m] = (
-            full_space(n) if running == n else row_space(basis[:running], n)
-        )
-    return from_increasing(n, increasing)
+    weights up to m, taken in order; sizes as from ``_weight_sizes``.  In
+    decreasing notation W^{-m} = W_m, so weight m's run sits at index -m."""
+    return from_generators(n, _runs(basis, {-m: size for m, size in sizes.items()}))
 
 
 def random_hodge_diamond(
@@ -144,24 +147,6 @@ def random_hodge_diamond(
     return h
 
 
-def _flag_from_generators(gens: dict[int, list], n: int) -> FilteredSpace:
-    """Decreasing filtration with level p spanned by all generators at >= p.
-
-    A level stays constant down to the next smaller generator index, so each
-    value is keyed by the start of the region on which it holds.  Callers
-    give a basis, with at least one generator per index, so the levels are
-    nested and strictly decreasing by construction, and the generators
-    span the full space that holds below the smallest index.
-    """
-    ps = sorted(gens, reverse=True)
-    levels: dict[int, Subspace] = {ps[0] + 1: zero_subspace(n)}
-    acc: list = []
-    for p, below in zip(ps, ps[1:]):
-        acc.extend(gens[p])
-        levels[below + 1] = row_space(acc, n)
-    return FilteredSpace(n, tuple(sorted(levels.items())))
-
-
 def generically_realizable(h: dict[tuple[int, int], int]) -> bool:
     """Whether flags in general position can realise the diamond h.
 
@@ -201,15 +186,12 @@ def structure_from_diamond(
     w = _weight_flag(random_basis(rng, n, real=True), _weight_sizes(h), n)
 
     f_basis = random_basis(rng, n)
-    ps = sorted({p for p, _ in h}, reverse=True)
-    gens: dict[int, list] = {}
-    start = 0
-    for p in ps:
-        d = sum(dd for (pp, _), dd in h.items() if pp == p)
-        gens[p] = f_basis[start : start + d]
-        start += d
+    sizes = {
+        p: sum(d for (pp, _), d in h.items() if pp == p)
+        for p in sorted({p for p, _ in h}, reverse=True)
+    }
     try:
-        return validate(w, _flag_from_generators(gens, n))
+        return validate(w, from_generators(n, _runs(f_basis, sizes)))
     except ValueError:
         return None
 
@@ -268,7 +250,7 @@ def adapted_structure_from_diamond(
                     gens.setdefault(q, []).append(with_tail(minus, offset))
         offset += sizes[m]
 
-    return validate(w, _flag_from_generators(gens, n))
+    return validate(w, from_generators(n, gens))
 
 
 def random_mhs(
@@ -354,7 +336,7 @@ def random_compatible_morphism(
     # vector; the equations are real, so the kernel's rows are too, and
     # each row over its pivot is a row of the reduced echelon basis
     nu = nt * ns
-    ker = annihilator(row_space(rows, nu))
+    ker = kernel(rows, nu)
     pivots = ker.pivots()
     big = lcm(*(krow[p][0] for krow, p in zip(ker.rows, pivots)))
     entries = [(0, 0)] * nu

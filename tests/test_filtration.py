@@ -8,10 +8,11 @@ from conftest import assert_canonical, filtered_spaces, fraction_level_span, sub
 from mixedhodge.exactfield import gauss
 from mixedhodge.filtration import (
     FilteredSpace,
+    _values,
     direct_sum,
     dual,
     filtered_space,
-    from_increasing,
+    from_generators,
     from_json,
     graded_dims,
     induced_on_quotient,
@@ -86,14 +87,19 @@ def test_graded_dims_of_shifted_trivial():
             assert graded_dims(shift(trivial(d), p)) == {p: d}
 
 
-def test_from_increasing_flips_index():
-    # increasing weight data: 0 below -2, a line at -2 and -1, full from 0 on
-    e = span([[1, 0]], 2)
-    w = from_increasing(2, {-3: zero_subspace(2), -2: e, 0: full_space(2)})
-    assert w.at(0) == full_space(2)  # input at 0 is full
-    assert w.at(2) == e  # input at -2
-    assert w.at(3) == zero_subspace(2)  # input at -3
-    assert w.at(1) == e  # input at -1 persists down to the -2 value
+@given(st.integers(0, 3).flatmap(filtered_spaces))
+def test_values_are_generators_of_the_filtration(f):
+    assert from_generators(f.ambient_dim, _values(f)) == f
+
+
+def test_generators_must_enlarge_every_level():
+    # index 1 adds only a row that index 2 already spans, so levels 1 and
+    # 2 would be equal
+    e1, e2 = ((1, 0), (0, 0)), ((0, 0), (1, 0))
+    assert from_generators(2, {0: [e2], 2: [e1]}).levels == (
+        (1, span([[1, 0]], 2)), (3, zero_subspace(2)))
+    with pytest.raises(ValueError, match="stored levels must strictly decrease"):
+        from_generators(2, {0: [e2], 1: [e1], 2: [e1]})
 
 
 @given(filtered_spaces(3))

@@ -7,9 +7,12 @@ rows through ``linalg._echelon``, ``row_space`` or ``span``.  And no
 module builds an instance around its class's ``__init__`` with
 ``object.__new__``.  Only ``multifilt`` knows the W-adapted layout
 (``_flag_coordinates``, ``_adapted_basis``) that its trigraded table and
-``mhs``'s Deligne splitting share.  Every ``lru_cache`` or ``cache`` sits
-on a module-level function, where a scan of module attributes (the
-tests' and the benchmark's cache clearing) finds it.
+``mhs``'s Deligne splitting share.  Only level data whose nesting is
+not known (a document's, and the filtrations induced on a subspace or a
+quotient) goes through ``filtration.filtered_space``, which checks it.
+Every ``lru_cache`` or ``cache`` sits on a module-level function, where a
+scan of module attributes (the tests' and the benchmark's cache
+clearing) finds it.
 
 Q(i) values, reduced quadruples, are built or read only in the modules
 on ``QI_MODULES``, and no module defines or uses a ``Matrix``: a linear
@@ -114,6 +117,29 @@ def test_only_multifilt_knows_the_w_adapted_layout():
             assert MULTIFILT_ONLY <= defined
         else:
             assert not _names(tree) & MULTIFILT_ONLY, path.name
+
+
+# the level data whose nesting is not known: a document's, and what a
+# subspace or a quotient makes of levels; every construction whose levels
+# are nested by construction goes through filtration.from_generators
+FILTERED_SPACE_CALLERS = {
+    "filtration.from_json",
+    "filtration.induced_on_sub",
+    "filtration.induced_on_quotient",
+}
+
+
+def test_only_unknown_nesting_goes_through_filtered_space():
+    callers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            name = getattr(node, "name", "<module>")
+            for sub in ast.walk(node):
+                if "filtered_space" in (getattr(sub, "id", None),
+                                        getattr(sub, "attr", None)):
+                    callers.add(f"{path.stem}.{name}")
+    assert callers == FILTERED_SPACE_CALLERS
 
 
 # the names through which a module builds or reads Q(i) quadruples

@@ -12,13 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussians, intersect_dim
+from conftest import filtered_spaces, gaussians, intersect_dim
 from mixedhodge.curves import theta
 from mixedhodge.filtration import (
     common_window,
+    direct_sum,
+    dual,
     filtered_space,
     induced_on_quotient,
     induced_on_sub,
+    tensor,
 )
 from mixedhodge.invariants import chern_data
 from mixedhodge.linalg import (
@@ -185,39 +188,6 @@ def test_kernel_and_image_against_sympy(data):
         assert theirs.vstack(dm([v], m)).rank() == rank
 
 
-def test_rational_lift_extension_against_sympy():
-    # the Hodge levels of an extension are the span of a's levels and the
-    # graph (lift v, v) of b's, with the lift's entries rational
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-
-    qq_i = sympy.QQ_I
-    rng = random.Random("rational lift")
-    a = random_mhs(rng, 3, weight_range=(-2, 0))
-    b = random_mhs(rng, 3, weight_range=(1, 3))
-    na, nb = a.ambient_dim, b.ambient_dim
-    den = 6
-    rows = tuple(
-        tuple((rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(nb))
-        for _ in range(na)
-    )
-    total = assemble_extension(a, b, (rows, den))
-    lift = [[qq_i(Fraction(x, den), Fraction(y, den)) for x, y in r] for r in rows]
-    n = na + nb
-    for p in common_window(a.F, b.F):
-        vecs = [[qq_i(x, y) for x, y in r] + [qq_i(0)] * nb for r in a.F.at(p).rows]
-        for v in b.F.at(p).rows:
-            w = [qq_i(x, y) for x, y in v]
-            graph = [sum((c * e for c, e in zip(r, w)), qq_i(0)) for r in lift]
-            vecs.append(graph + w)
-        level = total.F.at(p)
-        want = DomainMatrix(vecs, (len(vecs), n), qq_i).rank() if vecs else 0
-        assert level.dim == want
-        ours = [[qq_i(x, y) for x, y in r] for r in level.rows]
-        both = vecs + ours
-        assert (DomainMatrix(both, (len(both), n), qq_i).rank() if both else 0) == want
-
-
 @pytest.mark.parametrize(
     "z, tau",
     [
@@ -316,3 +286,90 @@ def test_subspaces_of_a_structure_have_nonpositive_c1():
         seen["images"] += 0 < im.dim < dst.ambient_dim
     # the draws reach proper subspaces of each kind
     assert min(seen.values()) >= 10, seen
+
+
+def _same_span(sympy, ours, want, n) -> None:
+    """The canonical rows ``ours`` span what the ``QQ_I`` rows ``want``
+    span: as many as want's rank, and none of them raises it."""
+    rank = _qi_rank(sympy, want, n)
+    assert len(ours) == rank
+    assert _qi_rank(sympy, want + _qq_i_rows(sympy, ours), n) == rank
+
+
+def _qq_i_rows(sympy, rows) -> list:
+    return [[sympy.QQ_I(x, y) for x, y in r] for r in rows]
+
+
+def _two_filtrations():
+    return st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda dims: st.tuples(*(filtered_spaces(d) for d in dims))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_filtrations())
+def test_sum_and_tensor_levels_against_sympy(pair):
+    # level p of the sum is F^p + G^p; of the tensor product, the span of
+    # the Kronecker products of F^a and G^(p - a) over every a
+    sympy = pytest.importorskip("sympy")
+    f, g = pair
+    d1, d2 = f.ambient_dim, g.ambient_dim
+    zero = sympy.QQ_I(0)
+    total, product = direct_sum(f, g), tensor(f, g)
+    window = common_window(f, g)
+    for p in range(2 * window.start, 2 * window.stop):
+        want = [x + [zero] * d2 for x in _qq_i_rows(sympy, f.at(p).rows)]
+        want += [[zero] * d1 + y for y in _qq_i_rows(sympy, g.at(p).rows)]
+        _same_span(sympy, total.at(p).rows, want, d1 + d2)
+        want = [
+            [s * t for s in x for t in y]
+            for a in window
+            for x in _qq_i_rows(sympy, f.at(a).rows)
+            for y in _qq_i_rows(sympy, g.at(p - a).rows)
+        ]
+        _same_span(sympy, product.at(p).rows, want, d1 * d2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(filtered_spaces))
+def test_dual_levels_against_sympy(f):
+    # level k of the dual is ann F^(1 - k): of dimension n - dim F^(1 - k),
+    # and each of its rows pairs to 0 with F^(1 - k)
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    n = f.ambient_dim
+    g = dual(f)
+    window = common_window(f)
+    for k in range(1 - window.stop, 2 - window.start):
+        level, ann = f.at(1 - k), g.at(k)
+        assert ann.dim == n - level.dim
+        if level.rows and ann.rows:
+            pairing = DomainMatrix(
+                _qq_i_rows(sympy, level.rows), (level.dim, n), sympy.QQ_I
+            ) * DomainMatrix(_qq_i_rows(sympy, ann.rows), (ann.dim, n),
+                             sympy.QQ_I).transpose()
+            assert pairing.is_zero_matrix
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6), st.data())
+def test_rational_lift_extension_against_sympy(seed, den, data):
+    # the Hodge level p of an extension is F_a^p + graph(F_b^p), the graph
+    # (lift v, v) of b's vectors, with the lift's entries rows / den
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    split = rng.randint(-1, 1)
+    a = random_mhs(rng, 3, weight_range=(-2, split))
+    b = random_mhs(rng, 3, weight_range=(split + 1, 3))
+    na, nb = a.ambient_dim, b.ambient_dim
+    entry = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+    rows = data.draw(st.tuples(*[st.tuples(*[entry] * nb)] * na))
+    total = assemble_extension(a, b, (rows, den))
+    qq_i, zero = sympy.QQ_I, sympy.QQ_I(0)
+    lift = [[qq_i(Fraction(x, den), Fraction(y, den)) for x, y in r] for r in rows]
+    for p in common_window(a.F, b.F):
+        want = [x + [zero] * nb for x in _qq_i_rows(sympy, a.F.at(p).rows)]
+        for y in _qq_i_rows(sympy, b.F.at(p).rows):
+            want.append([sum((c * e for c, e in zip(r, y)), zero) for r in lift] + y)
+        _same_span(sympy, total.F.at(p).rows, want, na + nb)

@@ -100,8 +100,9 @@ def test_seeded_constructions_are_pinned():
 
 
 def test_sampled_levels_are_canonical():
-    # both samplers and assemble_extension hand their rows to Subspace,
-    # which trusts them; so does conjugation for fbar
+    # both samplers and assemble_extension build their levels with
+    # from_generators, which checks no nesting; conjugation for fbar hands
+    # its rows to Subspace, which trusts them
     rng = random.Random("canonical levels")
     drawn = []
     for _ in range(30):
@@ -174,7 +175,7 @@ def test_adapted_path_reaches_special_diamonds():
 
 def test_both_paths_realise_the_drawn_diamond():
     # nothing checks at draw time that a Hodge flag's generators span: both
-    # paths hand _flag_from_generators a basis by construction.  Had they
+    # paths hand from_generators a basis by construction.  Had they
     # stopped spanning, a level would have the wrong dimension and the
     # Hodge numbers would move off the diamond
     rng = random.Random("diamond realisation")
