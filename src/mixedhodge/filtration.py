@@ -4,13 +4,17 @@ A ``FilteredSpace`` keeps only the jump levels: the sorted indices p where
 F^p differs from F^{p-1}, each with its subspace.  Below the first stored
 index the filtration is the full space, and the last stored value is
 required to be zero, so lookups are total and two filtrations are equal
-iff their dataclasses are.
+iff their dataclasses are.  Its distinct values (``FilteredSpace.values``)
+are the full space and then each stored level; F^p is the value at
+position ``bisect_right(jumps, p)``, and every dimension table reads the
+values by position.
 
 ``from_generators`` builds every filtration whose levels are nested by
 construction: direct sum, tensor product and dual here, an extension's
 Hodge filtration (``mhs``) and the sampler's flags.  Its level p is the
 span of the Gaussian-integer rows at indices >= p, homogeneous generators
-of the Rees module; ``_values`` gives a filtration's own.
+of the Rees module; ``_generators`` gives a filtration's own, the rows of
+each of its values.
 ``filtered_space`` canonicalizes level subspaces whose nesting is not
 known and checks it: a document's levels (``from_json``) and the
 filtrations induced on a subspace and on a quotient.
@@ -90,6 +94,11 @@ class FilteredSpace:
     def jumps(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.levels)
 
+    def values(self) -> tuple[Subspace, ...]:
+        """The distinct values: the full space, then each stored level.
+        ``at(p)`` is entry ``bisect_right(jumps(), p)``."""
+        return (full_space(self.ambient_dim), *[v for _, v in self.levels])
+
     def to_json(self) -> dict:
         return {
             "ambient_dim": self.ambient_dim,
@@ -139,7 +148,7 @@ def from_generators(
     less than a jump of an input, where a graded piece is nonzero, and the
     graded pieces add (direct sum, extension), convolve (tensor) or
     reflect (dual).  The smallest index carries a spanning set: a basis
-    in the sampler, the full space's rows in ``_values``, ann(0) in
+    in the sampler, the full space's rows in ``_generators``, ann(0) in
     ``dual``.  ``FilteredSpace`` still rejects an index that does not
     enlarge the span; rows that do not span go unnoticed.
     """
@@ -153,11 +162,10 @@ def from_generators(
     return FilteredSpace(ambient_dim, tuple(reversed(levels)))
 
 
-def _values(f: FilteredSpace) -> dict[int, tuple]:
+def _generators(f: FilteredSpace) -> dict[int, tuple]:
     """Generators of f for ``from_generators``: the rows of each value of f,
     the full space first, keyed by the last index at which it holds."""
-    values = [full_space(f.ambient_dim), *(val for _, val in f.levels)]
-    return {key - 1: val.rows for (key, _), val in zip(f.levels, values)}
+    return {k - 1: v.rows for k, v in zip(f.jumps(), f.values())}
 
 
 def trivial(ambient_dim: int) -> FilteredSpace:
@@ -175,13 +183,10 @@ def shift(f: FilteredSpace, k: int) -> FilteredSpace:
 
 
 def graded_dims(f: FilteredSpace) -> dict[int, int]:
-    """Nonzero dimensions of the graded pieces F^p / F^{p+1}."""
-    out: dict[int, int] = {}
-    for key, _ in f.levels:
-        d = f.at(key - 1).dim - f.at(key).dim
-        if d:
-            out[key - 1] = d
-    return out
+    """Dimensions of the graded pieces F^p / F^{p+1}, nonzero exactly one
+    below each jump: consecutive values strictly decrease."""
+    dims = [v.dim for v in f.values()]
+    return {k - 1: a - b for k, a, b in zip(f.jumps(), dims, dims[1:])}
 
 
 def common_jumps(f: FilteredSpace, g: FilteredSpace) -> list[int]:
@@ -193,9 +198,9 @@ def direct_sum(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:
     """Level p is F^p + G^p: f's values padded on the right, g's on the left."""
     d1, d2 = f.ambient_dim, g.ambient_dim
     gens: dict[int, list] = {}
-    for key, rows in _values(f).items():
+    for key, rows in _generators(f).items():
         gens.setdefault(key, []).extend(row + (_Z,) * d2 for row in rows)
-    for key, rows in _values(g).items():
+    for key, rows in _generators(g).items():
         gens.setdefault(key, []).extend((_Z,) * d1 + row for row in rows)
     return from_generators(d1 + d2, gens)
 
@@ -204,10 +209,10 @@ def tensor(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:
     """Tensor product filtration: level p is the sum over a of F^a (x) G^{p-a},
     generated by the Kronecker products of f's and g's values; basis vector
     (i, j) of V (x) W sits at i * dim W + j."""
-    g_values = _values(g)
+    g_gens = _generators(g)
     gens: dict[int, list] = {}
-    for a, xs in _values(f).items():
-        for b, ys in g_values.items():
+    for a, xs in _generators(f).items():
+        for b, ys in g_gens.items():
             gens.setdefault(a + b, []).extend(
                 [_mul(s, t) for s in x for t in y] for x in xs for y in ys
             )
@@ -230,9 +235,6 @@ def induced_on_sub(f: FilteredSpace, sub: Subspace) -> FilteredSpace:
     levels: dict[int, Subspace] = {}
     for key, val in f.levels:
         levels[key] = _in_basis(sub, intersect(val, sub).rows)
-    if d == 0:
-        return FilteredSpace(0, ())
-    levels.setdefault(f.levels[-1][0], zero_subspace(d))
     return filtered_space(d, levels)
 
 
@@ -252,13 +254,10 @@ def induced_on_quotient(f: FilteredSpace, sub: Subspace) -> FilteredSpace:
     d = n - sub.dim
     pivots = set(sub.pivots())
     free = [j for j in range(n) if j not in pivots]
-    if d == 0:
-        return FilteredSpace(0, ())
     levels: dict[int, Subspace] = {}
     for key, val in f.levels:
         rows = [r for r in subspace_sum(val, sub).rows if _pivot(r) not in pivots]
         levels[key] = row_space([[r[j] for j in free] for r in rows], d)
-    levels.setdefault(f.levels[-1][0], zero_subspace(d))
     return filtered_space(d, levels)
 
 

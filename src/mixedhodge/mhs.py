@@ -44,7 +44,7 @@ from functools import cached_property
 from mixedhodge.filtration import (
     FilteredSpace,
     _filtrations_from_json,
-    _values,
+    _generators,
     direct_sum,
     dual,
     from_generators,
@@ -65,7 +65,6 @@ from mixedhodge.linalg import (
 )
 from mixedhodge.multifilt import (
     TrifilteredSpace,
-    _chain,
     _trigraded_items,
     hodge_numbers,
     trigraded_dims,
@@ -104,7 +103,7 @@ class MixedHodgeStructure:
     @cached_property
     def _deligne(self) -> dict[tuple[int, int], Subspace]:
         n = self.ambient_dim
-        rows = _trigraded_items(n, _chain(self.W), _chain(self.F))[0]
+        rows = _trigraded_items(self.W.values(), self.F.values())[0]
         leads = [_pivot(r) for r in rows]
         # Fbar's echelon is the row-wise conjugate of F's; as corrector
         # rows of the Zassenhaus pass their x half is zero
@@ -240,9 +239,9 @@ def assemble_extension(
     n = a.ambient_dim + b.ambient_dim
     pad = (_Z,) * b.ambient_dim
     gens: dict[int, list] = {}
-    for p, level in _values(a.F).items():
+    for p, level in _generators(a.F).items():
         gens.setdefault(p, []).extend(row + pad for row in level)
-    for p, level in _values(b.F).items():
+    for p, level in _generators(b.F).items():
         gens.setdefault(p, []).extend(
             [*(_dot(r, v) for r in rows), *((den * x, den * y) for x, y in v)]
             for v in level

@@ -19,17 +19,18 @@ Dimension data:
 * ``hodge_numbers``  the trigraded entries on the anti-diagonal r = -p-q.
 
 Every table is read off one level table.  A filtration takes only
-len(jumps) + 1 distinct values, the full space and then its levels, and
-F^p is the value at position ``bisect_right(jumps, p)``.  ``_level_dims``
-holds dim(x ∩ y) for every value x of F and y of G, by position; the
-f-table reads its entries from it at any window, and s is its second
-difference over positions k, l, placed at (jump_k - 1, jump_l - 1), where
-both filtrations change.  Each W-piece of the trigraded table does the
-same with the levels F and G induce on it.  A row of the table, one
-value x, takes one echelon: a basis adapted to G's levels, deepest level
-first, is put in echelon form after x's rows one level's new rows at a
-time, and the rows kept up to each level y give rank[x; y], so
-dim(x ∩ y) for every y at once.  The full and zero values need none.
+len(jumps) + 1 distinct values, ``FilteredSpace.values()``: the full
+space and then its levels, F^p being the value at position
+``bisect_right(jumps, p)``.  ``_level_dims`` holds dim(x ∩ y) for every
+value x of F and y of G, by position; the f-table reads its entries from
+it at any window, and s is its second difference over positions k, l,
+placed at (jump_k - 1, jump_l - 1), where both filtrations change.  Each
+W-piece of the trigraded table does the same with the levels F and G
+induce on it.  A row of the table, one value x, takes one echelon: a
+basis adapted to G's levels, deepest level first, is put in echelon form
+after x's rows one level's new rows at a time, and the rows kept up to
+each level y give rank[x; y], so dim(x ∩ y) for every y at once.  The
+full and zero values need none.
 
 The trigraded table is computed once per triple and kept on it, so
 ``hodge_numbers``, ``is_opposed`` and the invariants of one triple share
@@ -38,11 +39,11 @@ level subspaces and not by jump indices, so that a shifted or
 Tate-twisted filtration and the fibers of one family, which share W, hit
 them:
 
-* ``_flag_coordinates``, the dual basis adapted to W, keyed by W's chain
-  of level subspaces (16 entries);
+* ``_flag_coordinates``, the dual basis adapted to W, keyed by W's values
+  (16 entries);
 * ``_trigraded_items``, one flag's echelon rows in W-adapted coordinates
-  and the levels it induces on every W-graded piece, keyed by (n, W's
-  chain, the flag's chain) (128 entries).  ``mhs``'s Deligne splitting
+  and the levels it induces on every W-graded piece, keyed by (W's
+  values, the flag's values) (128 entries).  ``mhs``'s Deligne splitting
   reads the rows of the F entry, which ``validate`` fills when it builds
   the table;
 * ``_level_dims``, the level tables, keyed by the two chains of values,
@@ -117,26 +118,20 @@ class TrifilteredSpace:
     def _trigraded(self) -> dict[tuple[int, int, int], int]:
         # computed once per triple; equality and hashing stay on the fields.
         # The images of F and G on each piece W^r/W^{r+1}, r one below a
-        # jump of W, come from ``_trigraded_items``, one per position of
-        # the flag, and give the piece's level table.
-        n = self.ambient_dim
-        w_chain = _chain(self.W)
+        # jump of W, come from ``_trigraded_items``, one per value of the
+        # flag, and give the piece's level table.
+        w_values = self.W.values()
         f_jumps, g_jumps = self.F.jumps(), self.G.jumps()
         out: dict[tuple[int, int, int], int] = {}
         for (key, _), f_gr, g_gr in zip(
             self.W.levels,
-            _trigraded_items(n, w_chain, _chain(self.F))[1],
-            _trigraded_items(n, w_chain, _chain(self.G))[1],
+            _trigraded_items(w_values, self.F.values())[1],
+            _trigraded_items(w_values, self.G.values())[1],
         ):
             table = _level_dims(f_gr, g_gr)
             for (p, q), d in _bigraded_by_position(table, f_jumps, g_jumps).items():
                 out[(key - 1, p, q)] = d
         return out
-
-
-def _chain(f: FilteredSpace) -> tuple[Subspace, ...]:
-    """The level subspaces of a filtration, without their indices."""
-    return tuple(v for _, v in f.levels)
 
 
 def _adapted_basis(chain) -> list:
@@ -155,49 +150,53 @@ def _adapted_basis(chain) -> list:
 
 
 @lru_cache(maxsize=16)
-def _flag_coordinates(chain: tuple[Subspace, ...]) -> tuple[IntRow, ...]:
-    """Rows a_0, ..., a_{n-1} of a dual basis adapted to a decreasing chain
-    of subspaces ending at zero: with y_j = a_j . x, each member V of the
-    chain is {y_j = 0 for j < n - dim V}."""
-    return tuple(_adapted_basis([annihilator(v) for v in chain]))
+def _flag_coordinates(values: tuple[Subspace, ...]) -> tuple[IntRow, ...]:
+    """Rows a_0, ..., a_{n-1} of a dual basis adapted to the values of a
+    filtration, full space first: with y_j = a_j . x, each value V is
+    {y_j = 0 for j < n - dim V}.  The full space's annihilator is zero and
+    adds no row."""
+    return tuple(_adapted_basis([annihilator(v) for v in values]))
 
 
 @lru_cache(maxsize=128)
 def _trigraded_items(
-    n: int, w_chain: tuple[Subspace, ...], x_chain: tuple[Subspace, ...]
+    w_values: tuple[Subspace, ...], x_values: tuple[Subspace, ...]
 ) -> tuple[tuple[IntRow, ...], tuple[tuple[Subspace, ...], ...]]:
-    """(rows, pieces): the flag Q(i)^n ⊃ x_chain in coordinates adapted to
-    the flag Q(i)^n ⊃ w_chain, and induced on each of its graded pieces.
+    """(rows, pieces): the values of a filtration X, full space first, in
+    coordinates adapted to the values of W, and induced on each graded
+    piece of W.
 
-    In coordinates y adapted to W (``_flag_coordinates``) the member W_k
-    of w_chain is {y_j = 0 for j < n - dim W_k}.  ``rows`` is an X-adapted
-    basis, deepest level first, each row [y | x] carrying its original
+    In coordinates y adapted to W (``_flag_coordinates``) the value W_k
+    is {y_j = 0 for j < n - dim W_k}.  ``rows`` is an X-adapted basis,
+    deepest value first, each row [y | x] carrying its original
     coordinates x, put in echelon form on y (``_echelon``): the x halves
-    of its first dim X rows span a level X, and those among them that
+    of its first dim X rows span a value X, and those among them that
     lead at n - dim W_k or later span X ∩ W_k.  ``pieces`` holds, per
-    graded piece, the images of the full space and of each member of
-    x_chain in the piece's own coordinates: the rows of X ∩ W_{k-1} that
-    lead in the columns [n - dim W_{k-1}, n - dim W_k), cut to those
-    columns, give X ∩ W_{k-1} modulo W_k.  Keyed by the level subspaces,
-    so a shifted or twisted filtration shares the entry.
+    graded piece W_{k-1}/W_k (one per value of W after the full space),
+    the image of each value of X in the piece's own coordinates: the rows
+    of X ∩ W_{k-1} that lead in the columns [n - dim W_{k-1}, n - dim W_k),
+    cut to those columns, give X ∩ W_{k-1} modulo W_k.  Keyed by the
+    values, so a shifted or twisted filtration shares the entry.
     """
-    coords = _flag_coordinates(w_chain)
+    n = w_values[0].ambient_dim
+    coords = _flag_coordinates(w_values)
     rows = _echelon(
         [
             [*(_dot(a, x) for a in coords), *x]
-            for x in _adapted_basis([*reversed(x_chain), full_space(n)])
+            for x in _adapted_basis(reversed(x_values))
         ]
     )
     leads = [_pivot(r) for r in rows]
     pieces = []
     lo = 0
-    for w in w_chain:
+    for w in w_values[1:]:
         hi = n - w.dim
         cut = [(k, r[lo:hi]) for k, r in enumerate(rows) if lo <= leads[k] < hi]
-        # the levels shrink along the flag, so their images only lose rows
+        # the values shrink along the flag, so their images only lose rows;
+        # the full value keeps every row of the cut
         level = full_space(hi - lo)
-        levels = [level]
-        for x in x_chain:
+        levels = []
+        for x in x_values:
             keep = [r for k, r in cut if k < x.dim]
             if len(keep) < level.dim:
                 level = row_space(keep, hi - lo)
@@ -205,12 +204,6 @@ def _trigraded_items(
         pieces.append(tuple(levels))
         lo = hi
     return tuple(map(tuple, rows)), tuple(pieces)
-
-
-def _positions(f: FilteredSpace) -> tuple[Subspace, ...]:
-    """The distinct values of a filtration: the full space, then its
-    levels.  ``f.at(p)`` is entry ``bisect_right(f.jumps(), p)``."""
-    return (full_space(f.ambient_dim), *_chain(f))
 
 
 @lru_cache(maxsize=128)
@@ -278,7 +271,7 @@ def intersection_dims(
 ) -> dict[tuple[int, int], int]:
     """dim(F^p ∩ G^q) for p in ``ps`` and q in ``qs``, p-major, read off
     the level table by position; any window will do."""
-    table = _level_dims(_positions(f), _positions(g))
+    table = _level_dims(f.values(), g.values())
     f_jumps, g_jumps = f.jumps(), g.jumps()
     cols = [bisect_right(g_jumps, q) for q in qs]
     out: dict[tuple[int, int], int] = {}
@@ -304,7 +297,7 @@ def pair_bigraded(f: FilteredSpace, g: FilteredSpace) -> dict[tuple[int, int], i
     """
     if f.ambient_dim != g.ambient_dim:
         raise ValueError("filtrations of different spaces")
-    table = _level_dims(_positions(f), _positions(g))
+    table = _level_dims(f.values(), g.values())
     return _bigraded_by_position(table, f.jumps(), g.jumps())
 
 

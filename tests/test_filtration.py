@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from conftest import assert_canonical, filtered_spaces, fraction_level_span, sub
 from mixedhodge.exactfield import gauss
 from mixedhodge.filtration import (
     FilteredSpace,
-    _values,
+    _generators,
     direct_sum,
     dual,
     filtered_space,
@@ -89,7 +91,22 @@ def test_graded_dims_of_shifted_trivial():
 
 @given(st.integers(0, 3).flatmap(filtered_spaces))
 def test_values_are_generators_of_the_filtration(f):
-    assert from_generators(f.ambient_dim, _values(f)) == f
+    assert from_generators(f.ambient_dim, _generators(f)) == f
+
+
+@given(st.integers(0, 4).flatmap(filtered_spaces))
+def test_values_are_read_by_position(f):
+    # one lookup rule: F^p is the value at position bisect_right(jumps, p)
+    values, jumps = f.values(), f.jumps()
+    assert values[0] == full_space(f.ambient_dim)
+    assert values[-1].dim == 0
+    assert all(a.dim > b.dim for a, b in zip(values, values[1:]))
+    lo, hi = (jumps[0], jumps[-1]) if jumps else (0, 0)
+    for p in range(lo - 2, hi + 3):
+        assert f.at(p) == values[bisect_right(jumps, p)]
+    assert graded_dims(f) == {
+        k - 1: f.at(k - 1).dim - f.at(k).dim for k in jumps
+    }
 
 
 def test_generators_must_enlarge_every_level():

@@ -41,7 +41,6 @@ from mixedhodge.mhs import (
     validate,
 )
 from mixedhodge.multifilt import (
-    _chain,
     _flag_coordinates,
     _trigraded_items,
     hodge_numbers,
@@ -142,12 +141,12 @@ def test_fbar_echelon_is_the_conjugate_of_f_echelon():
     # F rows conjugated
     for k in range(40):
         m = random_mhs(random.Random(k), max_dim=8)
-        n, w = m.ambient_dim, _chain(m.W)
+        w = m.W.values()
         coords = _flag_coordinates(w)
         assert all(b == 0 for row in coords for _, b in row)
-        rows = _trigraded_items(n, w, _chain(m.F))[0]
+        rows = _trigraded_items(w, m.F.values())[0]
         conj = tuple(tuple((a, -b) for a, b in r) for r in rows)
-        assert _trigraded_items(n, w, _chain(conj_filtration(m.F)))[0] == conj
+        assert _trigraded_items(w, conj_filtration(m.F).values())[0] == conj
 
 
 def test_deligne_splitting_reuses_the_trigraded_rows(monkeypatch):

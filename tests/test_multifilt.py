@@ -32,7 +32,6 @@ from mixedhodge.filtration import common_window, filtered_space, shift, trivial
 from mixedhodge.invariants import alpha, alpha_via_f_expansion, tate_twist_triple
 from mixedhodge.linalg import (
     _pivot,
-    full_space,
     intersect,
     row_space,
     span,
@@ -42,10 +41,8 @@ from mixedhodge.linalg import (
 from mixedhodge.multifilt import (
     FilteredMorphism,
     TrifilteredSpace,
-    _chain,
     _flag_coordinates,
     _level_dims,
-    _positions,
     _trigraded_items,
     bigraded_dims,
     f_table,
@@ -152,16 +149,17 @@ def test_trigraded_dims_match_subquotients_at_full_size():
         assert trigraded_dims(t) == _subquotient_trigraded(t), t.to_json()
 
 
-def _assert_rows_meet_the_flags(n, w_chain, x_chain) -> None:
+def _assert_rows_meet_the_flags(w_values, x_values) -> None:
     """The trigraded table's rows against intersect: the x halves of the
     first dim X rows span X, and those among them leading at n - dim W_k
-    or later span X ∩ W_k, for every level X of the flag and W_k of W."""
-    rows = _trigraded_items(n, w_chain, x_chain)[0]
+    or later span X ∩ W_k, for every value X of the flag and W_k of W."""
+    n = w_values[0].ambient_dim
+    rows = _trigraded_items(w_values, x_values)[0]
     assert sorted(_pivot(r) for r in rows) == list(range(n))  # echelon on y
-    for x in (full_space(n), *x_chain):
+    for x in x_values:
         first = rows[:x.dim]
         assert row_space([r[n:] for r in first], n) == x
-        for w in w_chain:
+        for w in w_values:
             cut = n - w.dim
             met = [r[n:] for r in first if _pivot(r) >= cut]
             assert row_space(met, n) == intersect(x, w)
@@ -171,7 +169,7 @@ def test_trigraded_rows_span_the_flag_meets_on_structures():
     for k in range(30):
         m = random_mhs(random.Random(k), max_dim=8)
         for x in (m.F, m.fbar):
-            _assert_rows_meet_the_flags(m.ambient_dim, _chain(m.W), _chain(x))
+            _assert_rows_meet_the_flags(m.W.values(), x.values())
 
 
 @settings(max_examples=100)
@@ -180,7 +178,7 @@ def test_trigraded_rows_span_the_flag_meets_on_structures():
 ))
 def test_trigraded_rows_span_the_flag_meets(pair):
     w, x = pair
-    _assert_rows_meet_the_flags(w.ambient_dim, _chain(w), _chain(x))
+    _assert_rows_meet_the_flags(w.values(), x.values())
 
 
 def test_trigraded_pieces_are_shared_across_shifts_and_fibers():
@@ -316,13 +314,9 @@ def test_level_table_matches_the_per_pair_route(pair):
 def _level_chain_pairs_of(t: TrifilteredSpace):
     """The chain pairs of a triple's tables: (F, G), (W, F), (W, G) by
     position, and F and G induced on each W-piece."""
-    w, f, g = _positions(t.W), _positions(t.F), _positions(t.G)
+    w, f, g = t.W.values(), t.F.values(), t.G.values()
     yield from ((f, g), (w, f), (w, g))
-    n, w_chain = t.ambient_dim, _chain(t.W)
-    yield from zip(
-        _trigraded_items(n, w_chain, _chain(t.F))[1],
-        _trigraded_items(n, w_chain, _chain(t.G))[1],
-    )
+    yield from zip(_trigraded_items(w, f)[1], _trigraded_items(w, g)[1])
 
 
 def test_level_tables_match_the_per_pair_route_on_structures():

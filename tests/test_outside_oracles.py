@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import cmath
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import filtered_spaces, gaussians, intersect_dim
+from conftest import filtered_spaces, gaussians, intersect_dim, triples
 from mixedhodge.curves import theta
 from mixedhodge.filtration import (
     common_window,
@@ -286,6 +287,76 @@ def test_subspaces_of_a_structure_have_nonpositive_c1():
         seen["images"] += 0 < im.dim < dst.ambient_dim
     # the draws reach proper subspaces of each kind
     assert min(seen.values()) >= 10, seen
+
+
+def _rees_count(sympy, t: TrifilteredSpace, k: int) -> int:
+    """The sum of dim(W^a ∩ F^b ∩ G^c) over a + b + c = -k, the sections of
+    the Rees bundle of t twisted by k, from the levels of ``to_json``.
+    Each dimension is read by value position, as n minus the rank of the
+    stacked annihilators of the three values; sympy does the algebra."""
+    from sympy.polys.matrices import DomainMatrix
+
+    qq_i = sympy.QQ_I
+    data = t.to_json()
+    n = data["ambient_dim"]
+    if not n:
+        return 0
+    jumps, anns = [], []
+    for key in ("W", "F", "G"):
+        levels = data[key]["levels"]
+        jumps.append([level["index"] for level in levels])
+        values = [[[qq_i(Fraction(a, b), Fraction(c, d)) for a, b, c, d in v]
+                   for v in level["vectors"]] for level in levels]
+        # the full space first, whose annihilator is zero
+        anns.append([[], *(DomainMatrix(rows, (len(rows), n), qq_i)
+                          .nullspace().to_list() for rows in values)])
+    dims = {
+        (i, j, l): n - _qi_rank(sympy, x + y + z, n)
+        for i, x in enumerate(anns[0])
+        for j, y in enumerate(anns[1])
+        for l, z in enumerate(anns[2])
+    }
+    wj, fj, gj = jumps
+    # W^a, F^b and G^c are zero from their last jumps on
+    count = 0
+    for a in range(-k - fj[-1] - gj[-1], wj[-1]):
+        for b in range(-k - gj[-1] - a, fj[-1]):
+            c = -k - a - b
+            count += dims[
+                bisect_right(wj, a), bisect_right(fj, b), bisect_right(gj, c)
+            ]
+    return count
+
+
+def _assert_rees_count_is_riemann_roch(sympy, t: TrifilteredSpace) -> None:
+    # Riemann-Roch on the projective plane: twisted far enough, the
+    # sections number rank (k+1)(k+2)/2 + c1 (k + 3/2) + ch2
+    chern = chern_data(t)
+    for k in (30, 31):
+        want = Fraction(t.ambient_dim * (k + 1) * (k + 2), 2)
+        want += chern.c1 * (k + Fraction(3, 2)) + chern.ch2
+        assert _rees_count(sympy, t, k) == want, (k, t.to_json())
+
+
+def test_chern_data_counts_rees_sections_on_structures():
+    # a structure has c1 = 0 and ch2 = -alpha; the draws reach structures
+    # that are not R-split, where ch2 is nonzero
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("rees count")
+    not_split = 0
+    for _ in range(40):
+        t = random_mhs(rng, max_dim=4).triple()
+        _assert_rees_count_is_riemann_roch(sympy, t)
+        not_split += chern_data(t).ch2 != 0
+    assert not_split >= 4, not_split
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(1, 4).flatmap(triples))
+def test_chern_data_counts_rees_sections_on_triples(t):
+    sympy = pytest.importorskip("sympy")
+    assume(chern_data(t).c1 != 0)  # not opposed, so c1 and ch2 both count
+    _assert_rees_count_is_riemann_roch(sympy, t)
 
 
 def _same_span(sympy, ours, want, n) -> None:

@@ -1,14 +1,21 @@
-"""The benchmark's tracer rebinds package names; each of them must exist.
+"""The benchmark reads package names as strings; each of them must exist.
 
-A deleted or renamed function would otherwise fail only in traced
-benchmark runs (``bench/run.py --trace 1``).  The tracer file is read and
-executed in a private namespace, so nothing is written next to it.
+The tracer rebinds package functions, and ``bench/run.py`` reads the
+trigraded cache's counters with ``getattr(<module>, "<name>", None)``.  A
+deleted or renamed function would otherwise fail only in traced
+benchmark runs (``bench/run.py --trace 1``), or read 0 silently.  The
+tracer file is read and executed in a private namespace, so nothing is
+written next to it; the runner is only parsed.
 """
 
+import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
+RUNNER = BENCH / "run.py"
 
 
 def test_every_traced_name_resolves():
@@ -23,3 +30,27 @@ def test_every_traced_name_resolves():
         for attr in path:
             obj = getattr(obj, attr, None)
         assert callable(obj), f"{mod}.{'.'.join(path)}"
+
+
+def _module_getattrs(tree: ast.AST):
+    """(module, name) of each ``getattr(self.<module>, "<name>", ...)`` whose
+    module is one of the package's."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) >= 2):
+            continue
+        owner, name = node.args[:2]
+        if (isinstance(owner, ast.Attribute) and isinstance(name, ast.Constant)
+                and isinstance(name.value, str)
+                and importlib.util.find_spec(f"mixedhodge.{owner.attr}")):
+            yield owner.attr, name.value
+
+
+def test_every_cache_name_the_runner_reads_resolves():
+    tree = ast.parse(RUNNER.read_text(encoding="utf-8"), str(RUNNER))
+    found = list(_module_getattrs(tree))
+    assert ("multifilt", "_trigraded_items") in found
+    for mod, name in found:
+        obj = getattr(importlib.import_module(f"mixedhodge.{mod}"), name, None)
+        assert callable(getattr(obj, "cache_info", None)), f"{mod}.{name}"
+        assert callable(getattr(obj, "cache_clear", None)), f"{mod}.{name}"
