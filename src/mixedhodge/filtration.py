@@ -137,20 +137,21 @@ def filtered_space(
 def from_generators(
     ambient_dim: int, gens: Mapping[int, Iterable]
 ) -> FilteredSpace:
-    """Decreasing filtration whose level p is the ``row_space`` of the
-    Gaussian-integer rows at indices >= p, each level spanned from the
-    rows of the one above it and those at its own index.
+    """Decreasing filtration: the full space up to the smallest index,
+    and above it, at level p, the ``row_space`` of the Gaussian-integer
+    rows at indices >= p, each level spanned from the rows of the one
+    above it and those at its own index.
 
-    Nothing checks the nesting, which holds by construction.  The caller
-    promises that each index enlarges the span and that the rows span
-    Q(i)^n.  At the package's call sites each index enlarges the span: in
-    the sampler it carries its own run of one basis; elsewhere it is one
-    less than a jump of an input, where a graded piece is nonzero, and the
-    graded pieces add (direct sum, extension), convolve (tensor) or
-    reflect (dual).  The smallest index carries a spanning set: a basis
-    in the sampler, the full space's rows in ``_generators``, ann(0) in
-    ``dual``.  ``FilteredSpace`` still rejects an index that does not
-    enlarge the span; rows that do not span go unnoticed.
+    Nothing checks the nesting, which holds by construction.  The
+    smallest index only says where the last level ends: its rows are
+    never read, and ``tensor`` and ``dual`` leave them out.  The caller
+    promises that each index enlarges the span.  At the package's call
+    sites it does: in the sampler each index carries its own run of one
+    basis; elsewhere it is one less than a jump of an input, where a
+    graded piece is nonzero, and the graded pieces add (direct sum,
+    extension), convolve (tensor) or reflect (dual).  ``FilteredSpace``
+    still rejects an index that does not enlarge the span, the smallest
+    included: the rows above it must span a proper subspace.
     """
     if ambient_dim == 0:
         return FilteredSpace(0, ())
@@ -209,21 +210,30 @@ def tensor(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:
     """Tensor product filtration: level p is the sum over a of F^a (x) G^{p-a},
     generated by the Kronecker products of f's and g's values; basis vector
     (i, j) of V (x) W sits at i * dim W + j."""
-    g_gens = _generators(g)
-    gens: dict[int, list] = {}
-    for a, xs in _generators(f).items():
+    f_gens, g_gens = _generators(f), _generators(g)
+    # the full spaces' products would sit at the smallest index, whose rows
+    # from_generators never reads: only the index is kept
+    low = min(f_gens, default=0) + min(g_gens, default=0)
+    gens: dict[int, list] = {low: []}
+    for a, xs in f_gens.items():
         for b, ys in g_gens.items():
-            gens.setdefault(a + b, []).extend(
-                [_mul(s, t) for s in x for t in y] for x in xs for y in ys
-            )
+            if a + b != low:
+                gens.setdefault(a + b, []).extend(
+                    [_mul(s, t) for s in x for t in y] for x in xs for y in ys
+                )
     return from_generators(f.ambient_dim * g.ambient_dim, gens)
 
 
 def dual(f: FilteredSpace) -> FilteredSpace:
-    """Dual filtration: level k of the dual annihilates level -k+1 of f."""
+    """Dual filtration: level k of the dual annihilates level -k+1 of f.
+    The zero level's annihilator would sit at the smallest index, whose
+    rows ``from_generators`` never reads, so only its index is kept."""
     return from_generators(
         f.ambient_dim,
-        {1 - key: annihilator(val).rows for key, val in f.levels},
+        {
+            1 - key: () if val.is_zero else annihilator(val).rows
+            for key, val in f.levels
+        },
     )
 
 

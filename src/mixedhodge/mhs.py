@@ -20,16 +20,19 @@ the nose, which happens exactly when the splitting defect alpha vanishes.
 Every term is read off one elimination, the F entry of the trigraded
 table (``multifilt._trigraded_items``), which ``validate`` has built.  In
 coordinates y adapted to W each W_m is {y_j = 0 for j < n - dim W_m}.
-An F-adapted basis, each row carrying its original coordinates x as
-[y | x], is put in echelon form on y once; then F^a ∩ W_m is spanned by
-those of the first dim F^a rows that lead at n - dim W_m or later.  The
-levels of W are real (the constructor checks it), so their adapted
-coordinates are real, y commutes with conjugation and Fbar's echelon is
-the row-wise conjugate of F's: no second elimination.  Each piece is then
-one Zassenhaus pass: the corrector rows, conjugated with their x half
-zeroed, already have distinct leading columns; each row of F^p ∩ W_{p+q}
-is reduced against them, and a row whose y half vanishes carries a vector
-of I^{p,q} in its x half.
+An F-adapted basis, in y coordinates, is put in echelon form once; then
+F^a ∩ W_m is spanned by those of the first dim F^a rows that lead at
+n - dim W_m or later.  The levels of W are real (the constructor checks
+it), so their adapted coordinates are real, y commutes with conjugation
+and Fbar's echelon is the row-wise conjugate of F's: no second
+elimination.  Each piece is then one Zassenhaus pass: the corrector rows,
+conjugated as [ybar | 0], already have distinct leading columns; each row
+y of F^p ∩ W_{p+q} enters as [y | y] and is reduced against them, and a
+row whose left half vanishes carries a vector of I^{p,q}, in y
+coordinates, in its right half.  The entry's map back, integer rows with
+back . y = L x for one positive integer L, takes each such vector to the
+original coordinates x, one dot product per coordinate, before the piece
+is spanned.
 
 A structure keeps Fbar, its triple (W, F, Fbar) and its Deligne pieces
 once computed, so ``validate``, ``deligne_splitting``, ``is_r_split`` and
@@ -103,12 +106,12 @@ class MixedHodgeStructure:
     @cached_property
     def _deligne(self) -> dict[tuple[int, int], Subspace]:
         n = self.ambient_dim
-        rows = _trigraded_items(self.W.values(), self.F.values())[0]
+        rows, _, back = _trigraded_items(self.W.values(), self.F.values())
         leads = [_pivot(r) for r in rows]
         # Fbar's echelon is the row-wise conjugate of F's; as corrector
-        # rows of the Zassenhaus pass their x half is zero
+        # rows of the Zassenhaus pass their right half is zero
         zero = (_Z,) * n
-        bars = [(*((a, -b) for a, b in r[:n]), *zero) for r in rows]
+        bars = [(*((a, -b) for a, b in r), *zero) for r in rows]
 
         def meet(a: int, m: int) -> list[int]:
             """The rows spanning F^a ∩ W_m (and, conjugated, Fbar^a ∩ W_m):
@@ -126,11 +129,13 @@ class MixedHodgeStructure:
                 corrector.update(meet(q - i, p + q - i - 1))
                 i += 1
             met = _echelon(
-                [rows[k] for k in meet(p, p + q)],
+                [rows[k] + rows[k] for k in meet(p, p + q)],
                 {leads[k]: bars[k] for k in corrector},
             )
-            # a row whose y half vanished carries a vector of the piece
-            pieces[(p, q)] = row_space([r[n:] for r in met if _pivot(r) >= n], n)
+            # a row whose left half vanished carries a vector of the piece
+            # in y coordinates in its right half, and back takes it to x
+            found = [r[n:] for r in met if _pivot(r) >= n]
+            pieces[(p, q)] = row_space([[_dot(b, y) for b in back] for y in found], n)
         return pieces
 
     def weight_at(self, m: int) -> Subspace:

@@ -39,13 +39,14 @@ level subspaces and not by jump indices, so that a shifted or
 Tate-twisted filtration and the fibers of one family, which share W, hit
 them:
 
-* ``_flag_coordinates``, the dual basis adapted to W, keyed by W's values
-  (16 entries);
-* ``_trigraded_items``, one flag's echelon rows in W-adapted coordinates
-  and the levels it induces on every W-graded piece, keyed by (W's
-  values, the flag's values) (128 entries).  ``mhs``'s Deligne splitting
-  reads the rows of the F entry, which ``validate`` fills when it builds
-  the table;
+* ``_flag_coordinates``, the coordinates adapted to W and their map back
+  to the original coordinates, both from one echelon of a W-adapted basis
+  beside the identity, keyed by W's values (16 entries);
+* ``_trigraded_items``, one flag's echelon rows in W-adapted coordinates,
+  n wide, the levels it induces on every W-graded piece, and W's map
+  back, keyed by (W's values, the flag's values) (128 entries).  ``mhs``'s
+  Deligne splitting reads the rows and the map back of the F entry, which
+  ``validate`` fills when it builds the table;
 * ``_level_dims``, the level tables, keyed by the two chains of values,
   full space first (128 entries).  One triple needs one entry for
   (F, G), one each for (W, F) and (W, G) when its K0 class is asked for,
@@ -68,6 +69,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import lcm
 
 from mixedhodge.filtration import (
     FilteredSpace,
@@ -80,11 +82,11 @@ from mixedhodge.filtration import (
 from mixedhodge.linalg import (
     IntRow,
     Subspace,
+    _Z,
     _dot,
     _echelon,
     _in_basis,
     _pivot,
-    annihilator,
     full_space,
     image,
     intersect,
@@ -150,28 +152,59 @@ def _adapted_basis(chain) -> list:
 
 
 @lru_cache(maxsize=16)
-def _flag_coordinates(values: tuple[Subspace, ...]) -> tuple[IntRow, ...]:
-    """Rows a_0, ..., a_{n-1} of a dual basis adapted to the values of a
-    filtration, full space first: with y_j = a_j . x, each value V is
-    {y_j = 0 for j < n - dim V}.  The full space's annihilator is zero and
-    adds no row."""
-    return tuple(_adapted_basis([annihilator(v) for v in values]))
+def _flag_coordinates(
+    values: tuple[Subspace, ...]
+) -> tuple[tuple[IntRow, ...], tuple[IntRow, ...]]:
+    """(coords, back) for the values of a filtration, full space first:
+    in the coordinates y = coords . x each value V is
+    {y_j = 0 for j < n - dim V}, and back . coords = L I for one positive
+    integer L, so that back . y is L x.
+
+    B is each value's canonical rows whose pivots are new to the values
+    below it, the deepest value last, so the last dim V rows of B span V.
+    One echelon of the rows [row i of B^T | e_i] gives the canonical rows
+    [c_i e_i | c_i (B^T)^-1_i]: their right halves are ``coords``, and row
+    k of ``back`` is (b_i[k] L / c_i)_i for L the lcm of the c_i.
+    """
+    deepest_first = _adapted_basis(reversed(values))
+    dims = [v.dim for v in values]
+    # the values' runs in reverse order, each keeping its ascending
+    # pivots, which keeps the trigraded echelons short
+    basis = [r for hi, lo in zip(dims, [*dims[1:], 0]) for r in deepest_first[lo:hi]]
+    n = len(basis)
+    wide = row_space(
+        [
+            [*(b[i] for b in basis), *((1, 0) if j == i else _Z for j in range(n))]
+            for i in range(n)
+        ],
+        2 * n,
+    )
+    scales = [r[i][0] for i, r in enumerate(wide.rows)]
+    big = lcm(*scales)
+    shares = [big // c for c in scales]
+    back = tuple(
+        tuple((b[k][0] * s, b[k][1] * s) for b, s in zip(basis, shares))
+        for k in range(n)
+    )
+    return tuple(r[n:] for r in wide.rows), back
 
 
 @lru_cache(maxsize=128)
 def _trigraded_items(
     w_values: tuple[Subspace, ...], x_values: tuple[Subspace, ...]
-) -> tuple[tuple[IntRow, ...], tuple[tuple[Subspace, ...], ...]]:
-    """(rows, pieces): the values of a filtration X, full space first, in
-    coordinates adapted to the values of W, and induced on each graded
-    piece of W.
+) -> tuple[
+    tuple[IntRow, ...], tuple[tuple[Subspace, ...], ...], tuple[IntRow, ...]
+]:
+    """(rows, pieces, back): the values of a filtration X, full space
+    first, in coordinates adapted to the values of W, and induced on each
+    graded piece of W, with the map back to original coordinates.
 
-    In coordinates y adapted to W (``_flag_coordinates``) the value W_k
-    is {y_j = 0 for j < n - dim W_k}.  ``rows`` is an X-adapted basis,
-    deepest value first, each row [y | x] carrying its original
-    coordinates x, put in echelon form on y (``_echelon``): the x halves
-    of its first dim X rows span a value X, and those among them that
-    lead at n - dim W_k or later span X ∩ W_k.  ``pieces`` holds, per
+    In coordinates y = coords . x adapted to W (``_flag_coordinates``) the
+    value W_k is {y_j = 0 for j < n - dim W_k}.  ``rows`` is an X-adapted
+    basis, deepest value first, in y coordinates and put in echelon form
+    (``_echelon``): its first dim X rows span a value X, and those among
+    them that lead at n - dim W_k or later span X ∩ W_k; ``back`` turns a
+    row y into L x for one positive integer L.  ``pieces`` holds, per
     graded piece W_{k-1}/W_k (one per value of W after the full space),
     the image of each value of X in the piece's own coordinates: the rows
     of X ∩ W_{k-1} that lead in the columns [n - dim W_{k-1}, n - dim W_k),
@@ -179,14 +212,13 @@ def _trigraded_items(
     values, so a shifted or twisted filtration shares the entry.
     """
     n = w_values[0].ambient_dim
-    coords = _flag_coordinates(w_values)
+    coords, back = _flag_coordinates(w_values)
+    by_lead: dict = {}
     rows = _echelon(
-        [
-            [*(_dot(a, x) for a in coords), *x]
-            for x in _adapted_basis(reversed(x_values))
-        ]
+        [[_dot(a, x) for a in coords] for x in _adapted_basis(reversed(x_values))],
+        by_lead,
     )
-    leads = [_pivot(r) for r in rows]
+    leads = list(by_lead)
     pieces = []
     lo = 0
     for w in w_values[1:]:
@@ -203,7 +235,7 @@ def _trigraded_items(
             levels.append(level)
         pieces.append(tuple(levels))
         lo = hi
-    return tuple(map(tuple, rows)), tuple(pieces)
+    return tuple(map(tuple, rows)), tuple(pieces), back
 
 
 @lru_cache(maxsize=128)

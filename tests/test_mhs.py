@@ -137,13 +137,13 @@ def test_deligne_pieces_match_the_formula_at_full_size():
 
 def test_fbar_echelon_is_the_conjugate_of_f_echelon():
     # the fact the Deligne splitting rests on: a conjugation-stable W has
-    # real adapted coordinates, so the trigraded table's Fbar rows are its
-    # F rows conjugated
+    # real adapted coordinates and a real map back, so the trigraded
+    # table's Fbar rows are its F rows conjugated
     for k in range(40):
         m = random_mhs(random.Random(k), max_dim=8)
         w = m.W.values()
-        coords = _flag_coordinates(w)
-        assert all(b == 0 for row in coords for _, b in row)
+        coords, back = _flag_coordinates(w)
+        assert all(b == 0 for row in (*coords, *back) for _, b in row)
         rows = _trigraded_items(w, m.F.values())[0]
         conj = tuple(tuple((a, -b) for a, b in r) for r in rows)
         assert _trigraded_items(w, conj_filtration(m.F).values())[0] == conj
@@ -151,8 +151,8 @@ def test_fbar_echelon_is_the_conjugate_of_f_echelon():
 
 def test_deligne_splitting_reuses_the_trigraded_rows(monkeypatch):
     # validate fills the trigraded table's F entry; the splitting reads its
-    # rows and runs one Zassenhaus pass per Hodge cell.  Every other
-    # _echelon call is row_space canonicalizing a piece
+    # rows and their map back, and runs one Zassenhaus pass per Hodge cell.
+    # Every other _echelon call is row_space canonicalizing a piece
     rng = random.Random("fresh draw")
     m = random_mhs(rng, 8)
     while m.ambient_dim != 8:
@@ -172,9 +172,12 @@ def test_deligne_splitting_reuses_the_trigraded_rows(monkeypatch):
                 if obj is fn:
                     monkeypatch.setattr(mod, name, counted(fn.__name__, fn))
     misses = _trigraded_items.cache_info().misses
+    coordinate_misses = _flag_coordinates.cache_info().misses
     assert "_deligne" not in vars(m)  # not computed yet
     pieces = deligne_splitting(m)
     assert _trigraded_items.cache_info().misses == misses
+    # the map back to x coordinates comes with the rows
+    assert _flag_coordinates.cache_info().misses == coordinate_misses
     cells = hodge_numbers(m.triple())
     assert set(pieces) == set(cells)
     assert calls["_echelon"] - calls["_canonical"] == len(cells)

@@ -31,8 +31,10 @@ from mixedhodge.families import (
 from mixedhodge.filtration import common_window, filtered_space, shift, trivial
 from mixedhodge.invariants import alpha, alpha_via_f_expansion, tate_twist_triple
 from mixedhodge.linalg import (
+    _dot,
     _pivot,
     intersect,
+    kernel as map_kernel,
     row_space,
     span,
     subspace_sum,
@@ -150,18 +152,19 @@ def test_trigraded_dims_match_subquotients_at_full_size():
 
 
 def _assert_rows_meet_the_flags(w_values, x_values) -> None:
-    """The trigraded table's rows against intersect: the x halves of the
-    first dim X rows span X, and those among them leading at n - dim W_k
-    or later span X ∩ W_k, for every value X of the flag and W_k of W."""
+    """The trigraded table's rows against intersect: mapped back to x
+    coordinates through ``back``, the first dim X rows span X, and those
+    among them leading at n - dim W_k or later span X ∩ W_k, for every
+    value X of the flag and W_k of W."""
     n = w_values[0].ambient_dim
-    rows = _trigraded_items(w_values, x_values)[0]
+    rows, _, back = _trigraded_items(w_values, x_values)
     assert sorted(_pivot(r) for r in rows) == list(range(n))  # echelon on y
+    xs = [[_dot(b, y) for b in back] for y in rows]
     for x in x_values:
-        first = rows[:x.dim]
-        assert row_space([r[n:] for r in first], n) == x
+        assert row_space(xs[:x.dim], n) == x
         for w in w_values:
             cut = n - w.dim
-            met = [r[n:] for r in first if _pivot(r) >= cut]
+            met = [v for v, r in zip(xs[:x.dim], rows) if _pivot(r) >= cut]
             assert row_space(met, n) == intersect(x, w)
 
 
@@ -179,6 +182,33 @@ def test_trigraded_rows_span_the_flag_meets_on_structures():
 def test_trigraded_rows_span_the_flag_meets(pair):
     w, x = pair
     _assert_rows_meet_the_flags(w.values(), x.values())
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.tuples(filtered_spaces(n), filtered_spaces(n))
+))
+def test_flag_coordinates_are_adapted_and_inverted_by_back(pair):
+    # y = coords . x cuts out each value of W by its first n - dim W_k
+    # coordinates, back . coords is one positive integer times the
+    # identity, and the trigraded rows are y rows, of width n
+    w, x = pair
+    n = w.ambient_dim
+    coords, back = _flag_coordinates(w.values())
+    assert len(coords) == len(back) == n
+    products = {
+        (i, j): _dot(b, [a[j] for a in coords])
+        for i, b in enumerate(back) for j in range(n)
+    }
+    big = products[0, 0][0] if n else 1
+    assert big > 0
+    assert products == {
+        (i, j): (big if i == j else 0, 0) for i in range(n) for j in range(n)
+    }
+    for v in w.values():
+        assert map_kernel(coords[:n - v.dim], n) == v
+    rows = _trigraded_items(w.values(), x.values())[0]
+    assert all(len(r) == n for r in rows)
 
 
 def test_trigraded_pieces_are_shared_across_shifts_and_fibers():

@@ -1,6 +1,6 @@
 """Checks against libraries that share no code with the package: sympy for
-exact row reduction over Q(i), of subspaces and of linear maps, mpmath for
-the Jacobi theta function."""
+exact row reduction over Q(i), of subspaces, of linear maps and of the
+Deligne splitting, mpmath for the Jacobi theta function."""
 
 from __future__ import annotations
 
@@ -34,7 +34,14 @@ from mixedhodge.linalg import (
     span,
     subspace_sum,
 )
-from mixedhodge.mhs import assemble_extension, deligne_splitting, direct_sum_mhs
+from mixedhodge.mhs import (
+    assemble_extension,
+    deligne_splitting,
+    direct_sum_mhs,
+    dual_mhs,
+    is_r_split,
+    tensor_mhs,
+)
 from mixedhodge.multifilt import TrifilteredSpace
 from mixedhodge.sampling import random_compatible_morphism, random_mhs
 
@@ -444,3 +451,74 @@ def test_rational_lift_extension_against_sympy(seed, den, data):
         for y in _qq_i_rows(sympy, b.F.at(p).rows):
             want.append([sum((c * e for c, e in zip(r, y)), zero) for r in lift] + y)
         _same_span(sympy, total.F.at(p).rows, want, na + nb)
+
+
+def _deligne_pieces_by_sympy(sympy, m) -> dict:
+    """I^{p,q} = (F^p ∩ W_{p+q}) ∩ (Fbar^q ∩ W_{p+q}
+    + sum_{i>=1} Fbar^{q-i} ∩ W_{p+q-i-1}) from the levels of
+    ``m.to_json()``, with sympy alone: a meet is the common zeros of the
+    two spans' annihilators, a sum is the stacked rows, and each nonzero
+    piece is given by its rref as JSON quadruples.  (p, q) runs over F's
+    jump window, so a cell off the Hodge support must come out zero."""
+    from sympy.polys.matrices import DomainMatrix
+
+    qq_i = sympy.QQ_I
+    data = m.to_json()
+    n = data["ambient_dim"]
+
+    def dm(rows):
+        return DomainMatrix(rows, (len(rows), n), qq_i)
+
+    def meet(a, b):
+        return dm(dm(a).nullspace().to_list() + dm(b).nullspace().to_list()
+                  ).nullspace().to_list()
+
+    def lookup(key, sign=1):
+        """p -> the value at p, as ``QQ_I`` rows, conjugated if sign < 0."""
+        levels = data[key]["levels"]
+        jumps = [level["index"] for level in levels]
+        values = [dm([]).nullspace().to_list()]  # the full space
+        values += [
+            [[qq_i(Fraction(a, b), sign * Fraction(c, d)) for a, b, c, d in v]
+             for v in level["vectors"]]
+            for level in levels
+        ]
+        return lambda p: values[bisect_right(jumps, p)]
+
+    f_at, fbar_at, w_at = lookup("F"), lookup("F", -1), lookup("W")
+    jumps = [level["index"] for level in data["F"]["levels"]]
+    window = range(jumps[0] - 1, jumps[-1]) if jumps else range(0)
+    pieces = {}
+    for p in window:
+        for q in window:
+            # increasing weight notation: W_m is the decreasing W at -m
+            corrector = meet(fbar_at(q), w_at(-(p + q)))
+            i = 1
+            while w_at(-(p + q - i - 1)):
+                corrector += meet(fbar_at(q - i), w_at(-(p + q - i - 1)))
+                i += 1
+            rows = meet(meet(f_at(p), w_at(-(p + q))), corrector)
+            if rows:
+                reduced, pivots = dm(rows).rref()
+                pieces[p, q] = [
+                    [[int(e.x.numerator), int(e.x.denominator),
+                      int(e.y.numerator), int(e.y.denominator)] for e in row]
+                    for row in reduced.to_list()[: len(pivots)]
+                ]
+    return pieces
+
+
+def test_deligne_splitting_against_sympy():
+    # seeded draws, whose W is a random real flag, and tensor products and
+    # duals of draws, whose W the package's constructions build; the draws
+    # reach structures that are not R-split, where the corrector sum counts
+    sympy = pytest.importorskip("sympy")
+    structures = [random_mhs(random.Random(k), max_dim=4) for k in range(40)]
+    rng = random.Random("deligne oracle")
+    for _ in range(4):
+        a, b = random_mhs(rng, max_dim=3), random_mhs(rng, max_dim=2)
+        structures += [tensor_mhs(a, b), dual_mhs(random_mhs(rng, max_dim=4))]
+    for m in structures:
+        ours = {key: v.to_json() for key, v in deligne_splitting(m).items()}
+        assert ours == _deligne_pieces_by_sympy(sympy, m), m.to_json()
+    assert sum(not is_r_split(m) for m in structures) >= 5
