@@ -4,10 +4,11 @@ A ``FilteredSpace`` keeps only the jump levels: the sorted indices p where
 F^p differs from F^{p-1}, each with its subspace.  Below the first stored
 index the filtration is the full space, and the last stored value is
 required to be zero, so lookups are total and two filtrations are equal
-iff their dataclasses are.  Its distinct values (``FilteredSpace.values``)
-are the full space and then each stored level; F^p is the value at
-position ``bisect_right(jumps, p)``, and every dimension table reads the
-values by position.
+iff their levels are.  Its jumps and its distinct values, the full space
+and then each stored level, are stored once at construction
+(``FilteredSpace.jumps`` and ``values``); ``at(p)`` reads F^p as the value
+at position ``bisect_right(jumps, p)``, and every dimension table reads
+the values by position.
 
 ``from_generators`` builds every filtration whose levels are nested by
 construction: direct sum, tensor product and dual here, an extension's
@@ -31,8 +32,9 @@ subspace's Q(i) basis, as ``linalg`` sets out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping
 
 from mixedhodge.exactfield import array_from_json, int_from_json, object_from_json
 from mixedhodge.linalg import (
@@ -61,11 +63,15 @@ class FilteredSpace:
     the zero tail.  It trusts that each level lies inside the one before:
     ``from_generators`` nests its levels by construction, and
     ``filtered_space``, the constructor for levels whose nesting is not
-    known, is the one place that checks it.
+    known, is the one place that checks it.  It also stores the jumps and
+    the values, which take no part in equality, hashing or the repr; ``at``
+    reads them by position.
     """
 
     ambient_dim: int
     levels: tuple[tuple[int, Subspace], ...]  # ascending jump index, value
+    _jumps: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _values: tuple[Subspace, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         prev_key = None
@@ -84,20 +90,20 @@ class FilteredSpace:
         else:
             if not self.levels or self.levels[-1][1].dim != 0:
                 raise ValueError("filtration must end at the zero subspace")
+        jumps, values = zip(*self.levels) if self.levels else ((), ())
+        object.__setattr__(self, "_jumps", jumps)
+        object.__setattr__(self, "_values", (full_space(self.ambient_dim), *values))
 
     def at(self, p: int) -> Subspace:
-        for key, val in reversed(self.levels):
-            if key <= p:
-                return val
-        return full_space(self.ambient_dim)
+        return self._values[bisect_right(self._jumps, p)]
 
     def jumps(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.levels)
+        return self._jumps
 
     def values(self) -> tuple[Subspace, ...]:
         """The distinct values: the full space, then each stored level.
         ``at(p)`` is entry ``bisect_right(jumps(), p)``."""
-        return (full_space(self.ambient_dim), *[v for _, v in self.levels])
+        return self._values
 
     def to_json(self) -> dict:
         return {
@@ -144,14 +150,15 @@ def from_generators(
 
     Nothing checks the nesting, which holds by construction.  The
     smallest index only says where the last level ends: its rows are
-    never read, and ``tensor`` and ``dual`` leave them out.  The caller
-    promises that each index enlarges the span.  At the package's call
-    sites it does: in the sampler each index carries its own run of one
-    basis; elsewhere it is one less than a jump of an input, where a
-    graded piece is nonzero, and the graded pieces add (direct sum,
-    extension), convolve (tensor) or reflect (dual).  ``FilteredSpace``
-    still rejects an index that does not enlarge the span, the smallest
-    included: the rows above it must span a proper subspace.
+    never read, and the constructions here and in ``mhs`` leave them out.
+    The caller promises that each index enlarges the span.  At the
+    package's call sites it does: in the sampler each index carries its
+    own run of one basis; elsewhere it is one less than a jump of an
+    input, where a graded piece is nonzero, and the graded pieces add
+    (direct sum, extension), convolve (tensor) or reflect (dual).
+    ``FilteredSpace`` still rejects an index that does not enlarge the
+    span, the smallest included: the rows above it must span a proper
+    subspace.
     """
     if ambient_dim == 0:
         return FilteredSpace(0, ())
@@ -195,15 +202,29 @@ def common_jumps(f: FilteredSpace, g: FilteredSpace) -> list[int]:
     return sorted({*f.jumps(), *g.jumps()})
 
 
+def _summed_generators(*parts: tuple[FilteredSpace, Callable]) -> dict[int, list]:
+    """Generators for ``from_generators`` of a sum: for each part (f, embed),
+    the ``_generators`` of f mapped by embed into the sum.  The smallest
+    index of all keeps only its index, as ``from_generators`` never reads
+    its rows; a part whose first jump lies higher keeps its full space's
+    rows, which are read."""
+    gens_of = [(_generators(f), embed) for f, embed in parts]
+    low = min((key for gens, _ in gens_of for key in gens), default=0)
+    out: dict[int, list] = {low: []}
+    for gens, embed in gens_of:
+        for key, rows in gens.items():
+            if key != low:
+                out.setdefault(key, []).extend(map(embed, rows))
+    return out
+
+
 def direct_sum(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:
     """Level p is F^p + G^p: f's values padded on the right, g's on the left."""
-    d1, d2 = f.ambient_dim, g.ambient_dim
-    gens: dict[int, list] = {}
-    for key, rows in _generators(f).items():
-        gens.setdefault(key, []).extend(row + (_Z,) * d2 for row in rows)
-    for key, rows in _generators(g).items():
-        gens.setdefault(key, []).extend((_Z,) * d1 + row for row in rows)
-    return from_generators(d1 + d2, gens)
+    right, left = (_Z,) * g.ambient_dim, (_Z,) * f.ambient_dim
+    gens = _summed_generators(
+        (f, lambda row: row + right), (g, lambda row: left + row)
+    )
+    return from_generators(f.ambient_dim + g.ambient_dim, gens)
 
 
 def tensor(f: FilteredSpace, g: FilteredSpace) -> FilteredSpace:

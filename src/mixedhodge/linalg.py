@@ -58,8 +58,9 @@ basis row j in a member x is just x[p_j] (``_in_basis``).
 dimension tables count dim(x ∩ y) a whole row at a time instead, from one
 ``_echelon`` grown level by level through its table of leading rows
 (``multifilt._level_dims``), and keep the tables in ``multifilt``'s
-caches.  ``full_space`` keeps its last 16 results, so filtration lookups
-below the first jump share one object.
+caches.  ``full_space`` keeps its last 16 results: every
+``FilteredSpace`` stores the full space as its first value at
+construction, and a cached one costs a lookup instead of n rows.
 """
 
 from __future__ import annotations
@@ -111,7 +112,10 @@ def _dot(r, x) -> tuple[int, int]:
 
 def _pivot(row) -> int | None:
     """The column of row's first nonzero entry; None for a zero row."""
-    return next((j for j, e in enumerate(row) if e != _Z), None)
+    for j, e in enumerate(row):
+        if e != _Z:
+            return j
+    return None
 
 
 def _reduce_step(prow, row, col: int, start: int) -> tuple[list, int | None]:

@@ -47,7 +47,7 @@ from functools import cached_property
 from mixedhodge.filtration import (
     FilteredSpace,
     _filtrations_from_json,
-    _generators,
+    _summed_generators,
     direct_sum,
     dual,
     from_generators,
@@ -243,14 +243,11 @@ def assemble_extension(
         raise ValueError("lift denominator must be a positive integer")
     n = a.ambient_dim + b.ambient_dim
     pad = (_Z,) * b.ambient_dim
-    gens: dict[int, list] = {}
-    for p, level in _generators(a.F).items():
-        gens.setdefault(p, []).extend(row + pad for row in level)
-    for p, level in _generators(b.F).items():
-        gens.setdefault(p, []).extend(
-            [*(_dot(r, v) for r in rows), *((den * x, den * y) for x, y in v)]
-            for v in level
-        )
+    gens = _summed_generators(
+        (a.F, lambda row: row + pad),
+        (b.F, lambda v: [*(_dot(r, v) for r in rows),
+                         *((den * x, den * y) for x, y in v)]),
+    )
     return validate(direct_sum(a.W, b.W), from_generators(n, gens))
 
 

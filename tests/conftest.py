@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -89,6 +90,26 @@ def assert_canonical(sub) -> None:
         last = piv
     for piv in pivots:
         assert sum(r[piv] != (0, 0) for r in rows) == 1, "pivot column not cleared"
+
+
+@contextmanager
+def rows_at_smallest_index():
+    """Within the block, a list that gets, for each ``from_generators``
+    call made through ``filtration`` or ``mhs``, the number of rows handed
+    to it at its smallest index: rows it never reads."""
+    from mixedhodge import filtration, mhs
+
+    seen: list[int] = []
+    real = filtration.from_generators
+
+    def counting(ambient_dim, gens):
+        seen.append(len(gens[min(gens)]) if gens else 0)
+        return real(ambient_dim, gens)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (filtration, mhs):
+            patch.setattr(module, "from_generators", counting)
+        yield seen
 
 
 def reference_step(prow, row, col: int) -> tuple[list, int | None]:

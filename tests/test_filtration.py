@@ -6,11 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_canonical, filtered_spaces, fraction_level_span, subspaces
+from conftest import (
+    assert_canonical,
+    filtered_spaces,
+    fraction_level_span,
+    rows_at_smallest_index,
+    subspaces,
+)
 from mixedhodge.exactfield import gauss
 from mixedhodge.filtration import (
     FilteredSpace,
     _generators,
+    common_window,
     direct_sum,
     dual,
     filtered_space,
@@ -94,19 +101,39 @@ def test_values_are_generators_of_the_filtration(f):
     assert from_generators(f.ambient_dim, _generators(f)) == f
 
 
+def _at_by_reverse_scan(f, p):
+    """F^p as the last stored level at or below p, else the full space."""
+    for key, val in reversed(f.levels):
+        if key <= p:
+            return val
+    return full_space(f.ambient_dim)
+
+
 @given(st.integers(0, 4).flatmap(filtered_spaces))
 def test_values_are_read_by_position(f):
-    # one lookup rule: F^p is the value at position bisect_right(jumps, p)
+    # one lookup rule: F^p is the value at position bisect_right(jumps, p),
+    # which is what a scan of the stored levels finds
     values, jumps = f.values(), f.jumps()
     assert values[0] == full_space(f.ambient_dim)
     assert values[-1].dim == 0
     assert all(a.dim > b.dim for a, b in zip(values, values[1:]))
     lo, hi = (jumps[0], jumps[-1]) if jumps else (0, 0)
     for p in range(lo - 2, hi + 3):
-        assert f.at(p) == values[bisect_right(jumps, p)]
+        assert f.at(p) == values[bisect_right(jumps, p)] == _at_by_reverse_scan(f, p)
     assert graded_dims(f) == {
         k - 1: f.at(k - 1).dim - f.at(k).dim for k in jumps
     }
+
+
+@given(st.integers(0, 3).flatmap(filtered_spaces))
+def test_jumps_and_values_are_stored_once(f):
+    assert f.jumps() is f.jumps() and f.values() is f.values()
+    # the stored tuples take no part in equality, hashing or the repr
+    g = shift(shift(f, 1), -1)
+    assert g is not f and g == f and hash(g) == hash(f)
+    assert repr(f) == (
+        f"FilteredSpace(ambient_dim={f.ambient_dim!r}, levels={f.levels!r})"
+    )
 
 
 def test_generators_must_enlarge_every_level():
@@ -140,6 +167,19 @@ def test_direct_sum_grading_is_additive(f, g):
         p: gf.get(p, 0) + gg.get(p, 0) for p in set(gf) | set(gg)
     }
     assert graded_dims(direct_sum(f, g)) == expected
+
+
+@given(st.integers(0, 3).flatmap(filtered_spaces),
+       st.integers(0, 3).flatmap(filtered_spaces), st.integers(-2, 2))
+def test_direct_sum_passes_no_rows_at_the_smallest_index(f, g, k):
+    # from_generators never reads them; when the first jumps differ, the
+    # other summand's full space sits higher, is read and stays
+    g = shift(g, k)
+    with rows_at_smallest_index() as seen:
+        s = direct_sum(f, g)
+    assert seen == [0]
+    for p in common_window(f, g):
+        assert s.at(p).dim == f.at(p).dim + g.at(p).dim
 
 
 def test_tensor_fixed_value():

@@ -21,6 +21,7 @@ from mixedhodge.linalg import (
     Subspace,
     _echelon,
     _in_basis,
+    _pivot,
     _real_pivot,
     _reduce_step,
     annihilator,
@@ -360,6 +361,23 @@ def reduction_steps(draw) -> tuple:
 def test_reduce_step_matches_the_reference(step):
     prow, row, col, start = step
     assert _reduce_step(prow, row, col, start) == reference_step(prow, row, col)
+
+
+@st.composite
+def rows_with_leading_zeros(draw):
+    n = draw(st.integers(0, 8))
+    zeros = draw(st.integers(0, n))  # n zeros: the zero row
+    return [(0, 0)] * zeros + draw(st.lists(_ENTRY, min_size=n - zeros,
+                                            max_size=n - zeros))
+
+
+@given(rows_with_leading_zeros())
+@example([])
+@example([(0, 0)] * 5)
+@example([(0, 0), (0, 0), (0, -1)])
+def test_pivot_matches_the_generator_scan(row):
+    want = next((j for j, e in enumerate(row) if e != (0, 0)), None)
+    assert _pivot(row) == _pivot(tuple(row)) == want
 
 
 def test_real_pivot_fixed_values():

@@ -12,6 +12,7 @@ from conftest import (
     filtered_spaces,
     lift,
     package_modules,
+    rows_at_smallest_index,
     weight_two_zero_mhs,
 )
 from mixedhodge import linalg
@@ -301,6 +302,17 @@ def test_assemble_extension_zero_lift_is_direct_sum():
     h = assemble_extension(a, b, zero_lift)
     assert alpha(h.triple()) == alpha(a.triple())
     assert hodge_numbers(h.triple()) == {(1, 1): 1, (0, 0): 1, (2, 2): 1}
+
+
+def test_assemble_extension_passes_no_rows_at_the_smallest_index():
+    # neither the weight filtration's direct sum nor the Hodge filtration
+    # hands from_generators the rows it never reads
+    rng = random.Random("extension generators")
+    for _ in range(20):
+        a, b, glue, total = random_extension(rng, 3)
+        with rows_at_smallest_index() as seen:
+            assert assemble_extension(a, b, glue) == total
+        assert seen == [0, 0]
 
 
 def test_assemble_extension_shape_check():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import filtered_spaces, gaussians, intersect_dim, triples
 from mixedhodge.curves import theta
+from mixedhodge.exactfield import I, gauss
 from mixedhodge.filtration import (
     common_window,
     direct_sum,
@@ -24,7 +25,8 @@ from mixedhodge.filtration import (
     induced_on_sub,
     tensor,
 )
-from mixedhodge.invariants import chern_data
+from mixedhodge.families import two_flag_fiber
+from mixedhodge.invariants import alpha, alpha_via_f_expansion, chern_data
 from mixedhodge.linalg import (
     full_space,
     image,
@@ -345,17 +347,48 @@ def _assert_rees_count_is_riemann_roch(sympy, t: TrifilteredSpace) -> None:
         assert _rees_count(sympy, t, k) == want, (k, t.to_json())
 
 
+def _rees_c2(sympy, t: TrifilteredSpace) -> Fraction:
+    """c2 of t from the Rees counts alone: from k to k + 1 they grow by
+    rank (k + 2) + c1, which shows c1 = 0, and then c2 = -ch2 is
+    rank (k+1)(k+2)/2 minus the count at k."""
+    n, k = t.ambient_dim, 30
+    count = _rees_count(sympy, t, k)
+    assert _rees_count(sympy, t, k + 1) - count == n * (k + 2), "c1 is not 0"
+    return Fraction(n * (k + 1) * (k + 2), 2) - count
+
+
 def test_chern_data_counts_rees_sections_on_structures():
-    # a structure has c1 = 0 and ch2 = -alpha; the draws reach structures
-    # that are not R-split, where ch2 is nonzero
+    # a structure has c1 = 0 and ch2 = -alpha, so the count's c2 is alpha
+    # by both routes; the draws reach structures that are not R-split,
+    # where ch2 is nonzero
     sympy = pytest.importorskip("sympy")
     rng = random.Random("rees count")
     not_split = 0
     for _ in range(40):
         t = random_mhs(rng, max_dim=4).triple()
         _assert_rees_count_is_riemann_roch(sympy, t)
+        assert _rees_c2(sympy, t) == alpha(t) == alpha_via_f_expansion(t)
         not_split += chern_data(t).ch2 != 0
     assert not_split >= 4, not_split
+
+
+def test_c01_grid_c2_by_rees_count():
+    # the rank-2 fibers of the worked grids, F and G the lines through
+    # (lam, 1) and (kap, 1), on a seeded grid of Q(i) values: c2 is 0 on
+    # the diagonal lam == kap and 1 off it
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("c01 grid")
+    values = [gauss(0), I] + [
+        gauss(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+              Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        for _ in range(3)
+    ]
+    for lam in values:
+        for kap in values:
+            t = two_flag_fiber(lam, kap)
+            c2 = _rees_c2(sympy, t)
+            assert c2 in (0, 1) and c2 == alpha(t), (lam, kap)
+            assert (c2 == 0) == (lam == kap), (lam, kap)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

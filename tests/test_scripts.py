@@ -1,8 +1,10 @@
-"""The files ``scripts/lambda_plane_strata.py`` writes are pinned by digest.
+"""The files the scripts write are pinned by digest.
 
-The script runs as its docstring says, in a fresh interpreter with the
-package's ``src`` directory on ``PYTHONPATH``, once with its default grid
-and once with ``--radius 3 --den 7``.
+Each script runs as its docstring says, in a fresh interpreter with the
+package's ``src`` directory on ``PYTHONPATH``:
+``scripts/lambda_plane_strata.py`` once with its default grid and once
+with ``--radius 3 --den 7``, ``scripts/worst_document.py`` at dimension 4
+with 8-bit entries.
 """
 
 import hashlib
@@ -13,8 +15,12 @@ from pathlib import Path
 
 import pytest
 
+from mixedhodge.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "lambda_plane_strata.py"
+WORST = ROOT / "scripts" / "worst_document.py"
+WORST_4_8 = "f9d6ac26f50dafd28a1315ab8894b6c8c053eb03c5ea1501e1fb5a3f427f4a89"
 
 PINNED = {
     (): {
@@ -30,21 +36,30 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("args", list(PINNED), ids=["default", "radius3-den7"])
-def test_lambda_plane_strata_files_are_pinned(tmp_path, args):
+def _run(script: Path, *args: str) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT), *args, "--out-dir", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, str(script), *args], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("args", list(PINNED), ids=["default", "radius3-den7"])
+def test_lambda_plane_strata_files_are_pinned(tmp_path, args):
+    _run(SCRIPT, *args, "--out-dir", str(tmp_path))
     got = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in PINNED[args]
     }
     assert got == PINNED[args]
+
+
+def test_worst_document_is_pinned_and_admitted(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    _run(WORST, "--dim", "4", "--bits", "8", "--out", str(doc))
+    assert hashlib.sha256(doc.read_bytes()).hexdigest() == WORST_4_8
+    assert main(["invariants", "--in", str(doc)]) == 0
+    assert capsys.readouterr().err == ""
