@@ -34,7 +34,7 @@ import sys
 from dataclasses import replace
 
 from mixedhodge.curves import CurveConfig, INF, config_from_json, curve_report, genus0_alpha
-from mixedhodge.exactfield import I, fraction_json, gauss
+from mixedhodge.exactfield import I, gauss
 from mixedhodge.families import (
     alpha_map,
     family_from_json,
@@ -111,7 +111,7 @@ def cmd_check_mhs(args) -> tuple[str, int]:
         "valid": True,
         "ambient_dim": m.ambient_dim,
         "hodge_numbers": [[p, q, d] for (p, q), d in sorted(hodge_numbers(t).items())],
-        "alpha": fraction_json(alpha(t)),
+        "alpha": alpha(t),
         "r_split": is_r_split(m),
     }
     return _dump(report), 0
@@ -141,7 +141,7 @@ def cmd_alpha(args) -> tuple[str, int]:
         t = _parse(triple_from_json, data)
     else:
         t = validate(*_parse(mhs_parse_json, data)).triple()
-    return _dump({"alpha": fraction_json(alpha(t))}), 0
+    return _dump({"alpha": alpha(t)}), 0
 
 
 def cmd_curve_alpha(args) -> tuple[str, int]:

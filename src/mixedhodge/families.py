@@ -19,6 +19,9 @@ no lock to set.  Two diagnostics sit on top of it:
   increasing direction and flags points that are strict local maxima of
   the defect.  Special fibers should sit at local minima, so a flagged
   point means the sample grid caught something a genuine family cannot do.
+
+The worked grids have rank 2 fibers whose F and G are lines read off
+Gaussian-integer rows; a grid shares one line filtration per distinct row.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from mixedhodge.exactfield import (
     Quad,
     array_from_json,
     finite_from_json,
-    fraction_json,
     int_from_json,
     object_from_json,
 )
@@ -71,20 +73,6 @@ class ParameterPoint:
         names = [n for n, _ in self.coords]
         if len(set(names)) != len(names):
             raise ValueError(f"repeated coordinate name at {self.label!r}")
-
-
-def parameter_point(label: str, coords) -> ParameterPoint:
-    """Build a ParameterPoint from a dict or an iterable of (name, value)
-    pairs, coercing ints and Fractions to float."""
-    items = coords.items() if isinstance(coords, dict) else coords
-    out = []
-    for name, value in items:
-        if isinstance(value, bool):
-            raise ValueError(f"coordinate {name!r} must be a number")
-        if isinstance(value, (int, Fraction)):
-            value = float(value)
-        out.append((name, value))
-    return ParameterPoint(label, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -147,15 +135,15 @@ class StrataReport:
     different strata.
     """
 
-    alphas: tuple[Fraction, ...]
-    strata: tuple[tuple[Fraction, tuple[int, ...]], ...]
+    alphas: tuple[int, ...]
+    strata: tuple[tuple[int, tuple[int, ...]], ...]
     f_tables: tuple[FTable, ...]
     changing_edges: tuple[tuple[int, int], ...]
 
 
 def _point_data(
     fam: SampledFamily, i: int, ps: range, qs: range
-) -> tuple[Fraction, FTable]:
+) -> tuple[int, FTable]:
     t = fam.fibers[i]
     if not is_opposed(t):
         raise ValueError(
@@ -180,7 +168,7 @@ def alpha_map(fam: SampledFamily) -> StrataReport:
     rows = [_point_data(fam, i, ps, qs) for i in range(len(fam.fibers))]
     alphas = tuple(a for a, _ in rows)
     tables = tuple(tab for _, tab in rows)
-    by_value: dict[Fraction, list[int]] = {}
+    by_value: dict[int, list[int]] = {}
     for i, a in enumerate(alphas):
         by_value.setdefault(a, []).append(i)
     strata = tuple((a, tuple(pts)) for a, pts in sorted(by_value.items()))
@@ -204,7 +192,7 @@ class HypothesisAudit:
     generic_table: FTable
     deviations: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
     holds: bool
-    stratum_verdicts: tuple[tuple[Fraction, bool], ...]
+    stratum_verdicts: tuple[tuple[int, bool], ...]
     min_is_generic: bool
 
 
@@ -333,7 +321,7 @@ def strata_json(fam: SampledFamily, report: StrataReport) -> dict:
             {
                 "label": p.label,
                 "coords": [[name, _coord_json(v)] for name, v in p.coords],
-                "alpha": fraction_json(report.alphas[i]),
+                "alpha": report.alphas[i],
                 "f": [[pp, qq, d] for (pp, qq), d in report.f_tables[i]],
             }
         )
@@ -341,7 +329,7 @@ def strata_json(fam: SampledFamily, report: StrataReport) -> dict:
         "points": points,
         "strata": [
             {
-                "alpha": fraction_json(a),
+                "alpha": a,
                 "points": [fam.parameters[i].label for i in pts],
             }
             for a, pts in report.strata
@@ -385,15 +373,16 @@ _TWO_FLAG_W = FilteredSpace(
 )
 
 
-def _line_fiber(f_row, g_row) -> TrifilteredSpace:
-    """Rank 2 with weight pieces in degrees 2 and 0; F and G are the lines
-    through the Gaussian-integer rows f_row and g_row, both sitting in
-    level 1.  Every fiber holds the same W, built once at import, so a
-    grid builds only its F and G lines."""
-    zero = zero_subspace(2)
-    f = FilteredSpace(2, ((1, row_space([f_row], 2)), (2, zero)))
-    g = FilteredSpace(2, ((1, row_space([g_row], 2)), (2, zero)))
-    return TrifilteredSpace(2, W=_TWO_FLAG_W, F=f, G=g)
+def _line(row) -> FilteredSpace:
+    """The line through the Gaussian-integer row, sitting in level 1 of
+    Q(i)^2."""
+    return FilteredSpace(2, ((1, row_space([row], 2)), (2, zero_subspace(2))))
+
+
+def _line_fiber(f_line: FilteredSpace, g_line: FilteredSpace) -> TrifilteredSpace:
+    """Rank 2 with weight pieces in degrees 2 and 0, F and G the given
+    lines.  Every fiber holds the same W, built once at import."""
+    return TrifilteredSpace(2, W=_TWO_FLAG_W, F=f_line, G=g_line)
 
 
 def two_flag_fiber(
@@ -403,22 +392,29 @@ def two_flag_fiber(
     (kap, 1), for Q(i) values lam and kap as ``gauss`` takes them.  The
     defect is 0 when lam = kap and 1 otherwise, which makes this the
     fiber of choice for the worked grids."""
-    return _line_fiber(_cleared((lam, 1))[0], _cleared((kap, 1))[0])
+    return _line_fiber(_line(_cleared((lam, 1))[0]), _line(_cleared((kap, 1))[0]))
 
 
-def _square_grid(radius: int, step, names: tuple[str, str], fiber) -> SampledFamily:
+def _square_grid(radius: int, step, names: tuple[str, str], rows) -> SampledFamily:
     """The points (a, b) with a and b in step * [-radius, radius], a-major,
     with edges between grid neighbors.  For step = u / v in lowest terms,
-    the point (i * step, j * step) carries ``fiber(i * u, j * u, v)``: a
-    grid's lines are read off integer numerators over one denominator."""
+    ``rows(i * u, j * u, v)`` gives the Gaussian-integer rows (f_row,
+    g_row) of the F and G lines at (i * step, j * step).  The grid builds
+    one line filtration per distinct row, for this build only, and the
+    fibers that draw on a row share it; each tick's label and float are
+    made once per axis."""
     side = 2 * radius + 1
     u, v = step.numerator, step.denominator
     ks = range(-radius, radius + 1)
-    ticks = [k * step for k in ks]
+    ticks = [(str(k * step), float(k * step)) for k in ks]
     params = [
-        parameter_point(f"({a},{b})", zip(names, (a, b))) for a in ticks for b in ticks
+        ParameterPoint(f"({a_label},{b_label})", ((names[0], a), (names[1], b)))
+        for a_label, a in ticks
+        for b_label, b in ticks
     ]
-    fibers = [fiber(i * u, j * u, v) for i in ks for j in ks]
+    pairs = [rows(i * u, j * u, v) for i in ks for j in ks]
+    lines = {row: _line(row) for row in {r for pair in pairs for r in pair}}
+    fibers = [_line_fiber(lines[f], lines[g]) for f, g in pairs]
     n = side * side
     edges = [(i, i + 1) for i in range(n) if (i + 1) % side] + [
         (i, i + side) for i in range(n - side)
@@ -435,12 +431,13 @@ def lambda_conjugate_grid(
     through (lambda, 1); its defect is 0 exactly on the real axis and 1
     everywhere else.  The default covers [-1, 1]^2 at 11 samples per side.
     Grid coordinates are exact multiples of ``step``, so the real axis is
-    hit exactly.
+    hit exactly.  G at lambda is F at conj(lambda), so the grid's F and G
+    share its side^2 lines.
     """
     return _square_grid(
         radius, step, ("lambda_re", "lambda_im"),
         # lambda = (a + b*i) / d is the row ((a, b), (d, 0)) of its line
-        lambda a, b, d: _line_fiber(((a, b), (d, 0)), ((a, -b), (d, 0))),
+        lambda a, b, d: (((a, b), (d, 0)), ((a, -b), (d, 0))),
     )
 
 
@@ -448,8 +445,9 @@ def lambda_kappa_grid(
     radius: int = 2, step: Fraction = Fraction(1, 2)
 ) -> SampledFamily:
     """Two independent real flag positions; the defect vanishes exactly on
-    the diagonal lam = kap."""
+    the diagonal lam = kap.  F depends on lam only and G on kap only, and
+    both draw on the same rows, so the grid holds one line per side."""
     return _square_grid(
         radius, step, ("lambda", "kappa"),
-        lambda a, b, d: _line_fiber(((a, 0), (d, 0)), ((b, 0), (d, 0))),
+        lambda a, b, d: (((a, 0), (d, 0)), ((b, 0), (d, 0))),
     )

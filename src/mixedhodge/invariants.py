@@ -18,6 +18,13 @@ support on r + p + q = 0):
 
     alpha = (1/2) sum (p + q)^2 (h^{p,q} - s^{p,q})
 
+and there it is an integer, while ch2 may be half-integral:
+
+* h^{p,q} is the whole column delta(., p, q), so summed over q both
+  h^{p,q} and s^{p,q} give dim gr_F^p, and sum (p+q) h = sum (p+q) s;
+* (p+q)^2 = p+q (mod 2), so the sum above is even, and both alpha
+  routes return that sum ``// 2`` as an int.
+
 ``alpha_via_f_expansion`` recomputes the s-part of alpha straight from the
 intersection-dimension table f^{p,q} = dim(F^p intersect G^q), after a
 twist that moves the bigraded support into the first quadrant: there
@@ -74,7 +81,7 @@ def chern_data(t: TrifilteredSpace) -> ChernData:
     return ChernData(rank=t.ambient_dim, c1=c1, ch2=ch2, c2=c2)
 
 
-def alpha(t: TrifilteredSpace) -> Fraction:
+def alpha(t: TrifilteredSpace) -> int:
     """Splitting defect of an opposed triple; 0 iff the bigraded of (F, G)
     already matches the Hodge numbers."""
     if not is_opposed(t):
@@ -83,7 +90,7 @@ def alpha(t: TrifilteredSpace) -> Fraction:
     s = bigraded_dims(t)
     twice = sum((p + q) * (p + q) * d for (p, q), d in h.items())
     twice -= sum((p + q) * (p + q) * d for (p, q), d in s.items())
-    return Fraction(twice, 2)
+    return twice // 2
 
 
 def tate_twist_triple(t: TrifilteredSpace, k: int) -> TrifilteredSpace:
@@ -97,12 +104,12 @@ def tate_twist_triple(t: TrifilteredSpace, k: int) -> TrifilteredSpace:
     )
 
 
-def alpha_via_f_expansion(t: TrifilteredSpace) -> Fraction:
+def alpha_via_f_expansion(t: TrifilteredSpace) -> int:
     """The same defect, with the s-part expanded over the f-table."""
     if not is_opposed(t):
         raise ValueError("alpha is defined only for opposed triples")
     if t.ambient_dim == 0:
-        return Fraction(0)
+        return 0
     support = list(bigraded_dims(t)) + list(hodge_numbers(t))
     low = min(min(p, q) for p, q in support)
     t2 = tate_twist_triple(t, -low) if low < 0 else t
@@ -123,7 +130,7 @@ def alpha_via_f_expansion(t: TrifilteredSpace) -> Fraction:
         elif q >= 1:
             twice -= (2 * q - 1) * fval
         # f^{0,0} carries weight zero
-    return Fraction(twice, 2)
+    return twice // 2
 
 
 @dataclass(frozen=True)
@@ -198,7 +205,7 @@ def invariants_report(t: TrifilteredSpace) -> dict:
         "c1": chern.c1,
         "ch2": [chern.ch2.numerator, chern.ch2.denominator],
         "c2": None if chern.c2 is None else fraction_json(chern.c2),
-        "alpha": fraction_json(alpha(t)) if opposed else None,
+        "alpha": alpha(t) if opposed else None,
         "opposed": opposed,
         "k0": {
             "pA0": [[p, q, d] for (p, q), d in sorted(k0.pA0.items())],

@@ -53,7 +53,9 @@ them:
   and one per W-piece; a twist shares them all.  The fibers of a lambda
   grid share W, and each of their two W-pieces has dimension 1, where F
   and G are full or zero, so every fiber's pieces find the same two
-  entries, and a pass of n fibers misses at most n + 2 times.
+  entries, and a pass of n fibers misses at most n + 2 times.  That a
+  grid shares one line per distinct row changes no count, as the keys
+  are values: ``_trigraded_items`` misses once per distinct line.
 
 ``simultaneous_splitting`` realizes s^{p,q} by an explicit bigraded
 decomposition, which exists for any two filtrations.  A morphism between

@@ -18,7 +18,6 @@ from mixedhodge.families import (
     hypothesis_H_audit,
     lambda_conjugate_grid,
     lambda_kappa_grid,
-    parameter_point,
     sampled_family,
     semicontinuity_report,
     strata_csv,
@@ -30,7 +29,7 @@ from mixedhodge.multifilt import bigraded_dims
 
 def constant_family(n=5):
     fiber = two_flag_fiber(gauss(1), gauss(1))
-    params = [parameter_point(f"t{i}", (("t", float(i)),)) for i in range(n)]
+    params = [ParameterPoint(f"t{i}", (("t", float(i)),)) for i in range(n)]
     edges = [(i, i + 1) for i in range(n - 1)]
     return sampled_family(params, [fiber] * n, edges)
 
@@ -67,7 +66,7 @@ def test_sum_of_bigraded_dims_is_constant():
 def test_alpha_map_requires_weight_lock():
     # constant Hodge numbers are checked at every fiber before any fiber is
     # checked for opposedness: p0 is not opposed, but p1 moves the numbers
-    params = [parameter_point(f"p{i}", (("t", float(i)),)) for i in range(2)]
+    params = [ParameterPoint(f"p{i}", (("t", float(i)),)) for i in range(2)]
     fam = sampled_family(params, [one_dim_triple(0, 1, 1), one_dim_triple(0, 0, 0)])
     with pytest.raises(ValueError, match="^hodge numbers vary at 'p1'$"):
         alpha_map(fam)
@@ -75,7 +74,7 @@ def test_alpha_map_requires_weight_lock():
 
 def test_non_opposed_fiber_is_reported_by_label():
     bad = one_dim_triple(0, 1, 1)
-    params = [parameter_point(f"p{i}", (("t", float(i)),)) for i in range(2)]
+    params = [ParameterPoint(f"p{i}", (("t", float(i)),)) for i in range(2)]
     fam = sampled_family(params, [bad, bad])
     with pytest.raises(ValueError, match="'p0' is not opposed"):
         alpha_map(fam)
@@ -84,7 +83,7 @@ def test_non_opposed_fiber_is_reported_by_label():
 def test_weight_lock_rejects_moving_hodge_numbers():
     a = one_dim_triple(0, 0, 0)
     b = one_dim_triple(-2, 1, 1)
-    params = [parameter_point(f"p{i}", (("t", float(i)),)) for i in range(2)]
+    params = [ParameterPoint(f"p{i}", (("t", float(i)),)) for i in range(2)]
     # the family itself is well formed; its defect map is not defined
     fam = sampled_family(params, [a, b])
     with pytest.raises(ValueError, match="'p1'"):
@@ -160,13 +159,38 @@ def test_lambda_kappa_zero_stratum_is_diagonal():
     assert strata[Fraction(0)] == diag
 
 
+@pytest.mark.parametrize("radius, step", [(1, Fraction(1, 2)), (3, Fraction(2, 7))])
+def test_worked_grids_share_one_line_per_row(radius, step):
+    side = 2 * radius + 1
+    ticks = [k * step for k in range(-radius, radius + 1)]
+    exact = [(a, b) for a in ticks for b in ticks]
+    kappa = lambda_kappa_grid(radius, step)
+    conj = lambda_conjugate_grid(radius, step)
+    assert list(kappa.fibers) == [two_flag_fiber(a, b) for a, b in exact]
+    assert list(conj.fibers) == [
+        two_flag_fiber(gauss(a, b), gauss(a, -b)) for a, b in exact
+    ]
+    assert [p.coords for p in kappa.parameters] == [
+        (("lambda", float(a)), ("kappa", float(b))) for a, b in exact
+    ]
+    assert [p.label for p in conj.parameters] == [f"({a},{b})" for a, b in exact]
+
+    def lines(fam):
+        return {id(x) for t in fam.fibers for x in (t.F, t.G)}
+
+    # F at (lam, kap) draws on lam's row and G on kap's, the same rows
+    assert len(lines(kappa)) == side
+    # G at lambda is F at conj(lambda)
+    assert len(lines(conj)) == side * side
+
+
 def test_isolated_defect_maximum_is_flagged():
     # 3x3 grid, defect 0 everywhere except the center
     vals = [gauss(0)] * 9
     fibers = [two_flag_fiber(v, v) for v in vals]
     fibers[4] = two_flag_fiber(I, gauss(0, -1))
     params = [
-        parameter_point(f"p{i}", (("x", float(i % 3)), ("y", float(i // 3))))
+        ParameterPoint(f"p{i}", (("x", float(i % 3)), ("y", float(i // 3))))
         for i in range(9)
     ]
     edges = [(i, i + 1) for i in (0, 1, 3, 4, 6, 7)] + [
@@ -184,7 +208,7 @@ def test_family_json_round_trip():
     assert family_from_json(json.loads(blob)) == fam
     # complex coordinates survive as [re, im] pairs
     small = sampled_family(
-        [parameter_point("z", (("z", complex(0.5, -1.25)),))],
+        [ParameterPoint("z", (("z", complex(0.5, -1.25)),))],
         [one_dim_triple(0, 0, 0)],
     )
     assert family_from_json(family_to_json(small)) == small
@@ -230,8 +254,8 @@ def test_family_json_size_cap():
 
 
 def test_family_validation():
-    p = parameter_point("a", (("t", 0.0),))
-    q = parameter_point("a", (("t", 1.0),))
+    p = ParameterPoint("a", (("t", 0.0),))
+    q = ParameterPoint("a", (("t", 1.0),))
     fiber = one_dim_triple(0, 0, 0)
     with pytest.raises(ValueError, match="duplicate parameter label 'a'"):
         sampled_family([p, q], [fiber, fiber])
@@ -241,10 +265,10 @@ def test_family_validation():
         sampled_family([p], [fiber], [(0, 1)])
     with pytest.raises(ValueError, match="bad edge"):
         sampled_family([p], [fiber], [(0, 0)])
-    r = parameter_point("b", (("s", 1.0),))
+    r = ParameterPoint("b", (("s", 1.0),))
     with pytest.raises(ValueError, match="coordinate names at 'b'"):
         sampled_family([p, r], [fiber, fiber])
-    s = parameter_point("b", (("t", 1.0),))
+    s = ParameterPoint("b", (("t", 1.0),))
     with pytest.raises(ValueError, match="ambient dimension"):
         sampled_family(
             [p, s], [fiber, two_flag_fiber(gauss(0), gauss(0))]
@@ -252,10 +276,12 @@ def test_family_validation():
 
 
 def test_parameter_point_coercion():
-    pt = parameter_point("x", {"a": 1, "b": Fraction(1, 4), "c": 1j})
+    pt = ParameterPoint("x", (("a", 1.0), ("b", 0.25), ("c", 1j)))
     assert pt.coords == (("a", 1.0), ("b", 0.25), ("c", 1j))
-    with pytest.raises(ValueError, match="'a' must be a number"):
-        parameter_point("x", {"a": True})
+    # the constructor coerces nothing: only floats and complexes pass
+    for value in (1, True, Fraction(1, 4)):
+        with pytest.raises(ValueError, match="^coordinate 'a' must be float or"):
+            ParameterPoint("x", (("a", value),))
     with pytest.raises(ValueError, match="repeated coordinate name"):
         ParameterPoint("x", (("a", 1.0), ("a", 2.0)))
     with pytest.raises(ValueError, match="nonempty string"):

@@ -11,7 +11,7 @@ from conftest import one_dim_triple, triples, weight_graded_pieces
 from mixedhodge import linalg
 from mixedhodge.exactfield import I, gauss
 from mixedhodge.families import two_flag_fiber
-from mixedhodge.filtration import graded_dims
+from mixedhodge.filtration import filtered_space, graded_dims
 from mixedhodge.invariants import (
     alpha,
     alpha_via_f_expansion,
@@ -23,6 +23,7 @@ from mixedhodge.invariants import (
     weight_graded_splitting_types,
 )
 from mixedhodge.multifilt import (
+    TrifilteredSpace,
     _level_dims,
     bigraded_dims,
     f_table,
@@ -81,6 +82,69 @@ def test_alpha_f_expansion_matches_on_rank_two_family():
         for kap in LINE_PARAMS:
             t = two_flag_fiber(lmb, kap)
             assert alpha_via_f_expansion(t) == alpha(t)
+
+
+@st.composite
+def opposed_triples(draw):
+    """An opposed triple by construction, G independent of F.  Basis vector
+    e_i has type (p_i, q_i) and weight m_i = p_i + q_i: W^k is spanned by
+    the e_i with m_i <= -k, F^p by e_i + a_i with p_i >= p, and G^q by
+    e_i + b_i with q_i >= q, where a_i and b_i are drawn independently in
+    the span of the e_j of lower weight.  F and G induce on the weight m
+    piece the split flags of its types, so r + p + q = 0 there."""
+    n = draw(st.integers(0, 5))
+    cell = st.integers(-1, 2)
+    types = draw(st.lists(st.tuples(cell, cell), min_size=n, max_size=n))
+    entry = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+    def flag(index, tails):
+        gens: dict[int, list] = {}
+        for i, (p, q) in enumerate(types):
+            row = [
+                (1, 0) if j == i
+                else draw(entry) if tails and pj + qj < p + q
+                else (0, 0)
+                for j, (pj, qj) in enumerate(types)
+            ]
+            gens.setdefault(index(p, q), []).append(row)
+        keys = range(min(gens), max(gens) + 2) if gens else ()
+        above = {k: [r for at, rs in gens.items() if at >= k for r in rs] for k in keys}
+        return filtered_space(
+            n, {k: linalg.row_space(rows, n) for k, rows in above.items()}
+        )
+
+    return TrifilteredSpace(
+        n,
+        W=flag(lambda p, q: -p - q, False),
+        F=flag(lambda p, q: p, True),
+        G=flag(lambda p, q: q, True),
+    )
+
+
+def _assert_integer_defect(t) -> None:
+    # twice the defect, formed here from the two tables
+    twice = sum((p + q) ** 2 * d for (p, q), d in hodge_numbers(t).items())
+    twice -= sum((p + q) ** 2 * d for (p, q), d in bigraded_dims(t).items())
+    for a in (alpha(t), alpha_via_f_expansion(t)):
+        assert isinstance(a, int) and not isinstance(a, bool)
+        # an odd twice would make this a half-integer no int equals
+        assert a == Fraction(twice, 2)
+
+
+def test_alpha_is_an_integer_on_sampled_structures_and_two_flag_fibers():
+    rng = random.Random("integer defect")
+    for _ in range(30):
+        _assert_integer_defect(random_mhs(rng, max_dim=8).triple())
+    for lmb in LINE_PARAMS:
+        for kap in LINE_PARAMS:
+            _assert_integer_defect(two_flag_fiber(lmb, kap))
+
+
+@settings(max_examples=100)
+@given(opposed_triples())
+def test_alpha_is_an_integer_on_opposed_triples(t):
+    assert is_opposed(t)
+    _assert_integer_defect(t)
 
 
 def test_alpha_f_expansion_hodge_tate_counterexample():
