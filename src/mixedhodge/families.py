@@ -156,8 +156,12 @@ def _point_data(
 def alpha_map(fam: SampledFamily) -> StrataReport:
     """Defect of every fiber, grouped into strata of constant value.
 
-    Requires the same Hodge numbers at every fiber and opposed fibers; the
-    first point that breaks either is reported by its parameter label.
+    Requires the same Hodge numbers at every fiber and opposed fibers.
+    The Hodge numbers of every fiber are checked against fiber 0's first,
+    and only then is each fiber checked for opposedness; the first point
+    that fails the check under way is reported by its parameter label.
+    So a family whose fiber 0 is not opposed and whose fiber 5 moves its
+    Hodge numbers reports fiber 5.
     """
     h0 = hodge_numbers(fam.fibers[0])
     for p, t in zip(fam.parameters, fam.fibers):

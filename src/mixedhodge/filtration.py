@@ -8,7 +8,9 @@ iff their levels are.  Its jumps and its distinct values, the full space
 and then each stored level, are stored once at construction
 (``FilteredSpace.jumps`` and ``values``); ``at(p)`` reads F^p as the value
 at position ``bisect_right(jumps, p)``, and every dimension table reads
-the values by position.
+the values by position.  The values are a ``linalg._Chain``, a tuple
+that hashes once, so the table caches of ``multifilt``, keyed by values,
+hash each filtration's values once in its life.
 
 ``from_generators`` builds every filtration whose levels are nested by
 construction: direct sum, tensor product and dual here, an extension's
@@ -39,6 +41,7 @@ from typing import Callable, Iterable, Mapping
 from mixedhodge.exactfield import array_from_json, int_from_json, object_from_json
 from mixedhodge.linalg import (
     Subspace,
+    _Chain,
     _Z,
     _in_basis,
     _mul,
@@ -65,7 +68,8 @@ class FilteredSpace:
     ``filtered_space``, the constructor for levels whose nesting is not
     known, is the one place that checks it.  It also stores the jumps and
     the values, which take no part in equality, hashing or the repr; ``at``
-    reads them by position.
+    reads them by position.  The values are a chain (``linalg._Chain``),
+    whose hash is computed once, here.
     """
 
     ambient_dim: int
@@ -92,7 +96,9 @@ class FilteredSpace:
                 raise ValueError("filtration must end at the zero subspace")
         jumps, values = zip(*self.levels) if self.levels else ((), ())
         object.__setattr__(self, "_jumps", jumps)
-        object.__setattr__(self, "_values", (full_space(self.ambient_dim), *values))
+        object.__setattr__(
+            self, "_values", _Chain((full_space(self.ambient_dim), *values))
+        )
 
     def at(self, p: int) -> Subspace:
         return self._values[bisect_right(self._jumps, p)]
@@ -101,8 +107,9 @@ class FilteredSpace:
         return self._jumps
 
     def values(self) -> tuple[Subspace, ...]:
-        """The distinct values: the full space, then each stored level.
-        ``at(p)`` is entry ``bisect_right(jumps(), p)``."""
+        """The distinct values: the full space, then each stored level, as
+        a chain that hashes once.  ``at(p)`` is entry
+        ``bisect_right(jumps(), p)``."""
         return self._values
 
     def to_json(self) -> dict:

@@ -35,9 +35,10 @@ twist that moves the bigraded support into the first quadrant: there
 
 with no f^{0,0} term, since the second mixed difference of (p+q)^2 is the
 constant 2 and the edge weights telescope.  Both alpha routes read the
-one (F, G) level table (``multifilt.intersection_dims``), since s is its
-second mixed difference; the independent parts are the summation and the
-Tate twist.
+one (F, G) level-table entry, since s is the second mixed difference of
+its table: ``alpha`` its nonzero cells (``multifilt.pair_bigraded``), the
+expansion its table (``multifilt.intersection_dims``).  The independent
+parts are the summation and the Tate twist.
 The independent route for s is ``multifilt.simultaneous_splitting``.
 """
 

@@ -267,6 +267,27 @@ class Subspace:
         return not _echelon(self.rows, {_pivot(r): r for r in other.rows})
 
 
+class _Chain(tuple):
+    """A chain of subspaces, a filtration's values or the levels it
+    induces on a graded piece, as a tuple that hashes once, at
+    construction.  The caches of ``multifilt`` key on chains, and a plain
+    tuple rehashes every ``Subspace`` of it on each lookup.
+
+    Equality is tuple equality and the hash is the plain tuple's, so a
+    chain and an equal plain tuple are one cache key: a caller that
+    passes tuples finds the entries that chains filled, and the other way
+    round.  Its members are frozen subspaces, so the stored hash stays true
+    for the chain's life."""
+
+    def __new__(cls, items):
+        chain = tuple.__new__(cls, items)
+        chain._hash = tuple.__hash__(chain)
+        return chain
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 def _in_basis(sub: Subspace, rows) -> Subspace:
     """The span of ``rows``, members of sub, in the coordinates of sub's
     Q(i) basis: x has coordinate x[p] on the basis row with pivot p."""

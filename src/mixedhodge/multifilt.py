@@ -21,23 +21,28 @@ Dimension data:
 Every table is read off one level table.  A filtration takes only
 len(jumps) + 1 distinct values, ``FilteredSpace.values()``: the full
 space and then its levels, F^p being the value at position
-``bisect_right(jumps, p)``.  ``_level_dims`` holds dim(x ∩ y) for every
-value x of F and y of G, by position; the f-table reads its entries from
-it at any window, and s is its second difference over positions k, l,
-placed at (jump_k - 1, jump_l - 1), where both filtrations change.  Each
-W-piece of the trigraded table does the same with the levels F and G
-induce on it.  A row of the table, one value x, takes one echelon: a
-basis adapted to G's levels, deepest level first, is put in echelon form
-after x's rows one level's new rows at a time, and the rows kept up to
-each level y give rank[x; y], so dim(x ∩ y) for every y at once.  The
-full and zero values need none.
+``bisect_right(jumps, p)``.  A ``_level_dims`` entry holds the table of
+dim(x ∩ y) for every value x of F and y of G, by position, and its cells,
+the nonzero second differences over positions k, l, as (k, l, d).  The
+f-table reads its entries from the table at any window; s maps each cell
+to (jump_k - 1, jump_l - 1), where both filtrations change
+(``pair_bigraded``), and each W-piece of the trigraded table maps the
+cells of the levels F and G induce on it the same way, at the piece's
+index r (``TrifilteredSpace._trigraded``).  A row of the table, one
+value x, takes one echelon: a basis adapted to G's levels, deepest level
+first, is put in echelon form after x's rows one level's new rows at a
+time, and the rows kept up to each level y give rank[x; y], so
+dim(x ∩ y) for every y at once.  The full and zero values need none:
+their rows are dim y and 0.
 
 The trigraded table is computed once per triple and kept on it, so
 ``hodge_numbers``, ``is_opposed`` and the invariants of one triple share
 it, and it goes away with the triple.  Three caches outlive it, keyed by
-level subspaces and not by jump indices, so that a shifted or
+chains of level subspaces and not by jump indices, so that a shifted or
 Tate-twisted filtration and the fibers of one family, which share W, hit
-them:
+them.  A filtration's values and the levels it induces on a W-piece are
+chains (``linalg._Chain``) that hash once, so a lookup hashes each key
+chain as one object, not each of its subspaces:
 
 * ``_flag_coordinates``, the coordinates adapted to W and their map back
   to the original coordinates, both from one echelon of a W-adapted basis
@@ -47,15 +52,16 @@ them:
   back, keyed by (W's values, the flag's values) (128 entries).  ``mhs``'s
   Deligne splitting reads the rows and the map back of the F entry, which
   ``validate`` fills when it builds the table;
-* ``_level_dims``, the level tables, keyed by the two chains of values,
-  full space first (128 entries).  One triple needs one entry for
-  (F, G), one each for (W, F) and (W, G) when its K0 class is asked for,
-  and one per W-piece; a twist shares them all.  The fibers of a lambda
-  grid share W, and each of their two W-pieces has dimension 1, where F
-  and G are full or zero, so every fiber's pieces find the same two
-  entries, and a pass of n fibers misses at most n + 2 times.  That a
-  grid shares one line per distinct row changes no count, as the keys
-  are values: ``_trigraded_items`` misses once per distinct line.
+* ``_level_dims``, the level tables with their cells, keyed by the two
+  chains of values, full space first (128 entries).  One triple needs
+  one entry for (F, G), one each for (W, F) and (W, G) when its K0 class
+  is asked for, and one per W-piece; a twist shares them all.  The
+  fibers of a lambda grid share W, and each of their two W-pieces has
+  dimension 1, where F and G are full or zero, so every fiber's pieces
+  find the same two entries, cells included, and a pass of n fibers
+  misses at most n + 2 times.  That a grid shares one line per distinct
+  row changes no count, as the keys are values: ``_trigraded_items``
+  misses once per distinct line.
 
 ``simultaneous_splitting`` realizes s^{p,q} by an explicit bigraded
 decomposition, which exists for any two filtrations.  A morphism between
@@ -84,6 +90,7 @@ from mixedhodge.filtration import (
 from mixedhodge.linalg import (
     IntRow,
     Subspace,
+    _Chain,
     _Z,
     _dot,
     _echelon,
@@ -95,6 +102,7 @@ from mixedhodge.linalg import (
     kernel as map_kernel,
     row_space,
     subspace_sum,
+    zero_subspace,
 )
 
 
@@ -132,9 +140,8 @@ class TrifilteredSpace:
             _trigraded_items(w_values, self.F.values())[1],
             _trigraded_items(w_values, self.G.values())[1],
         ):
-            table = _level_dims(f_gr, g_gr)
-            for (p, q), d in _bigraded_by_position(table, f_jumps, g_jumps).items():
-                out[(key - 1, p, q)] = d
+            for k, l, d in _level_dims(f_gr, g_gr)[1]:
+                out[(key - 1, f_jumps[k] - 1, g_jumps[l] - 1)] = d
         return out
 
 
@@ -195,7 +202,7 @@ def _flag_coordinates(
 def _trigraded_items(
     w_values: tuple[Subspace, ...], x_values: tuple[Subspace, ...]
 ) -> tuple[
-    tuple[IntRow, ...], tuple[tuple[Subspace, ...], ...], tuple[IntRow, ...]
+    tuple[IntRow, ...], tuple[_Chain, ...], tuple[IntRow, ...]
 ]:
     """(rows, pieces, back): the values of a filtration X, full space
     first, in coordinates adapted to the values of W, and induced on each
@@ -221,6 +228,7 @@ def _trigraded_items(
         by_lead,
     )
     leads = list(by_lead)
+    x_dims = [x.dim for x in x_values]
     pieces = []
     lo = 0
     for w in w_values[1:]:
@@ -230,12 +238,12 @@ def _trigraded_items(
         # the full value keeps every row of the cut
         level = full_space(hi - lo)
         levels = []
-        for x in x_values:
-            keep = [r for k, r in cut if k < x.dim]
+        for d in x_dims:
+            keep = [r for k, r in cut if k < d]
             if len(keep) < level.dim:
-                level = row_space(keep, hi - lo)
+                level = row_space(keep, hi - lo) if keep else zero_subspace(hi - lo)
             levels.append(level)
-        pieces.append(tuple(levels))
+        pieces.append(_Chain(levels))
         lo = hi
     return tuple(map(tuple, rows)), tuple(pieces), back
 
@@ -243,11 +251,13 @@ def _trigraded_items(
 @lru_cache(maxsize=128)
 def _level_dims(
     xs: tuple[Subspace, ...], ys: tuple[Subspace, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """dim(x ∩ y) for x in xs and y in ys, x-major, for two decreasing
-    chains of subspaces.  Keyed by the two chains, so indices play no
-    part: a shifted filtration and the pieces of equal level tuples share
-    the entry.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int, int], ...]]:
+    """(table, cells) for two decreasing chains of subspaces: ``table``
+    holds dim(x ∩ y) for x in xs and y in ys, x-major, and ``cells`` its
+    nonzero second mixed differences by position, (k, l, d) k-major, with
+    d = table[k][l] - table[k+1][l] - table[k][l+1] + table[k+1][l+1].
+    Keyed by the two chains, so indices play no part: a shifted
+    filtration and the pieces of equal level tuples share the entry.
 
     A basis adapted to the proper levels of ys (0 < dim y < n), deepest
     first, holds each such y's rows as its first dim y rows.  A proper x
@@ -256,7 +266,8 @@ def _level_dims(
     it, deepest level first.  The rows kept from the first dim y number
     rank[x; y] - dim x, so dim(x ∩ y) = dim y - kept; once dim x + kept
     reaches n every further row reduces to zero and none is reduced.  Full
-    and zero levels are read off directly.
+    and zero levels are read off directly: a full x meets y in y, a zero x
+    in zero.
     """
     if xs and ys and len({v.ambient_dim for v in (*xs, *ys)}) > 1:
         raise ValueError("subspaces of different ambient spaces")
@@ -264,11 +275,12 @@ def _level_dims(
     levels = {d: y for d, y in zip(dims, ys) if 0 < d < y.ambient_dim}
     steps = sorted(levels)
     basis = _adapted_basis([levels[d] for d in steps])
+    full_row, zero_row = tuple(dims), (0,) * len(dims)
     out = []
     for x in xs:
         k, n = x.dim, x.ambient_dim
         if k == 0 or k == n:
-            out.append(tuple(min(k, d) for d in dims))
+            out.append(zero_row if k == 0 else full_row)
             continue
         by_lead = {_pivot(r): r for r in x.rows}
         kept = done = 0
@@ -279,25 +291,13 @@ def _level_dims(
                 done = d
             meet[d] = d - kept
         out.append(tuple(meet[d] for d in dims))
-    return tuple(out)
-
-
-def _bigraded_by_position(
-    table: tuple[tuple[int, ...], ...],
-    f_jumps: tuple[int, ...],
-    g_jumps: tuple[int, ...],
-) -> dict[tuple[int, int], int]:
-    """Second mixed difference of a level table over positions k, l, at
-    (f_jumps[k] - 1, g_jumps[l] - 1), where the levels change; nonzero
-    entries only, p-major."""
-    out: dict[tuple[int, int], int] = {}
-    for k, p in enumerate(f_jumps):
-        here, below = table[k], table[k + 1]
-        for l, q in enumerate(g_jumps):
+    cells = []
+    for k, (here, below) in enumerate(zip(out, out[1:])):
+        for l in range(len(dims) - 1):
             d = here[l] - below[l] - here[l + 1] + below[l + 1]
             if d:
-                out[(p - 1, q - 1)] = d
-    return out
+                cells.append((k, l, d))
+    return tuple(out), tuple(cells)
 
 
 def intersection_dims(
@@ -305,7 +305,7 @@ def intersection_dims(
 ) -> dict[tuple[int, int], int]:
     """dim(F^p ∩ G^q) for p in ``ps`` and q in ``qs``, p-major, read off
     the level table by position; any window will do."""
-    table = _level_dims(f.values(), g.values())
+    table = _level_dims(f.values(), g.values())[0]
     f_jumps, g_jumps = f.jumps(), g.jumps()
     cols = [bisect_right(g_jumps, q) for q in qs]
     out: dict[tuple[int, int], int] = {}
@@ -331,8 +331,11 @@ def pair_bigraded(f: FilteredSpace, g: FilteredSpace) -> dict[tuple[int, int], i
     """
     if f.ambient_dim != g.ambient_dim:
         raise ValueError("filtrations of different spaces")
-    table = _level_dims(f.values(), g.values())
-    return _bigraded_by_position(table, f.jumps(), g.jumps())
+    f_jumps, g_jumps = f.jumps(), g.jumps()
+    return {
+        (f_jumps[k] - 1, g_jumps[l] - 1): d
+        for k, l, d in _level_dims(f.values(), g.values())[1]
+    }
 
 
 def bigraded_dims(t: TrifilteredSpace) -> dict[tuple[int, int], int]:

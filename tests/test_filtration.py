@@ -30,8 +30,8 @@ from mixedhodge.filtration import (
     tensor,
     trivial,
 )
-from mixedhodge.linalg import full_space, span, zero_subspace
-from mixedhodge.multifilt import simultaneous_splitting
+from mixedhodge.linalg import Subspace, _Chain, full_space, span, zero_subspace
+from mixedhodge.multifilt import _level_dims, simultaneous_splitting
 
 
 def test_trivial_canonical_form():
@@ -134,6 +134,50 @@ def test_jumps_and_values_are_stored_once(f):
     assert repr(f) == (
         f"FilteredSpace(ambient_dim={f.ambient_dim!r}, levels={f.levels!r})"
     )
+
+
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(filtered_spaces(n), filtered_spaces(n))
+    ),
+    st.integers(min_value=-3, max_value=3),
+)
+def test_values_are_a_chain_that_hashes_once(pair, k):
+    # a chain is the plain tuple of its values as a cache key: same hash,
+    # same equality, so a level-table entry filled under either key is hit
+    # by the other, and by a shifted filtration's values
+    f, g = pair
+    for v in (f.values(), g.values()):
+        plain = tuple(v)
+        assert type(plain) is tuple and type(v) is not tuple
+        assert hash(v) == hash(plain) and v == plain
+    for first, then in (
+        ((tuple(f.values()), tuple(g.values())), (f.values(), g.values())),
+        ((f.values(), g.values()), (tuple(f.values()), tuple(g.values()))),
+        ((f.values(), g.values()), (shift(f, k).values(), shift(g, -k).values())),
+    ):
+        _level_dims.cache_clear()
+        _level_dims(*first)
+        _level_dims(*then)
+        assert _level_dims.cache_info()[:2] == (1, 1)  # hits, misses
+    real = Subspace.__hash__
+    calls = []
+
+    def counting(sub):
+        calls.append(sub)
+        return real(sub)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Subspace, "__hash__", counting)
+        hash(tuple(f.values()))
+        assert len(calls) == len(f.values())  # the counter sees each member
+        chain = _Chain(f.values())
+        hash(chain)
+        calls.clear()
+        hash(chain)
+        hash(chain)
+        hash(f.values())
+        assert calls == []
 
 
 def test_generators_must_enlarge_every_level():

@@ -308,6 +308,57 @@ def test_lambda_grid_fibers_share_w_and_level_tables():
     assert _level_dims.cache_info().misses <= len(fam.fibers) + 2
 
 
+def test_lambda_pass_canonicalizes_only_cuts_with_rows_and_hits_w_pieces(
+    monkeypatch,
+):
+    fam = lambda_conjugate_grid(4, Fraction(1, 7))
+    # a miss on a two-flag line: a cut level left with no rows is the zero
+    # subspace, with no canonical form taken
+    t = fam.fibers[len(fam.fibers) // 2]
+    w = t.W.values()
+    _flag_coordinates(w)
+    widths = []
+    canonical = linalg._canonical
+
+    def counting(rows):
+        widths.append(len(rows))
+        return canonical(rows)
+
+    monkeypatch.setattr(linalg, "_canonical", counting)
+    for x in (t.F, t.G):
+        assert _trigraded_items.__wrapped__(w, x.values()) == _trigraded_items(
+            w, x.values()
+        )
+    assert 0 not in widths
+    # every W-piece lookup past the first fiber's is a level-table hit,
+    # and each fiber makes two
+    cached = multifilt._level_dims
+    lookups = []
+
+    def recording(xs, ys):
+        misses = cached.cache_info().misses
+        out = cached(xs, ys)
+        lookups.append(((xs, ys), cached.cache_info().misses > misses))
+        return out
+
+    monkeypatch.setattr(multifilt, "_level_dims", recording)
+    cached.cache_clear()
+    report = alpha_map(fam)
+    hypothesis_H_audit(fam, report)
+    semicontinuity_report(fam, report)
+    pieces = {
+        pair
+        for t in fam.fibers
+        for pair in zip(
+            _trigraded_items(t.W.values(), t.F.values())[1],
+            _trigraded_items(t.W.values(), t.G.values())[1],
+        )
+    }
+    missed = [miss for key, miss in lookups if key in pieces]
+    assert len(missed) == 2 * len(fam.fibers)
+    assert not any(missed[2:])
+
+
 def test_level_tables_reject_mismatched_spaces():
     for f, g in ((trivial(2), trivial(3)), (trivial(0), trivial(2))):
         with pytest.raises(ValueError):
@@ -334,11 +385,31 @@ def level_chain_pairs(draw, n: int):
     return tuple(chains)
 
 
+def _nonzero_cells(table) -> list:
+    """(k, l, d) for the nonzero second mixed differences d of a level
+    table by position, k-major."""
+    out = []
+    for k in range(len(table) - 1):
+        for l in range(len(table[k]) - 1):
+            d = table[k][l] - table[k + 1][l] - table[k][l + 1] + table[k + 1][l + 1]
+            if d:
+                out.append((k, l, d))
+    return out
+
+
+def _assert_level_entry_matches_the_per_pair_route(xs, ys) -> None:
+    """A level-table entry is the per-pair table and that table's nonzero
+    cells."""
+    table, cells = _level_dims.__wrapped__(xs, ys)
+    oracle = level_dims_by_pairs(xs, ys)
+    assert table == oracle
+    assert list(cells) == _nonzero_cells(oracle)
+
+
 @settings(max_examples=300)
 @given(st.integers(min_value=0, max_value=6).flatmap(level_chain_pairs))
 def test_level_table_matches_the_per_pair_route(pair):
-    xs, ys = pair
-    assert _level_dims.__wrapped__(xs, ys) == level_dims_by_pairs(xs, ys)
+    _assert_level_entry_matches_the_per_pair_route(*pair)
 
 
 def _level_chain_pairs_of(t: TrifilteredSpace):
@@ -354,7 +425,7 @@ def test_level_tables_match_the_per_pair_route_on_structures():
     for _ in range(30):
         t = random_mhs(rng, max_dim=8).triple()
         for xs, ys in _level_chain_pairs_of(t):
-            assert _level_dims.__wrapped__(xs, ys) == level_dims_by_pairs(xs, ys)
+            _assert_level_entry_matches_the_per_pair_route(xs, ys)
         # a shift keeps the chains, so it reads the same entries
         moved = TrifilteredSpace(
             t.ambient_dim, W=shift(t.W, 2), F=shift(t.F, -1), G=shift(t.G, 3)
