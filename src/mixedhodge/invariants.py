@@ -44,7 +44,7 @@ The independent route for s is ``multifilt.simultaneous_splitting``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from mixedhodge.exactfield import fraction_json
@@ -96,13 +96,9 @@ def alpha(t: TrifilteredSpace) -> int:
 
 def tate_twist_triple(t: TrifilteredSpace, k: int) -> TrifilteredSpace:
     """Shift F and G up by k and W down by 2k; opposedness is preserved
-    and alpha is unchanged."""
-    return TrifilteredSpace(
-        t.ambient_dim,
-        W=shift(t.W, -2 * k),
-        F=shift(t.F, k),
-        G=shift(t.G, k),
-    )
+    and alpha is unchanged.  The twist keeps t's class, so the twist of a
+    structure's triple takes G's pieces as F's conjugates too (``mhs``)."""
+    return replace(t, W=shift(t.W, -2 * k), F=shift(t.F, k), G=shift(t.G, k))
 
 
 def alpha_via_f_expansion(t: TrifilteredSpace) -> int:

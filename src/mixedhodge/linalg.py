@@ -427,7 +427,10 @@ def annihilator(a: Subspace) -> Subspace:
 
 def conj_subspace(a: Subspace) -> Subspace:
     # conjugation negates imaginary parts: pivots are real, zeros stay
-    # zero and the gcd is unchanged, so the rows are again canonical
+    # zero and the gcd is unchanged, so the rows are again canonical.  The
+    # zero and the full space are real, and come back as they are
+    if a.is_zero or a.is_full:
+        return a
     return Subspace(
         a.ambient_dim, tuple(tuple((x, -y) for x, y in row) for row in a.rows)
     )

@@ -17,6 +17,11 @@ weight term hits zero.  Conjugation maps I^{p,q} into I^{q,p} only up to
 lower weight; the structure is R-split when it maps it onto I^{q,p} on
 the nose, which happens exactly when the splitting defect alpha vanishes.
 
+The triple (W, F, Fbar) of a structure takes the levels Fbar induces
+on each W-graded piece as the conjugates of those F induces, which a
+real W allows (below), so its trigraded table takes one echelon, F's,
+and so do its Tate twists (``_MhsTriple``).
+
 Every term is read off one elimination, the F entry of the trigraded
 table (``multifilt._trigraded_items``), which ``validate`` has built.  In
 coordinates y adapted to W each W_m is {y_j = 0 for j < n - dim W_m}.
@@ -25,14 +30,17 @@ F^a ∩ W_m is spanned by those of the first dim F^a rows that lead at
 n - dim W_m or later.  The levels of W are real (the constructor checks
 it), so their adapted coordinates are real, y commutes with conjugation
 and Fbar's echelon is the row-wise conjugate of F's: no second
-elimination.  Each piece is then one Zassenhaus pass: the corrector rows,
-conjugated as [ybar | 0], already have distinct leading columns; each row
-y of F^p ∩ W_{p+q} enters as [y | y] and is reduced against them, and a
-row whose left half vanishes carries a vector of I^{p,q}, in y
-coordinates, in its right half.  The entry's map back, integer rows with
-back . y = L x for one positive integer L, takes each such vector to the
-original coordinates x, one dot product per coordinate, before the piece
-is spanned.
+elimination.  A piece lies in F^p ∩ W_{p+q} and has dimension h^{p,q},
+so where that intersection has h^{p,q} rows it is the piece, and no pass
+is run; the rule presupposes a validated structure, whose Hodge numbers
+are the dimensions of its pieces.  Each other piece is one Zassenhaus
+pass: the corrector rows, conjugated as [ybar | 0], already have
+distinct leading columns; each row y of F^p ∩ W_{p+q} enters as [y | y]
+and is reduced against them, and a row whose left half vanishes carries
+a vector of I^{p,q}, in y coordinates, in its right half.  The entry's
+map back, integer rows with back . y = L x for one positive integer L,
+takes each such vector to the original coordinates x, one dot product
+per coordinate, before the piece is spanned.
 
 A structure keeps Fbar, its triple (W, F, Fbar) and its Deligne pieces
 once computed, so ``validate``, ``deligne_splitting``, ``is_r_split`` and
@@ -58,6 +66,7 @@ from mixedhodge.filtration import (
 from mixedhodge.linalg import (
     IntRow,
     Subspace,
+    _Chain,
     _Z,
     _dot,
     _echelon,
@@ -85,10 +94,11 @@ class MixedHodgeStructure:
             raise ValueError("weight filtration has wrong ambient dimension")
         if self.F.ambient_dim != self.ambient_dim:
             raise ValueError("Hodge filtration has wrong ambient dimension")
-        # a real W gives real W-adapted coordinates, on which the Deligne
-        # splitting takes Fbar's echelon as the conjugate of F's
+        # a real W gives real W-adapted coordinates, on which the triple
+        # and the Deligne splitting take Fbar's side as the conjugate of
+        # F's; a level is real when no canonical row has an imaginary part
         for k, v in self.W.levels:
-            if conj_subspace(v) != v:
+            if any(b for row in v.rows for _, b in row):
                 raise ValueError(f"weight level {k} is not conjugation stable")
 
     # cached per structure; equality and hashing stay on the fields
@@ -98,7 +108,7 @@ class MixedHodgeStructure:
 
     @cached_property
     def _triple(self) -> TrifilteredSpace:
-        return TrifilteredSpace(self.ambient_dim, W=self.W, F=self.F, G=self.fbar)
+        return _MhsTriple(self.ambient_dim, W=self.W, F=self.F, G=self.fbar)
 
     def triple(self) -> TrifilteredSpace:
         return self._triple
@@ -120,21 +130,27 @@ class MixedHodgeStructure:
             return [k for k in range(self.F.at(a).dim) if leads[k] >= cut]
 
         pieces: dict[tuple[int, int], Subspace] = {}
-        for (p, q), _ in sorted(hodge_numbers(self.triple()).items()):
-            corrector = set(meet(q, p + q))
-            i = 1
-            # weight term W_{p+q-i-1} shrinks with i and hits zero, since
-            # the decreasing form of W ends at the zero subspace
-            while not self.weight_at(p + q - i - 1).is_zero:
-                corrector.update(meet(q - i, p + q - i - 1))
-                i += 1
-            met = _echelon(
-                [rows[k] + rows[k] for k in meet(p, p + q)],
-                {leads[k]: bars[k] for k in corrector},
-            )
-            # a row whose left half vanished carries a vector of the piece
-            # in y coordinates in its right half, and back takes it to x
-            found = [r[n:] for r in met if _pivot(r) >= n]
+        for (p, q), h in sorted(hodge_numbers(self.triple()).items()):
+            cell = meet(p, p + q)
+            if len(cell) == h:
+                # I^{p,q} lies in F^p ∩ W_{p+q} and has dimension h^{p,q}
+                found = [rows[k] for k in cell]
+            else:
+                corrector = set(meet(q, p + q))
+                i = 1
+                # weight term W_{p+q-i-1} shrinks with i and hits zero,
+                # since the decreasing form of W ends at the zero subspace
+                while not self.weight_at(p + q - i - 1).is_zero:
+                    corrector.update(meet(q - i, p + q - i - 1))
+                    i += 1
+                met = _echelon(
+                    [rows[k] + rows[k] for k in cell],
+                    {leads[k]: bars[k] for k in corrector},
+                )
+                # a row whose left half vanished carries a vector of the
+                # piece in y coordinates in its right half
+                found = [r[n:] for r in met if _pivot(r) >= n]
+            # back takes the piece's y rows to x coordinates
             pieces[(p, q)] = row_space([[_dot(b, y) for b in back] for y in found], n)
         return pieces
 
@@ -148,6 +164,26 @@ class MixedHodgeStructure:
             "W": self.W.to_json(),
             "F": self.F.to_json(),
         }
+
+
+class _MhsTriple(TrifilteredSpace):
+    """The triple (W, F, Fbar) of a structure: G's pieces are F's
+    conjugated, and no echelon or piece span is taken for Fbar.  A Tate
+    twist keeps the class (``invariants.tate_twist_triple``).  It compares
+    and hashes as a ``TrifilteredSpace`` with the same fields."""
+
+    def _pieces(self) -> tuple[tuple[_Chain, ...], tuple[_Chain, ...]]:
+        f_pieces = _trigraded_items(self.W.values(), self.F.values())[1]
+        return f_pieces, tuple(_Chain(map(conj_subspace, c)) for c in f_pieces)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrifilteredSpace):
+            return NotImplemented
+        return (self.ambient_dim, self.W, self.F, self.G) == (
+            other.ambient_dim, other.W, other.F, other.G
+        )
+
+    __hash__ = TrifilteredSpace.__hash__
 
 
 def conj_filtration(f: FilteredSpace) -> FilteredSpace:
@@ -185,10 +221,10 @@ def deligne_splitting(m: MixedHodgeStructure) -> dict[tuple[int, int], Subspace]
 def is_r_split(m: MixedHodgeStructure) -> bool:
     """Whether conjugation permutes the canonical pieces exactly."""
     pieces = deligne_splitting(m)
-    for (p, q), v in pieces.items():
-        if conj_subspace(v) != pieces.get((q, p), zero_subspace(m.ambient_dim)):
-            return False
-    return True
+    zero = zero_subspace(m.ambient_dim)
+    return all(
+        conj_subspace(v) == pieces.get((q, p), zero) for (p, q), v in pieces.items()
+    )
 
 
 def tate(k: int) -> MixedHodgeStructure:

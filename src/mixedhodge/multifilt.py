@@ -51,7 +51,11 @@ chain as one object, not each of its subspaces:
   n wide, the levels it induces on every W-graded piece, and W's map
   back, keyed by (W's values, the flag's values) (128 entries).  ``mhs``'s
   Deligne splitting reads the rows and the map back of the F entry, which
-  ``validate`` fills when it builds the table;
+  ``validate`` fills when it builds the table.  A structure's triple and
+  its Tate twists fill no Fbar entry: they take G's pieces as the
+  conjugates of F's (``TrifilteredSpace._pieces``, overridden in
+  ``mhs``), as a real W allows, and the level tables of those pieces, keyed
+  by value, are the same entries;
 * ``_level_dims``, the level tables with their cells, keyed by the two
   chains of values, full space first (128 entries).  One triple needs
   one entry for (F, G), one each for (W, F) and (W, G) when its K0 class
@@ -132,17 +136,20 @@ class TrifilteredSpace:
         # The images of F and G on each piece W^r/W^{r+1}, r one below a
         # jump of W, come from ``_trigraded_items``, one per value of the
         # flag, and give the piece's level table.
-        w_values = self.W.values()
         f_jumps, g_jumps = self.F.jumps(), self.G.jumps()
         out: dict[tuple[int, int, int], int] = {}
-        for (key, _), f_gr, g_gr in zip(
-            self.W.levels,
-            _trigraded_items(w_values, self.F.values())[1],
-            _trigraded_items(w_values, self.G.values())[1],
-        ):
+        for (key, _), f_gr, g_gr in zip(self.W.levels, *self._pieces()):
             for k, l, d in _level_dims(f_gr, g_gr)[1]:
                 out[(key - 1, f_jumps[k] - 1, g_jumps[l] - 1)] = d
         return out
+
+    def _pieces(self) -> tuple[tuple[_Chain, ...], tuple[_Chain, ...]]:
+        """The levels F and G induce on each W-graded piece."""
+        w_values = self.W.values()
+        return (
+            _trigraded_items(w_values, self.F.values())[1],
+            _trigraded_items(w_values, self.G.values())[1],
+        )
 
 
 def _adapted_basis(chain) -> list:

@@ -17,7 +17,11 @@ and tails are added in integer arithmetic.  Each flag is
 ``filtration.from_generators`` of one basis cut into consecutive runs
 (``_runs``), one run per index: weight m's run at index -m, since
 W^{-m} = W_m, and Hodge index p's run at p.  The generators are a basis
-by construction, so nothing checks that they span.  Linear
+by construction, so nothing checks that they span.  A flag of runs has
+spans of basis prefixes as levels, so W (in both generators) and the
+generic F take the echelon rows ``random_basis`` built for its rank
+test instead, whose prefixes span the same and lead at distinct columns:
+no level's span reduces a row before its back substitution.  Linear
 maps are Gaussian-integer rows too: the lift of ``random_extension`` is
 its drawn rows over the denominator 1, and the map of
 ``random_compatible_morphism`` is a random integer combination of the
@@ -59,27 +63,34 @@ def _random_row(rng: random.Random, n: int, real: bool = False) -> IntRow:
     )
 
 
-def random_basis(rng: random.Random, n: int, real: bool = False) -> list[IntRow]:
-    """A random ordered basis of the full space, as Gaussian-integer rows
-    with entries in a small box.
+def random_basis(
+    rng: random.Random, n: int, real: bool = False
+) -> tuple[list[IntRow], list[IntRow]]:
+    """(basis, echelon): a random ordered basis of the full space, as
+    Gaussian-integer rows with entries in a small box, and its echelon rows.
 
     A candidate is kept when it does not reduce to zero against the echelon
     rows of the vectors kept so far, that is, exactly when it raises the
-    rank; ``_echelon`` then adds its echelon row to ``by_lead``.
+    rank; ``_echelon`` then returns its echelon row and adds it to
+    ``by_lead``.  So each prefix of ``echelon`` spans the same prefix of
+    ``basis``, and its rows lead at distinct columns.
     """
     vectors: list[IntRow] = []
+    echelon: list[IntRow] = []
     by_lead: dict = {}
     stuck = 0
     while len(vectors) < n:
         v = _random_row(rng, n, real=real)
-        if _echelon([v], by_lead):
+        kept = _echelon([v], by_lead)
+        if kept:
             vectors.append(v)
+            echelon += kept
             stuck = 0
         else:
             stuck += 1
             if stuck > 64:
                 raise RuntimeError("random basis draw failed to reach full rank")
-    return vectors
+    return vectors, echelon
 
 
 def _weight_sizes(h: dict[tuple[int, int], int]) -> dict[int, int]:
@@ -183,15 +194,15 @@ def structure_from_diamond(
     validation step rejects it.
     """
     n = sum(h.values())
-    w = _weight_flag(random_basis(rng, n, real=True), _weight_sizes(h), n)
+    w = _weight_flag(random_basis(rng, n, real=True)[1], _weight_sizes(h), n)
 
-    f_basis = random_basis(rng, n)
+    f_echelon = random_basis(rng, n)[1]
     sizes = {
         p: sum(d for (pp, _), d in h.items() if pp == p)
         for p in sorted({p for p, _ in h}, reverse=True)
     }
     try:
-        return validate(w, from_generators(n, _runs(f_basis, sizes)))
+        return validate(w, from_generators(n, _runs(f_echelon, sizes)))
     except ValueError:
         return None
 
@@ -213,8 +224,9 @@ def adapted_structure_from_diamond(
     """
     n = sum(h.values())
     sizes = _weight_sizes(h)
-    w_basis = random_basis(rng, n, real=True)
-    w = _weight_flag(w_basis, sizes, n)
+    # W from the echelon rows; the generators of F from the basis itself
+    w_basis, w_echelon = random_basis(rng, n, real=True)
+    w = _weight_flag(w_echelon, sizes, n)
 
     def with_tail(v: IntRow, lower: int) -> IntRow:
         # w_basis is real, so a Gaussian-integer coefficient (cr, ci)

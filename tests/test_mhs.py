@@ -18,7 +18,7 @@ from conftest import (
 from mixedhodge import linalg
 from mixedhodge.exactfield import I, gauss
 from mixedhodge.filtration import filtered_space, graded_dims, shift, trivial
-from mixedhodge.invariants import alpha
+from mixedhodge.invariants import alpha, tate_twist_triple
 from mixedhodge.linalg import (
     conj_subspace,
     full_space,
@@ -42,10 +42,13 @@ from mixedhodge.mhs import (
     validate,
 )
 from mixedhodge.multifilt import (
+    TrifilteredSpace,
     _flag_coordinates,
     _trigraded_items,
     hodge_numbers,
+    intersection_dims,
     trigraded_dims,
+    triple_from_json,
 )
 from mixedhodge.sampling import random_extension, random_mhs
 
@@ -145,15 +148,44 @@ def test_fbar_echelon_is_the_conjugate_of_f_echelon():
         w = m.W.values()
         coords, back = _flag_coordinates(w)
         assert all(b == 0 for row in (*coords, *back) for _, b in row)
-        rows = _trigraded_items(w, m.F.values())[0]
+        rows, pieces, _ = _trigraded_items(w, m.F.values())
         conj = tuple(tuple((a, -b) for a, b in r) for r in rows)
-        assert _trigraded_items(w, conj_filtration(m.F).values())[0] == conj
+        bar_rows, bar_pieces, _ = _trigraded_items(w, conj_filtration(m.F).values())
+        assert bar_rows == conj
+        # and so are the levels Fbar induces on each W-piece, which the
+        # structure's triple takes as the conjugates of F's
+        assert bar_pieces == tuple(tuple(map(conj_subspace, c)) for c in pieces)
+        assert m.triple()._pieces() == (pieces, bar_pieces)
+
+
+def _generic(t: TrifilteredSpace) -> TrifilteredSpace:
+    return TrifilteredSpace(t.ambient_dim, W=t.W, F=t.F, G=t.G)
+
+
+def test_structure_triple_tables_match_the_generic_triple():
+    # the structure's triple conjugates F's pieces and fills no Fbar entry;
+    # a plain triple on the same fields computes Fbar's entry itself
+    rng = random.Random("conjugated pieces")
+    twisted = 0
+    for _ in range(20):
+        t = random_mhs(rng, max_dim=8).triple()
+        for u in (t, tate_twist_triple(t, 2), tate_twist_triple(t, -1)):
+            plain = _generic(u)
+            assert type(plain) is not type(u)
+            assert trigraded_dims(u) == trigraded_dims(plain)
+            # equal fields compare and hash equal, whatever the class
+            assert u == plain and plain == u and hash(u) == hash(plain)
+            assert triple_from_json(u.to_json()) == u
+            twisted += u is not t
+    assert twisted
 
 
 def test_deligne_splitting_reuses_the_trigraded_rows(monkeypatch):
     # validate fills the trigraded table's F entry; the splitting reads its
-    # rows and their map back, and runs one Zassenhaus pass per Hodge cell.
-    # Every other _echelon call is row_space canonicalizing a piece
+    # rows and their map back, and runs one Zassenhaus pass per Hodge cell
+    # that dimension does not decide.  A cell where F^p ∩ W_{p+q} has
+    # dimension h^{p,q} is that intersection, with no pass.  Every other
+    # _echelon call is row_space canonicalizing a piece
     rng = random.Random("fresh draw")
     m = random_mhs(rng, 8)
     while m.ambient_dim != 8:
@@ -176,12 +208,18 @@ def test_deligne_splitting_reuses_the_trigraded_rows(monkeypatch):
     coordinate_misses = _flag_coordinates.cache_info().misses
     assert "_deligne" not in vars(m)  # not computed yet
     pieces = deligne_splitting(m)
+    passes = calls["_echelon"] - calls["_canonical"]
     assert _trigraded_items.cache_info().misses == misses
     # the map back to x coordinates comes with the rows
     assert _flag_coordinates.cache_info().misses == coordinate_misses
     cells = hodge_numbers(m.triple())
     assert set(pieces) == set(cells)
-    assert calls["_echelon"] - calls["_canonical"] == len(cells)
+    forced = sum(
+        intersection_dims(m.W, m.F, [-(p + q)], [p])[(-(p + q), p)] == h
+        for (p, q), h in cells.items()
+    )
+    assert 0 < forced < len(cells)
+    assert passes == len(cells) - forced
 
 
 def test_deligne_splitting_runs_no_intersections_or_sums(monkeypatch):
@@ -208,10 +246,14 @@ def test_deligne_splitting_runs_no_intersections_or_sums(monkeypatch):
 ))
 def test_trigraded_dims_are_symmetric_for_any_hodge_filtration(pair):
     # validate checks no Hodge symmetry: with W real and G = Fbar,
-    # conjugation maps F^p ∩ Fbar^q on gr_W^r onto Fbar^p ∩ F^q
+    # conjugation maps F^p ∩ Fbar^q on gr_W^r onto Fbar^p ∩ F^q.  The
+    # structure's triple conjugates F's pieces, which rests on W being
+    # real only, so its table is a plain triple's, opposed or not
     w, f = pair
-    delta = trigraded_dims(MixedHodgeStructure(w.ambient_dim, w, f).triple())
+    t = MixedHodgeStructure(w.ambient_dim, w, f).triple()
+    delta = trigraded_dims(t)
     assert all(delta.get((r, q, p), 0) == d for (r, p, q), d in delta.items())
+    assert delta == trigraded_dims(_generic(t))
 
 
 def test_conjugation_symmetry_mod_lower_weight():

@@ -25,7 +25,11 @@ from mixedhodge.filtration import (
     induced_on_sub,
     tensor,
 )
-from mixedhodge.families import two_flag_fiber
+from mixedhodge.families import (
+    lambda_conjugate_grid,
+    lambda_kappa_grid,
+    two_flag_fiber,
+)
 from mixedhodge.invariants import alpha, alpha_via_f_expansion, chern_data
 from mixedhodge.linalg import (
     full_space,
@@ -42,9 +46,15 @@ from mixedhodge.mhs import (
     direct_sum_mhs,
     dual_mhs,
     is_r_split,
+    tate_twist,
     tensor_mhs,
 )
-from mixedhodge.multifilt import TrifilteredSpace
+from mixedhodge.multifilt import (
+    TrifilteredSpace,
+    bigraded_dims,
+    f_table,
+    trigraded_dims,
+)
 from mixedhodge.sampling import random_compatible_morphism, random_mhs
 
 
@@ -296,6 +306,102 @@ def test_subspaces_of_a_structure_have_nonpositive_c1():
         seen["images"] += 0 < im.dim < dst.ambient_dim
     # the draws reach proper subspaces of each kind
     assert min(seen.values()) >= 10, seen
+
+
+def _tables_by_sympy(sympy, t: TrifilteredSpace) -> tuple[dict, dict, dict]:
+    """(f, s, delta) of t from the levels of ``t.to_json()``, with sympy
+    alone.  f^{p,q} = dim(F^p ∩ G^q) over F's and G's jump windows, one
+    index of margin on each side; s is its nonzero second differences.
+    On gr_W^r, dim(F_r^p ∩ G_r^q) is dim((W^r ∩ F^p + W^{r+1}) ∩
+    (W^r ∩ G^q + W^{r+1})) - dim W^{r+1}, and delta(r, p, q) is its nonzero
+    second differences in (p, q).  A meet of two spans is the common zeros
+    of their annihilators, a sum the stacked rows, and
+    dim(x ∩ y) = rank x + rank y - rank [x; y]."""
+    from sympy.polys.matrices import DomainMatrix
+
+    qq_i = sympy.QQ_I
+    data = t.to_json()
+    n = data["ambient_dim"]
+
+    def dm(rows):
+        return DomainMatrix(rows, (len(rows), n), qq_i)
+
+    def rank(rows) -> int:
+        return dm(rows).rank() if rows else 0
+
+    def meet_dim(x, y) -> int:
+        return rank(x) + rank(y) - rank(x + y)
+
+    def meet(x, y):
+        return dm(dm(x).nullspace().to_list() + dm(y).nullspace().to_list()
+                  ).nullspace().to_list()
+
+    def lookup(key):
+        """(window, p -> the value at p as ``QQ_I`` rows)."""
+        levels = data[key]["levels"]
+        jumps = [level["index"] for level in levels]
+        values = [[[qq_i(int(i == j), 0) for j in range(n)] for i in range(n)]]
+        values += [
+            [[qq_i(Fraction(a, b), Fraction(c, d)) for a, b, c, d in v]
+             for v in level["vectors"]]
+            for level in levels
+        ]
+        window = range(jumps[0] - 1, jumps[-1] + 1) if jumps else range(0, 1)
+        return window, lambda p: values[bisect_right(jumps, p)]
+
+    def second_differences(dims, ps, qs, *key) -> dict:
+        out = {}
+        for p in ps:
+            for q in qs:
+                d = dims(p, q) - dims(p + 1, q) - dims(p, q + 1) + dims(p + 1, q + 1)
+                if d:
+                    out[(*key, p, q)] = d
+        return out
+
+    (rs, w_at), (ps, f_at), (qs, g_at) = lookup("W"), lookup("F"), lookup("G")
+    f = {(p, q): meet_dim(f_at(p), g_at(q)) for p in ps for q in qs}
+    s = second_differences(lambda p, q: meet_dim(f_at(p), g_at(q)), ps, qs)
+    delta = {}
+    for r in rs:
+        outer, inner = w_at(r), w_at(r + 1)
+        below = rank(inner)
+        if rank(outer) == below:
+            continue
+        on_f = {p: meet(outer, f_at(p)) + inner for p in range(ps.start, ps.stop + 1)}
+        on_g = {q: meet(outer, g_at(q)) + inner for q in range(qs.start, qs.stop + 1)}
+        delta.update(second_differences(
+            lambda p, q: meet_dim(on_f[p], on_g[q]) - below, ps, qs, r
+        ))
+    return f, s, delta
+
+
+def _assert_tables_match_sympy(sympy, t: TrifilteredSpace) -> None:
+    ours = f_table(t), bigraded_dims(t), trigraded_dims(t)
+    assert ours == _tables_by_sympy(sympy, t), t.to_json()
+
+
+def test_tables_against_sympy_on_structures_and_fibers():
+    # seeded draws and their Tate twists, whose triples take Fbar's pieces
+    # as the conjugates of F's, and the fibers of both lambda grids
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("table oracle")
+    for k in range(24):
+        m = random_mhs(rng, max_dim=5)
+        _assert_tables_match_sympy(sympy, m.triple())
+        if k % 4 == 0:
+            _assert_tables_match_sympy(sympy, tate_twist(m, k // 4 - 2).triple())
+    for fam in (lambda_conjugate_grid(1, Fraction(1, 2)),
+                lambda_kappa_grid(1, Fraction(1, 3))):
+        for t in fam.fibers:
+            _assert_tables_match_sympy(sympy, t)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(1, 4).flatmap(triples))
+def test_tables_against_sympy_on_triples(t):
+    sympy = pytest.importorskip("sympy")
+    assume(chern_data(t).c1 != 0)  # not opposed: W-pieces off the diagonal
+    _assert_tables_match_sympy(sympy, t)
 
 
 def _rees_count(sympy, t: TrifilteredSpace, k: int) -> int:

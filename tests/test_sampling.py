@@ -10,7 +10,7 @@ from conftest import assert_canonical
 from mixedhodge.exactfield import gauss
 from mixedhodge.filtration import common_window
 from mixedhodge.invariants import alpha
-from mixedhodge.linalg import intersect, span, vector_from_json
+from mixedhodge.linalg import _pivot, intersect, row_space, span, vector_from_json
 from mixedhodge.mhs import (
     deligne_splitting,
     direct_sum_mhs,
@@ -125,13 +125,18 @@ def test_random_basis_spans_full_space():
     rng = random.Random(41)
     for n in range(1, 9):
         for real in (True, False):
-            rows = random_basis(rng, n, real=real)
-            assert len(rows) == n
+            rows, echelon = random_basis(rng, n, real=real)
+            assert len(rows) == len(echelon) == n
             assert all(len(r) == n for r in rows)
             assert all(max(abs(x), abs(y)) <= 9 for r in rows for x, y in r)
             if real:
-                assert all(y == 0 for r in rows for _, y in r)
+                assert all(y == 0 for r in (*rows, *echelon) for _, y in r)
             assert span([[gauss(x, y) for x, y in r] for r in rows], n).is_full
+            # the echelon rows lead at distinct columns, and each of their
+            # prefixes spans the same prefix of the basis
+            assert len({_pivot(r) for r in echelon}) == n
+            for k in range(1, n + 1):
+                assert row_space(echelon[:k], n) == row_space(rows[:k], n)
 
 
 def test_random_structures_valid_and_in_range():

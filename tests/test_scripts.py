@@ -4,10 +4,12 @@ Each script runs as its docstring says, in a fresh interpreter with the
 package's ``src`` directory on ``PYTHONPATH``:
 ``scripts/lambda_plane_strata.py`` once with its default grid and once
 with ``--radius 3 --den 7``, ``scripts/worst_document.py`` at dimension 4
+with 8-bit entries, and its family writer with three fibers of dimension 8
 with 8-bit entries.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "lambda_plane_strata.py"
 WORST = ROOT / "scripts" / "worst_document.py"
 WORST_4_8 = "f9d6ac26f50dafd28a1315ab8894b6c8c053eb03c5ea1501e1fb5a3f427f4a89"
+WORST_FAMILY_8_8_3 = "daa8ec7ed6e8a450e33cca9ef3e8d88330f6430ba57533ab6485019c5de4b293"
 
 PINNED = {
     (): {
@@ -63,3 +66,17 @@ def test_worst_document_is_pinned_and_admitted(tmp_path, capsys):
     assert hashlib.sha256(doc.read_bytes()).hexdigest() == WORST_4_8
     assert main(["invariants", "--in", str(doc)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_worst_family_is_pinned_and_admitted(tmp_path, capsys):
+    # random full flags are not opposed, so stratify builds every fiber's
+    # tables, then names the first fiber; no cap rejects the document
+    doc = tmp_path / "family.json"
+    _run(WORST, "--dim", "8", "--bits", "8", "--family", "3", "--out", str(doc))
+    assert hashlib.sha256(doc.read_bytes()).hexdigest() == WORST_FAMILY_8_8_3
+    data = json.loads(doc.read_text())
+    assert len({json.dumps(fiber) for fiber in data["fibers"]}) == 3
+    assert main(["stratify", "--in", str(doc)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "fiber at parameter point 't0' is not opposed"
+    }
