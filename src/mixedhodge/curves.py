@@ -168,7 +168,9 @@ def _theta_tail_ok(tau: complex, max_abs_im_z: float, n: int, tol: float) -> boo
         return False
     if log_first > 700.0:
         return False
-    tail = 2.0 * math.exp(log_first) / (1.0 - math.exp(log_ratio))
+    # -expm1 stays positive for a tiny negative log_ratio, where
+    # 1 - exp(log_ratio) is 0; the tail is then inf and not ok
+    tail = 2.0 * math.exp(log_first) / -math.expm1(log_ratio)
     return tail <= tol / 10.0
 
 
@@ -176,6 +178,11 @@ def _lattice_reduce(d: complex, tau: complex) -> tuple:
     """Coordinates of d in the basis (1, tau), each reduced mod 1."""
     b = d.imag / tau.imag
     a = d.real - b * tau.real
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(
+            "lattice coordinates of a point difference are not finite in "
+            "double precision"
+        )
     return a - round(a), b - round(b)
 
 

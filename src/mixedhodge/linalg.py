@@ -65,7 +65,7 @@ construction, and a cached one costs a lookup instead of n rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -223,13 +223,28 @@ def _quotient(x: int, y: int, d: int) -> Quad:
     return x // g, d // g, y // h, d // h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subspace:
     """A subspace of Q(i)^ambient_dim, stored as canonical Gaussian-integer
-    rows: reduced echelon form, positive integer pivots, primitive rows."""
+    rows: reduced echelon form, positive integer pivots, primitive rows.
+
+    It hashes once: the first ``hash`` keeps the dataclass's own value,
+    hash((ambient_dim, rows)), in ``_hash``, which takes no part in
+    equality or the repr, so a cache keyed by a plain tuple of subspaces
+    (``multifilt``'s) rehashes no rows.  The hash is kept on first use
+    and not at construction: most subspaces never become a key, and the
+    constructor trusts its rows and computes nothing from them."""
 
     ambient_dim: int
     rows: tuple[IntRow, ...]
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.ambient_dim, self.rows))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def dim(self) -> int:
@@ -265,27 +280,6 @@ class Subspace:
         # a row of self outside other keeps a leading column that no row
         # of other has
         return not _echelon(self.rows, {_pivot(r): r for r in other.rows})
-
-
-class _Chain(tuple):
-    """A chain of subspaces, a filtration's values or the levels it
-    induces on a graded piece, as a tuple that hashes once, at
-    construction.  The caches of ``multifilt`` key on chains, and a plain
-    tuple rehashes every ``Subspace`` of it on each lookup.
-
-    Equality is tuple equality and the hash is the plain tuple's, so a
-    chain and an equal plain tuple are one cache key: a caller that
-    passes tuples finds the entries that chains filled, and the other way
-    round.  Its members are frozen subspaces, so the stored hash stays true
-    for the chain's life."""
-
-    def __new__(cls, items):
-        chain = tuple.__new__(cls, items)
-        chain._hash = tuple.__hash__(chain)
-        return chain
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def _in_basis(sub: Subspace, rows) -> Subspace:

@@ -66,7 +66,6 @@ from mixedhodge.filtration import (
 from mixedhodge.linalg import (
     IntRow,
     Subspace,
-    _Chain,
     _Z,
     _dot,
     _echelon,
@@ -172,9 +171,9 @@ class _MhsTriple(TrifilteredSpace):
     twist keeps the class (``invariants.tate_twist_triple``).  It compares
     and hashes as a ``TrifilteredSpace`` with the same fields."""
 
-    def _pieces(self) -> tuple[tuple[_Chain, ...], tuple[_Chain, ...]]:
+    def _pieces(self) -> tuple[tuple[tuple[Subspace, ...], ...], ...]:
         f_pieces = _trigraded_items(self.W.values(), self.F.values())[1]
-        return f_pieces, tuple(_Chain(map(conj_subspace, c)) for c in f_pieces)
+        return f_pieces, tuple(tuple(map(conj_subspace, c)) for c in f_pieces)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrifilteredSpace):

@@ -40,9 +40,10 @@ The trigraded table is computed once per triple and kept on it, so
 it, and it goes away with the triple.  Three caches outlive it, keyed by
 chains of level subspaces and not by jump indices, so that a shifted or
 Tate-twisted filtration and the fibers of one family, which share W, hit
-them.  A filtration's values and the levels it induces on a W-piece are
-chains (``linalg._Chain``) that hash once, so a lookup hashes each key
-chain as one object, not each of its subspaces:
+them.  The keys are plain tuples of subspaces, a filtration's values or
+the levels it induces on a W-piece; each ``Subspace`` keeps its hash
+after the first call (see ``linalg``), so a lookup hashes one stored int
+per member:
 
 * ``_flag_coordinates``, the coordinates adapted to W and their map back
   to the original coordinates, both from one echelon of a W-adapted basis
@@ -54,10 +55,10 @@ chain as one object, not each of its subspaces:
   ``validate`` fills when it builds the table.  A structure's triple and
   its Tate twists fill no Fbar entry: they take G's pieces as the
   conjugates of F's (``TrifilteredSpace._pieces``, overridden in
-  ``mhs``), as a real W allows, and the level tables of those pieces, keyed
-  by value, are the same entries;
+  ``mhs``), as a real W allows; the conjugates equal Fbar's pieces, so
+  their level tables are the entries a plain triple finds;
 * ``_level_dims``, the level tables with their cells, keyed by the two
-  chains of values, full space first (128 entries).  One triple needs
+  tuples of values, full space first (128 entries).  One triple needs
   one entry for (F, G), one each for (W, F) and (W, G) when its K0 class
   is asked for, and one per W-piece; a twist shares them all.  The
   fibers of a lambda grid share W, and each of their two W-pieces has
@@ -94,7 +95,6 @@ from mixedhodge.filtration import (
 from mixedhodge.linalg import (
     IntRow,
     Subspace,
-    _Chain,
     _Z,
     _dot,
     _echelon,
@@ -143,7 +143,7 @@ class TrifilteredSpace:
                 out[(key - 1, f_jumps[k] - 1, g_jumps[l] - 1)] = d
         return out
 
-    def _pieces(self) -> tuple[tuple[_Chain, ...], tuple[_Chain, ...]]:
+    def _pieces(self) -> tuple[tuple[tuple[Subspace, ...], ...], ...]:
         """The levels F and G induce on each W-graded piece."""
         w_values = self.W.values()
         return (
@@ -209,7 +209,7 @@ def _flag_coordinates(
 def _trigraded_items(
     w_values: tuple[Subspace, ...], x_values: tuple[Subspace, ...]
 ) -> tuple[
-    tuple[IntRow, ...], tuple[_Chain, ...], tuple[IntRow, ...]
+    tuple[IntRow, ...], tuple[tuple[Subspace, ...], ...], tuple[IntRow, ...]
 ]:
     """(rows, pieces, back): the values of a filtration X, full space
     first, in coordinates adapted to the values of W, and induced on each
@@ -250,7 +250,7 @@ def _trigraded_items(
             if len(keep) < level.dim:
                 level = row_space(keep, hi - lo) if keep else zero_subspace(hi - lo)
             levels.append(level)
-        pieces.append(_Chain(levels))
+        pieces.append(tuple(levels))
         lo = hi
     return tuple(map(tuple, rows)), tuple(pieces), back
 

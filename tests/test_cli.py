@@ -210,10 +210,24 @@ def test_curve_alpha_domain_error(tmp_path, capsys):
     # a huge Re tau makes the theta exponents infinite, not just large
     wide = {"genus": 1, "tau": [1e308, 1], "punctures": [[0, 0.1], [0, 0.3]],
             "pairs": [[[0, 0.5], [0, 0.7]]]}
+    # a tiny Im tau makes 1 - exp of the tail ratio exactly 0, which the
+    # tail bound used to divide by
+    flat = {"genus": 1, "tau": [0, 1e-320], "punctures": [[0, 0], [0.5, 0]],
+            "pairs": []}
+    # lattice coordinates of a point difference that overflow to infinity
+    # (used to escape round()) or to NaN (used to exit with round()'s text)
+    skew = {"genus": 1, "tau": [1e308, 1], "punctures": [[0, 0], [0, 1e308]],
+            "pairs": []}
+    thin = {"genus": 1, "tau": [0, 1e-300], "punctures": [[0, 0], [0, 1e10]],
+            "pairs": []}
+    lattice = "lattice coordinates of a point difference are not finite"
     for name, doc, msg in (("far.json", far, "not finite"),
                            ("near.json", near, "not finite"),
                            ("steep.json", steep, "overflows"),
-                           ("wide.json", wide, "theta term |n| = 1 overflows")):
+                           ("wide.json", wide, "theta term |n| = 1 overflows"),
+                           ("flat.json", flat, "theta truncation too small"),
+                           ("skew.json", skew, lattice),
+                           ("thin.json", thin, lattice)):
         code, out, err = run(capsys, ["curve-alpha", "--in", write(tmp_path, name, doc)])
         assert (code, out) == (1, "")
         assert msg in json.loads(err)["error"]

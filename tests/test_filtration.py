@@ -30,7 +30,7 @@ from mixedhodge.filtration import (
     tensor,
     trivial,
 )
-from mixedhodge.linalg import Subspace, _Chain, full_space, span, zero_subspace
+from mixedhodge.linalg import Subspace, full_space, span, zero_subspace
 from mixedhodge.multifilt import _level_dims, simultaneous_splitting
 
 
@@ -142,42 +142,35 @@ def test_jumps_and_values_are_stored_once(f):
     ),
     st.integers(min_value=-3, max_value=3),
 )
-def test_values_are_a_chain_that_hashes_once(pair, k):
-    # a chain is the plain tuple of its values as a cache key: same hash,
-    # same equality, so a level-table entry filled under either key is hit
-    # by the other, and by a shifted filtration's values
+def test_values_are_plain_keys_and_a_subspace_hashes_once(pair, k):
+    # the values are a plain tuple of subspaces, so a level-table entry
+    # filled under them is hit by an equal tuple of fresh, unhashed
+    # subspaces and by a shifted filtration's values
     f, g = pair
-    for v in (f.values(), g.values()):
-        plain = tuple(v)
-        assert type(plain) is tuple and type(v) is not tuple
-        assert hash(v) == hash(plain) and v == plain
+    assert type(f.values()) is tuple and type(g.values()) is tuple
+
+    def fresh(values):
+        return tuple(Subspace(v.ambient_dim, v.rows) for v in values)
+
     for first, then in (
-        ((tuple(f.values()), tuple(g.values())), (f.values(), g.values())),
-        ((f.values(), g.values()), (tuple(f.values()), tuple(g.values()))),
+        ((f.values(), g.values()), (fresh(f.values()), fresh(g.values()))),
+        ((fresh(f.values()), fresh(g.values())), (f.values(), g.values())),
         ((f.values(), g.values()), (shift(f, k).values(), shift(g, -k).values())),
     ):
         _level_dims.cache_clear()
         _level_dims(*first)
         _level_dims(*then)
         assert _level_dims.cache_info()[:2] == (1, 1)  # hits, misses
-    real = Subspace.__hash__
-    calls = []
-
-    def counting(sub):
-        calls.append(sub)
-        return real(sub)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Subspace, "__hash__", counting)
-        hash(tuple(f.values()))
-        assert len(calls) == len(f.values())  # the counter sees each member
-        chain = _Chain(f.values())
-        hash(chain)
-        calls.clear()
-        hash(chain)
-        hash(chain)
-        hash(f.values())
-        assert calls == []
+    # a subspace keeps its hash on first use, the dataclass's own value,
+    # in a slot that takes no part in equality or the repr
+    for value in f.values():
+        sub, twin = fresh([value, value])
+        assert sub._hash is None
+        h = hash(sub)
+        assert h == hash((sub.ambient_dim, sub.rows)) == sub._hash
+        assert hash(sub) == h
+        assert twin._hash is None and twin == sub and repr(twin) == repr(sub)
+        assert not hasattr(sub, "__dict__")
 
 
 def test_generators_must_enlarge_every_level():

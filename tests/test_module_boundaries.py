@@ -14,6 +14,11 @@ Every ``lru_cache`` or ``cache`` sits on a module-level function, where a
 scan of module attributes (the tests' and the benchmark's cache
 clearing) finds it.
 
+Only ``Subspace`` decides how a cache key hashes: it keeps its own hash
+in a slot, and no package class subclasses a builtin container (``tuple``,
+``list``, ``dict``, or a ``NamedTuple``), so a key is a plain tuple of
+subspaces and not a container type that stores a hash of its own.
+
 Q(i) values, reduced quadruples, are built or read only in the modules
 on ``QI_MODULES``, and no module defines or uses a ``Matrix``: a linear
 map is Gaussian-integer rows.
@@ -50,6 +55,7 @@ from collections import Counter
 from pathlib import Path
 
 import mixedhodge
+from mixedhodge.linalg import Subspace
 
 SOURCES = sorted(Path(mixedhodge.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -220,6 +226,32 @@ def test_caches_sit_on_module_level_functions():
                 assert id(node) in top, f"{path.name}: {node.name}"
                 cached += 1
     assert cached  # the scan sees the package's caches
+
+
+CONTAINERS = {"tuple", "list", "dict", "NamedTuple"}
+
+
+def _base_name(base: ast.expr) -> str | None:
+    """The name a class base reads, through a subscript or a module
+    attribute: ``tuple[int, ...]`` and ``typing.NamedTuple`` included."""
+    if isinstance(base, ast.Subscript):
+        base = base.value
+    if isinstance(base, ast.Attribute):
+        return base.attr
+    return base.id if isinstance(base, ast.Name) else None
+
+
+def test_no_class_subclasses_a_builtin_container():
+    classes = 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                classes += 1
+                bases = {_base_name(b) for b in node.bases}
+                assert not bases & CONTAINERS, f"{path.name}: {node.name}"
+    assert classes  # the scan sees the package's classes
+    assert "__slots__" in vars(Subspace)
 
 
 def _decides_an_int(node: ast.AST) -> bool:
